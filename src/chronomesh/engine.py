@@ -43,7 +43,6 @@ from .channel import (
     ChannelModel,
     DelayDistribution,
     PathlossDistribution,
-    interior_delay_distribution,
     linear_model,
     sample_fix,
 )
@@ -218,7 +217,6 @@ class NetworkState:
 
         self.probes: list[int] = []
         self.rx_gain_dist: PathlossDistribution | None = None
-        self.fix_dist: DelayDistribution | None = None
         self.probe_dists: dict[int, DelayDistribution] = {}
         if config.regime == "delay":
             self._setup_probes()
@@ -257,8 +255,6 @@ class NetworkState:
         for node in self.probes:
             rx = NodePosition(*self.positions[node])
             self.probe_dists[node] = DelayDistribution(self.channel, rx)
-        self.fix_dist = interior_delay_distribution(
-            self.channel, NodePosition(*self.positions[self.probes[0]]))
 
     def _init_windows(self, rng: np.random.Generator):
         """Steady-state windows: exact past instants read with fresh jitter."""

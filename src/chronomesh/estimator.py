@@ -160,9 +160,10 @@ def predicted_variance(variant: DesignVariant, m: int, sigma2: float = 1.0) -> f
 def alpha_variance(m: int, sigma2: float = 1.0) -> float:
     """Exact variance of the skew estimate; identical across unit-step designs.
 
-    The even_odd design halves it through its doubled regressor spread, but
-    its slope is still reported per reference-time unit, so the closed form
-    below applies to the standard and epsilon designs used for skew work.
+    The even_odd design divides it by four through its doubled regressor
+    spread, but its slope is still reported per reference-time unit, so the
+    closed form below applies to the standard and epsilon designs used for
+    skew work.
     """
     _check_window_length(m)
     return sigma2 * 12.0 / ((m - 1.0) * m * (m + 1.0))

@@ -122,18 +122,19 @@ def disk_intersection_area(region: Region, center: NodePosition | tuple[float, f
     return float(area[0]) if scalar else area
 
 
-def place_nodes(region: Region, n: int, rng: np.random.Generator) -> list[NodePosition]:
+def place_nodes(region: Region, n: int, rng: np.random.Generator) -> np.ndarray:
     """Drop n nodes independently and uniformly over the region.
 
-    Draw order is fixed: all x coordinates first, then all y coordinates.
+    Returns an (n, 2) float array of (x, y) rows. Draw order is fixed: all x
+    coordinates first, then all y coordinates.
     """
     if n <= 0:
         raise DomainError(f"node count must be positive, got {n}")
     xs = rng.uniform(0.0, region.width, size=n)
     ys = rng.uniform(0.0, region.height, size=n)
-    return [NodePosition(float(x), float(y)) for x, y in zip(xs, ys)]
+    return np.column_stack((xs, ys))
 
 
-def positions_array(nodes: list[NodePosition]) -> np.ndarray:
-    """Stack node positions into an (n, 2) array."""
-    return np.array([(p.x, p.y) for p in nodes], dtype=float)
+def positions_array(positions: np.ndarray) -> np.ndarray:
+    """View node positions as an (n, 2) float array."""
+    return np.asarray(positions, dtype=float).reshape(-1, 2)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, TypeVar
 
 T = TypeVar("T")
 
@@ -40,8 +40,3 @@ def run_indexed(fn: Callable[[int], T], count: int, threads: int | None = None) 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, range(count)))
 
-
-def map_blocks(fn: Callable[[int, Sequence[int]], T], blocks: Sequence[Sequence[int]],
-               threads: int | None = None) -> list[T]:
-    """Apply fn(block_index, block) over a fixed partition of work."""
-    return run_indexed(lambda b: fn(b, blocks[b]), len(blocks), threads)

@@ -21,6 +21,7 @@ model falls out of the same firing-time bookkeeping.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -31,9 +32,18 @@ from .errors import ConfigurationError
 
 _CHECK_GRID = 257   # validation resolution for the charging map
 
+# (f, f_inverse) pairs that have passed the charging-map check. Only
+# acceptances are remembered, so a bad pair raises on every construction.
+_ACCEPTED_MAPS: set[tuple[Callable, Callable]] = set()
 
+
+@functools.lru_cache(maxsize=None)
 def log_charging_map(b: float = 3.0) -> tuple[Callable[[float], float], Callable[[float], float]]:
-    """The standard concave charging pair f, f_inverse with curvature b."""
+    """The standard concave charging pair f, f_inverse with curvature b.
+
+    Cached, so every caller with the same curvature gets the same pair and
+    configs built from it are checked once.
+    """
     if b <= 0.0:
         raise ConfigurationError("curvature b must be positive")
     scale = math.expm1(b)
@@ -88,7 +98,10 @@ class PcoConfig:
             fwd, inv = log_charging_map()
             object.__setattr__(self, "f", fwd)
             object.__setattr__(self, "f_inverse", inv)
-        self._check_charging_map()
+        pair = (self.f, self.f_inverse)
+        if pair not in _ACCEPTED_MAPS:
+            self._check_charging_map()
+            _ACCEPTED_MAPS.add(pair)
         if self.max_cycles < 1:
             raise ConfigurationError("max_cycles must be at least 1")
         if self.merge_tol <= 0.0:

@@ -37,11 +37,3 @@ def derive_seed(seed: int, domain: int, *indices: int) -> int:
     state = np.random.SeedSequence(path).generate_state(2, dtype=np.uint32)
     return int(state[0]) | (int(state[1]) << 32)
 
-
-def block_streams(seed: int, domain: int, n_blocks: int) -> list[np.random.Generator]:
-    """Generators for a fixed partition of work into n_blocks pieces.
-
-    The partition is chosen by the caller independently of the thread count,
-    which is what makes parallel runs reproduce serial ones byte for byte.
-    """
-    return [substream(seed, domain, b) for b in range(n_blocks)]

@@ -104,14 +104,24 @@ def test_negative_radius_rejected():
 def test_place_nodes_uniform_moments():
     region = Region(1.0, 1.0)
     n = 100_000
-    nodes = place_nodes(region, n, np.random.default_rng(42))
-    xs = np.array([p.x for p in nodes])
-    ys = np.array([p.y for p in nodes])
+    positions = place_nodes(region, n, np.random.default_rng(42))
+    xs, ys = positions[:, 0], positions[:, 1]
     bound = 3.0 / np.sqrt(12.0 * n)  # 3 sigma for the mean of U(0, 1)
     assert abs(xs.mean() - 0.5) < bound
     assert abs(ys.mean() - 0.5) < bound
     assert xs.min() >= 0.0 and xs.max() <= 1.0
     assert ys.min() >= 0.0 and ys.max() <= 1.0
+
+
+def test_place_nodes_draw_order_and_array_contract():
+    region = Region(2.0, 0.5)
+    n = 1000
+    positions = place_nodes(region, n, np.random.default_rng(7))
+    assert positions.shape == (n, 2)
+    assert positions.dtype == np.float64
+    replay = np.random.default_rng(7)
+    np.testing.assert_array_equal(positions[:, 0], replay.uniform(0.0, 2.0, n))
+    np.testing.assert_array_equal(positions[:, 1], replay.uniform(0.0, 0.5, n))
 
 
 def test_place_nodes_zero_count_rejected():

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chronomesh import pco
 from chronomesh.errors import ConfigurationError
 from chronomesh.pco import (
     FireEvent,
@@ -215,3 +216,35 @@ def test_charging_map_round_trip():
         assert f_inv(f(g)) == pytest.approx(g, abs=1e-12)
     assert f(0.0) == 0.0
     assert f(1.0) == pytest.approx(1.0, abs=1e-12)
+
+
+def _count_checks(monkeypatch) -> list[int]:
+    """Start from an empty acceptance memo and count charging-map checks."""
+    monkeypatch.setattr(pco, "_ACCEPTED_MAPS", set())
+    calls = [0]
+    check = PcoConfig._check_charging_map
+
+    def counted(self):
+        calls[0] += 1
+        check(self)
+
+    monkeypatch.setattr(PcoConfig, "_check_charging_map", counted)
+    return calls
+
+
+def test_charging_map_checked_once_per_map(monkeypatch):
+    calls = _count_checks(monkeypatch)
+    for phases in ((0.1, 0.4), (0.3, 0.7)):
+        f, f_inv = log_charging_map(2.5)
+        PcoConfig(initial_phases=phases, f=f, f_inverse=f_inv)
+    assert calls[0] == 1
+    assert log_charging_map(2.5) is log_charging_map(2.5)
+
+
+def test_rejected_charging_map_raises_every_time(monkeypatch):
+    calls = _count_checks(monkeypatch)
+    convex = lambda p: p ** 2
+    for _ in range(2):
+        with pytest.raises(ConfigurationError):
+            PcoConfig(initial_phases=(0.2,), f=convex, f_inverse=math.sqrt)
+    assert calls[0] == 2
