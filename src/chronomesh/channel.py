@@ -225,8 +225,9 @@ class PathlossDistribution:
     def sample(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray | float:
         """Inverse-transform samples of K_j, zeros included."""
         n = 1 if size is None else int(size)
-        u = rng.uniform(size=n)
-        target = (1.0 - u) * self.area_total
+        target = rng.uniform(size=n)
+        np.subtract(1.0, target, out=target)
+        target *= self.area_total
         heard = target < self.area_at_range
         gains = np.zeros(n)
         if np.any(heard):

@@ -32,12 +32,7 @@ import numpy as np
 from . import __version__
 from .channel import linear_model, sample_delay_pathloss_pair, unit_gain_model
 from .clock import SkewPopulation
-from .engine import (
-    ScenarioConfig,
-    init_steady_state,
-    no_delay_phase_events,
-    run_phases,
-)
+from .engine import NetworkState, ScenarioConfig, no_delay_phase_events, run_phases
 from .errors import ConfigurationError, DomainError, NumericsError
 from .geometry import NodePosition, Region
 from .multihop import HopChainConfig, run_cascade
@@ -286,7 +281,7 @@ def write_csv(path: str, header: list[str], rows) -> None:
 
 def _cmd_waveform(manifest: RunManifest) -> None:
     config = build_scenario(manifest)
-    state = init_steady_state(config)
+    state = NetworkState(config)
     events, center, _ = no_delay_phase_events(state)
     crossing = find_zero_crossing(events, state.pulse, search_center=center,
                                   gate=state.channel.gate)
@@ -308,7 +303,7 @@ def _cmd_waveform(manifest: RunManifest) -> None:
 
 def _cmd_phases(manifest: RunManifest) -> None:
     config = build_scenario(manifest)
-    state = init_steady_state(config)
+    state = NetworkState(config)
     count = _parse_int(manifest.sections["scenario"]["phases"], "scenario.phases")
     if count < 1:
         raise ConfigurationError("scenario.phases must be at least 1")

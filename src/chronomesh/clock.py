@@ -102,9 +102,3 @@ class SkewPopulation:
             out[filled:filled + take] = accepted[:take]
             filled += take
         return out
-
-
-def sample_population(population: SkewPopulation, n: int,
-                      rng: np.random.Generator) -> np.ndarray:
-    """Draw n skews from the population."""
-    return population.sample(n, rng)

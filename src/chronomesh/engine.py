@@ -262,18 +262,25 @@ class NetworkState:
         m = cfg.m
         n = cfg.n_nodes
         steps = np.arange(m, dtype=float)
+        # Built in two (n, m) buffers, in the arithmetic order of
+        # alphas * (instants - deltas) + jitter * sigma.
+        jitter = rng.normal(0.0, 1.0, size=(n, m))
+        jitter *= self.sigma[:, None]
+        windows = np.empty((n, m))
         if cfg.regime == "even_odd":
             # active parity holds tau0-(2m-1), ..., tau0-1; the other holds
             # tau0-2m, ..., tau0-2, so both are spaced by 2
             active = self.parity == (self.next_center % 2)
             first = np.where(active, self.next_center - (2 * m - 1), self.next_center - 2 * m)
-            instants = first[:, None] + 2.0 * steps[None, :]
+            np.add(first[:, None], 2.0 * steps, out=windows)
         else:
-            instants = (self.next_center - m) + steps[None, :] + np.zeros((n, 1))
+            windows[:] = (self.next_center - m) + steps
             if cfg.regime == "delay":
-                instants = instants + self.eps_i[:, None]
-        jitter = rng.normal(0.0, 1.0, size=(n, m)) * self.sigma[:, None]
-        self.windows = self.alphas[:, None] * (instants - self.deltas[:, None]) + jitter
+                windows += self.eps_i[:, None]
+        windows -= self.deltas[:, None]
+        windows *= self.alphas[:, None]
+        windows += jitter
+        self.windows = windows
 
     # -- sequence protocol ----------------------------------------------
 
@@ -309,11 +316,6 @@ class NetworkState:
         return (self[i] for i in range(self.n))
 
 
-def init_steady_state(config: ScenarioConfig) -> NetworkState:
-    """Build a network whose windows already reflect perfect past phases."""
-    return NetworkState(config)
-
-
 def _phase_rng(state: NetworkState, rng: np.random.Generator | None) -> np.random.Generator:
     if rng is not None:
         return rng
@@ -322,8 +324,11 @@ def _phase_rng(state: NetworkState, rng: np.random.Generator | None) -> np.rando
 
 def _roll_windows(state: NetworkState, readings: np.ndarray, mask: np.ndarray | None = None):
     if mask is None:
-        state.windows = np.concatenate(
-            [state.windows[:, 1:], readings[:, None]], axis=1)
+        windows = state.windows
+        # column by column: a 2-D overlapping copy would buffer (n, m - 1)
+        for k in range(windows.shape[1] - 1):
+            windows[:, k] = windows[:, k + 1]
+        windows[:, -1] = readings
     else:
         rolled = np.concatenate(
             [state.windows[mask, 1:], readings[mask, None]], axis=1)
@@ -342,11 +347,18 @@ def no_delay_phase_events(state: NetworkState,
     if cfg.regime != "no_delay":
         raise ConfigurationError("state was built for a different regime")
     rng = _phase_rng(state, rng)
-    report = fit(state.windows, STANDARD, cfg.sigma2)
-    fire_jitter = rng.normal(0.0, 1.0, state.n) * state.sigma
-    fires = (report.phi_hat - fire_jitter) / state.alphas + state.deltas
-    gains = state.rx_gain_dist.sample(rng, state.n)
-    scales = gains / (state.n * cfg.v_factor)
+    # Only phi_hat is used; dropping the report frees its slope and
+    # intercept arrays before the gain draw. The in-place steps keep the
+    # arithmetic order of (phi_hat - jitter * sigma) / alphas + deltas.
+    fires = fit(state.windows, STANDARD, cfg.sigma2).phi_hat
+    fire_jitter = rng.normal(0.0, 1.0, state.n)
+    fire_jitter *= state.sigma
+    fires -= fire_jitter
+    del fire_jitter
+    fires /= state.alphas
+    fires += state.deltas
+    scales = state.rx_gain_dist.sample(rng, state.n)
+    scales /= state.n * cfg.v_factor
     return EventArray.build(fires, scales), float(state.next_center), rng
 
 
@@ -531,7 +543,7 @@ def estimate_epsilon(config: ScenarioConfig, *, n_seeds: int = 50,
             child = derive_seed(config.seed, DOMAIN_SEED_SWEEP, _it, s)
             cfg = replace(config, n_nodes=n_nodes, seed=child,
                           epsilon=_eps, boundary_epsilon=_beps)
-            st = init_steady_state(cfg)
+            st = NetworkState(cfg)
             rep = run_phase_delay(st)
             interior_probe = st.probes[0]
             cr = rep.crossings[interior_probe]

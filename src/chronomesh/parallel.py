@@ -11,6 +11,8 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, TypeVar
 
+from .errors import ConfigurationError
+
 T = TypeVar("T")
 
 _ENV_VAR = "CHRONOMESH_THREADS"
@@ -23,9 +25,9 @@ def thread_cap() -> int:
         try:
             value = int(raw)
         except ValueError:
-            raise ValueError(f"{_ENV_VAR} must be an integer, got {raw!r}") from None
+            raise ConfigurationError(f"{_ENV_VAR} must be an integer, got {raw!r}") from None
         if value < 1:
-            raise ValueError(f"{_ENV_VAR} must be >= 1, got {value}")
+            raise ConfigurationError(f"{_ENV_VAR} must be >= 1, got {value}")
         return value
     return os.cpu_count() or 1
 

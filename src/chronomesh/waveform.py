@@ -12,16 +12,17 @@ The infinite-density limit of the aggregate is a deterministic waveform:
 the pulse smoothed by the transmit-error law and averaged over the skew
 population. It is odd about the target instant, which is why the crossing
 estimator is consistent; limit_waveform evaluates it by quadrature so the
-Monte-Carlo aggregates can be checked against it.
+Monte-Carlo aggregates can be checked against it. That quadrature oracle
+(acceptance criterion 3) and the tests are the only users of scipy; the
+simulator itself needs numpy alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from .clock import SkewPopulation
 from .errors import DomainError, NumericsError
@@ -95,24 +96,20 @@ def default_tau_nz(sigma_bar: float, alpha_low: float) -> float:
 
 
 @dataclass(frozen=True)
-class TransmitEvent:
-    """One node's contribution: when it fired, how strongly, and extra path delay."""
-
-    fire_time: float
-    amplitude_scale: float = 1.0
-    extra_delay: float = 0.0
-
-
-@dataclass(frozen=True)
 class EventArray:
-    """Column layout of transmit events for vectorized evaluation."""
+    """Column layout of transmit events for vectorized evaluation.
+
+    delay is None when propagation is instantaneous; arrival is then the
+    fire column itself, not a copy.
+    """
 
     fire: np.ndarray
     scale: np.ndarray
-    delay: np.ndarray
+    delay: np.ndarray | None = None
 
     def __post_init__(self):
-        if not (self.fire.shape == self.scale.shape == self.delay.shape):
+        if self.fire.shape != self.scale.shape or (
+                self.delay is not None and self.delay.shape != self.fire.shape):
             raise DomainError("event columns must share one shape")
         if self.fire.ndim != 1 or self.fire.size == 0:
             raise DomainError("event arrays must be non-empty vectors")
@@ -120,36 +117,17 @@ class EventArray:
     @staticmethod
     def build(fire, scale=None, delay=None) -> "EventArray":
         fire = np.asarray(fire, dtype=float)
-        n = fire.size
-        scale = np.ones(n) if scale is None else np.asarray(scale, dtype=float)
-        delay = np.zeros(n) if delay is None else np.asarray(delay, dtype=float)
+        scale = np.ones(fire.size) if scale is None else np.asarray(scale, dtype=float)
+        delay = None if delay is None else np.asarray(delay, dtype=float)
         return EventArray(fire=fire, scale=scale, delay=delay)
-
-    @staticmethod
-    def from_events(events: Sequence[TransmitEvent]) -> "EventArray":
-        return EventArray.build(
-            [e.fire_time for e in events],
-            [e.amplitude_scale for e in events],
-            [e.extra_delay for e in events],
-        )
 
     @property
     def arrival(self) -> np.ndarray:
-        return self.fire + self.delay
+        return self.fire if self.delay is None else self.fire + self.delay
 
     @property
     def count(self) -> int:
         return self.fire.size
-
-
-def _as_event_array(events) -> EventArray:
-    if isinstance(events, EventArray):
-        return events
-    if isinstance(events, TransmitEvent):
-        return EventArray.from_events([events])
-    if len(events) == 0:
-        raise DomainError("aggregate of zero events is undefined")
-    return EventArray.from_events(list(events))
 
 
 class AggregateEvaluator:
@@ -161,17 +139,34 @@ class AggregateEvaluator:
     into prefix sums; crossing searches reuse the same sorted state.
     """
 
-    def __init__(self, events, pulse: Pulse):
-        self.events = _as_event_array(events)
+    def __init__(self, events: EventArray, pulse: Pulse):
+        self.events = events
         self.pulse = pulse
         self._fast = pulse.sinusoidal
         if self._fast:
-            order = np.argsort(self.events.arrival, kind="stable")
-            self._arrivals = self.events.arrival[order]
-            phase = np.pi * self._arrivals / pulse.tau_nz
-            scale = self.events.scale[order]
-            self._cos_prefix = np.concatenate(([0.0], np.cumsum(scale * np.cos(phase))))
-            self._sin_prefix = np.concatenate(([0.0], np.cumsum(scale * np.sin(phase))))
+            # Each temporary is dropped once spent: at 10^6 events each one
+            # is 8 MB of the phase's peak.
+            arrival = events.arrival
+            order = np.argsort(arrival, kind="stable")
+            self._arrivals = arrival[order]
+            del arrival
+            scale = events.scale[order]
+            del order
+            # prefix[k] sums the first k sorted events. The phase angles are
+            # built in the cosine buffer, which then takes their cosines.
+            self._cos_prefix = np.empty(events.count + 1)
+            self._sin_prefix = np.empty(events.count + 1)
+            self._cos_prefix[0] = self._sin_prefix[0] = 0.0
+            cos_part, sin_part = self._cos_prefix[1:], self._sin_prefix[1:]
+            np.multiply(np.pi, self._arrivals, out=cos_part)
+            cos_part /= pulse.tau_nz
+            np.sin(cos_part, out=sin_part)
+            np.cos(cos_part, out=cos_part)
+            cos_part *= scale
+            sin_part *= scale
+            del scale
+            np.cumsum(cos_part, out=cos_part)
+            np.cumsum(sin_part, out=sin_part)
 
     def _fast_eval(self, t_arr: np.ndarray) -> np.ndarray:
         tau = self.pulse.tau_nz
@@ -201,19 +196,18 @@ class AggregateEvaluator:
         return float(out[0]) if scalar else out
 
 
-def evaluate_aggregate(events, pulse: Pulse, t) -> np.ndarray | float:
+def evaluate_aggregate(events: EventArray, pulse: Pulse, t) -> np.ndarray | float:
     """Summed waveform at time(s) t: sum_i a_max scale_i p(t - arrival_i)."""
     return AggregateEvaluator(events, pulse)(t)
 
 
-def contributions(events, pulse: Pulse, t: float) -> np.ndarray:
+def contributions(events: EventArray, pulse: Pulse, t: float) -> np.ndarray:
     """Per-event waveform contributions at a single instant.
 
     Exposed so statistical checks can form standard errors of the mean
     amplitude without re-deriving the event layout.
     """
-    ev = _as_event_array(events)
-    return pulse.a_max * ev.scale * pulse.evaluate(float(t) - ev.arrival)
+    return pulse.a_max * events.scale * pulse.evaluate(float(t) - events.arrival)
 
 
 @dataclass(frozen=True)
@@ -230,7 +224,7 @@ class CrossingReport:
         return self.location is not None
 
 
-def find_zero_crossing(events, pulse: Pulse, search_center: float,
+def find_zero_crossing(events: EventArray, pulse: Pulse, search_center: float,
                        gate: float = 0.0, grid_step: float | None = None) -> CrossingReport:
     """Locate the first downward zero crossing near the search centre.
 
@@ -288,6 +282,10 @@ class LimitSpec:
 
 def _smoothed_pulse(pulse: Pulse, x: float, sd: float, tol: float) -> tuple[float, float]:
     # E p(x - T) for T ~ N(0, sd^2): convolution against the Gaussian kernel.
+    # scipy is imported here, not at module level, so that simulating never
+    # loads it (about 50 MB of resident memory).
+    from scipy.integrate import quad
+
     if sd <= 0.0:
         return float(pulse.evaluate(x)), 0.0
     norm = 1.0 / (sd * np.sqrt(2.0 * np.pi))
@@ -309,6 +307,8 @@ def limit_waveform(spec: LimitSpec, t, tol: float = 1e-9) -> np.ndarray | float:
     """
     if spec.sigma_bar2 < 0.0:
         raise DomainError("sigma_bar2 must be non-negative")
+    from scipy.integrate import quad  # see _smoothed_pulse
+
     t_arr = np.asarray(t, dtype=float)
     scalar = t_arr.ndim == 0
     t_arr = np.atleast_1d(t_arr)

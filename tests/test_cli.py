@@ -130,6 +130,14 @@ def test_census_thread_cap_does_not_change_bytes(tmp_path, monkeypatch):
     assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("cap", ["abc", "0"])
+def test_malformed_thread_cap_exits_two(tmp_path, monkeypatch, capsys, cap):
+    monkeypatch.setenv("CHRONOMESH_THREADS", cap)
+    assert cli.run_command(["pco", "--trials", "4", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("chronomesh: error:") and "CHRONOMESH_THREADS" in err
+
+
 def test_multihop_outputs(tmp_path):
     out = str(tmp_path)
     assert cli.run_command(["multihop", "--hops", "6", "--m", "3",

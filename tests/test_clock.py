@@ -12,7 +12,6 @@ from chronomesh.clock import (
     ClockParams,
     SkewPopulation,
     read_clock,
-    sample_population,
     to_reference,
 )
 from chronomesh.errors import ConfigurationError, DomainError
@@ -64,11 +63,11 @@ def test_invalid_clock_params():
 class TestSkewPopulation:
     def test_point_mass(self):
         pop = SkewPopulation.point_mass(1.0)
-        assert np.all(sample_population(pop, 100, np.random.default_rng(0)) == 1.0)
+        assert np.all(pop.sample(100, np.random.default_rng(0)) == 1.0)
 
     def test_uniform_ks(self):
         pop = SkewPopulation(alpha_low=0.9, alpha_up=1.1)
-        draws = sample_population(pop, 1_000_000, np.random.default_rng(12))
+        draws = pop.sample(1_000_000, np.random.default_rng(12))
         grid = np.linspace(0.9, 1.1, 2001)
         ecdf = np.searchsorted(np.sort(draws), grid, side="right") / draws.size
         assert np.max(np.abs(ecdf - (grid - 0.9) / 0.2)) < 0.005
@@ -81,7 +80,7 @@ class TestSkewPopulation:
             density=lambda s: peak * (1.0 - np.abs(s - 1.0) / 0.1),
             density_bound=peak,
         )
-        draws = sample_population(pop, 400_000, np.random.default_rng(13))
+        draws = pop.sample(400_000, np.random.default_rng(13))
         assert draws.min() >= lo and draws.max() <= hi
         grid = np.linspace(lo, hi, 1001)
         cdf = np.where(grid <= 1.0,
@@ -95,7 +94,7 @@ class TestSkewPopulation:
                              density=lambda s: np.full_like(s, 20.0),
                              density_bound=5.0)
         with pytest.raises(ConfigurationError):
-            sample_population(pop, 100, np.random.default_rng(0))
+            pop.sample(100, np.random.default_rng(0))
 
     def test_invalid_population_configs(self):
         with pytest.raises(ConfigurationError):

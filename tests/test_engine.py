@@ -13,9 +13,9 @@ from chronomesh.channel import linear_model, unit_gain_model
 from chronomesh.clock import SkewPopulation
 from chronomesh.engine import (
     EpsilonReport,
+    NetworkState,
     ScenarioConfig,
     estimate_epsilon,
-    init_steady_state,
     run_phase,
     run_phase_even_odd,
     run_phase_no_delay,
@@ -36,14 +36,14 @@ def quiet_config(**kw):
 # -- initialization ------------------------------------------------------
 
 def test_noiseless_init_windows_are_past_instants():
-    st = init_steady_state(quiet_config())
+    st = NetworkState(quiet_config())
     expected = np.arange(3, dtype=float)[None, :]
     assert np.array_equal(st.windows, np.broadcast_to(expected, st.windows.shape))
 
 
 def test_init_windows_follow_clock_law():
     cfg = ScenarioConfig(n_nodes=20_000, m=5, sigma2=0.04, seed=17)
-    st = init_steady_state(cfg)
+    st = NetworkState(cfg)
     instants = np.arange(0, 5, dtype=float)[None, :]
     residuals = st.windows - st.alphas[:, None] * (instants - st.deltas[:, None])
     assert abs(residuals[0]).max() == 0.0            # reference node is jitter free
@@ -53,7 +53,7 @@ def test_init_windows_follow_clock_law():
 
 
 def test_even_odd_init_spacing():
-    st = init_steady_state(quiet_config(n_nodes=10, regime="even_odd"))
+    st = NetworkState(quiet_config(n_nodes=10, regime="even_odd"))
     # first center is 2m = 6, active parity 0
     assert st.next_center == 6
     assert np.array_equal(st.windows[0], [1.0, 3.0, 5.0])
@@ -63,7 +63,7 @@ def test_even_odd_init_spacing():
 def test_delay_init_offsets():
     cfg = quiet_config(n_nodes=200, regime="delay", epsilon=0.3,
                        boundary_epsilon=0.1, seed=12)
-    st = init_steady_state(cfg)
+    st = NetworkState(cfg)
     base = np.arange(3, dtype=float)
     interior = st.windows[st.interior]
     boundary = st.windows[~st.interior]
@@ -75,7 +75,7 @@ def test_delay_init_offsets():
 # -- no-delay phases -----------------------------------------------------
 
 def test_noiseless_phases_stay_locked():
-    st = init_steady_state(quiet_config())
+    st = NetworkState(quiet_config())
     for expected_center in (3.0, 4.0, 5.0):
         rep = run_phase(st)
         assert rep.center == expected_center
@@ -87,7 +87,7 @@ def test_noiseless_phases_stay_locked():
 
 def test_reference_node_fires_on_the_instant():
     cfg = ScenarioConfig(n_nodes=300, sigma2=1e-3, seed=8)
-    st = init_steady_state(cfg)
+    st = NetworkState(cfg)
     rep = run_phase(st)
     assert rep.fire_times[0] == pytest.approx(rep.center, abs=1e-10)
     assert abs(rep.fire_times[1:] - rep.center).max() > 1e-4
@@ -95,7 +95,7 @@ def test_reference_node_fires_on_the_instant():
 
 def test_fire_time_variance_matches_design():
     cfg = ScenarioConfig(n_nodes=100_000, m=3, sigma2=1e-2, seed=33)
-    st = init_steady_state(cfg)
+    st = NetworkState(cfg)
     rep = run_phase(st)
     scaled = (rep.fire_times - rep.center) * st.alphas
     assert np.var(scaled[1:]) == pytest.approx(cfg.fire_variance, rel=0.03)
@@ -107,7 +107,7 @@ def test_crossing_near_center_at_moderate_size():
     # transmit error variance 0.01 total -> sigma2 = 0.01 * 3 / 10
     cfg = ScenarioConfig(n_nodes=400, sigma2=0.003, seed=2,
                          channel=unit_gain_model(Region()))
-    st = init_steady_state(cfg)
+    st = NetworkState(cfg)
     rep = run_phase(st)
     assert not rep.failed
     assert abs(rep.crossing - rep.center) < 0.02
@@ -115,7 +115,7 @@ def test_crossing_near_center_at_moderate_size():
 
 def test_windows_advance_with_observations():
     cfg = ScenarioConfig(n_nodes=50, sigma2=1e-4, seed=21)
-    st = init_steady_state(cfg)
+    st = NetworkState(cfg)
     before = st.windows.copy()
     rep = run_phase(st)
     assert np.array_equal(st.windows[:, :-1], before[:, 1:])
@@ -130,25 +130,42 @@ def test_v_factor_leaves_crossing_alone():
     locs = []
     for v in (1.0, 7.0):
         cfg = ScenarioConfig(n_nodes=2000, sigma2=1e-4, seed=9, v_factor=v)
-        st = init_steady_state(cfg)
+        st = NetworkState(cfg)
         locs.append(run_phase(st).crossing)
     assert locs[0] == pytest.approx(locs[1], abs=1e-8)
 
 
 def test_same_seed_reproduces_bitwise():
     cfg = ScenarioConfig(n_nodes=500, sigma2=1e-4, seed=14)
-    reps = [run_phases(init_steady_state(cfg), 2) for _ in range(2)]
+    reps = [run_phases(NetworkState(cfg), 2) for _ in range(2)]
     for a, b in zip(*reps):
         assert np.array_equal(a.fire_times, b.fire_times)
         assert a.crossing == b.crossing
-    other = run_phase(init_steady_state(ScenarioConfig(n_nodes=500, sigma2=1e-4, seed=15)))
+    other = run_phase(NetworkState(ScenarioConfig(n_nodes=500, sigma2=1e-4, seed=15)))
     assert other.crossing != reps[0][0].crossing
+
+
+# First three primary crossings of a 2000-node network, seed 3. Exact
+# equality pins every RNG stream and the order of every floating-point
+# operation on the build and phase paths, so a change made for memory or
+# speed alone must leave these values untouched.
+PINNED_CROSSINGS = {
+    "no_delay": (3.0014524323848635, 4.002622021010557, 5.002183904838384),
+    "even_odd": (6.001504713082317, 7.0035805898612935, 8.001191724421236),
+    "delay": (2.986586741693727, 3.9816729747332067, 4.9979051783844675),
+}
+
+
+@pytest.mark.parametrize("regime", sorted(PINNED_CROSSINGS))
+def test_crossings_are_bit_identical_to_pinned_values(regime):
+    st = NetworkState(ScenarioConfig(n_nodes=2000, regime=regime, seed=3))
+    assert tuple(run_phase(st).crossing for _ in range(3)) == PINNED_CROSSINGS[regime]
 
 
 def test_gate_blocks_weak_aggregate():
     gated_channel = linear_model(Region(), max_range=0.25, gate=1.0)
     cfg = ScenarioConfig(n_nodes=200, sigma2=1e-4, seed=4, channel=gated_channel)
-    st = init_steady_state(cfg)
+    st = NetworkState(cfg)
     before = st.windows.copy()
     rep = run_phase(st)
     assert rep.failed
@@ -163,7 +180,7 @@ def test_gate_blocks_weak_aggregate():
 # -- even/odd phases -----------------------------------------------------
 
 def test_even_odd_noiseless_exact():
-    st = init_steady_state(quiet_config(n_nodes=10, regime="even_odd"))
+    st = NetworkState(quiet_config(n_nodes=10, regime="even_odd"))
     rep = run_phase(st)
     active = st.parity == 0
     assert np.allclose(rep.fire_times[active], 6.0, atol=1e-10)
@@ -174,8 +191,8 @@ def test_even_odd_noiseless_exact():
 
 
 def test_even_odd_alternates_roles():
-    st = init_steady_state(ScenarioConfig(n_nodes=40, sigma2=1e-4,
-                                          regime="even_odd", seed=6))
+    st = NetworkState(ScenarioConfig(n_nodes=40, sigma2=1e-4,
+                                     regime="even_odd", seed=6))
     fired = np.zeros(40)
     for _ in range(4):
         rep = run_phase(st)
@@ -186,7 +203,7 @@ def test_even_odd_alternates_roles():
 def test_even_odd_fire_variance():
     cfg = ScenarioConfig(n_nodes=100_000, m=3, sigma2=1e-2,
                          regime="even_odd", seed=51)
-    st = init_steady_state(cfg)
+    st = NetworkState(cfg)
     rep = run_phase(st)
     active = np.isfinite(rep.fire_times)
     active[0] = False
@@ -197,7 +214,7 @@ def test_even_odd_fire_variance():
 
 
 def test_even_odd_needs_both_parities():
-    st = init_steady_state(ScenarioConfig(n_nodes=1, regime="even_odd", seed=1))
+    st = NetworkState(ScenarioConfig(n_nodes=1, regime="even_odd", seed=1))
     with pytest.raises(ConfigurationError):
         run_phase(st)
 
@@ -207,7 +224,7 @@ def test_even_odd_needs_both_parities():
 def test_delay_with_negligible_delays_matches_no_delay():
     fast = linear_model(Region(), max_range=0.25, wave_speed=1e9)
     cfg = quiet_config(n_nodes=400, regime="delay", channel=fast, seed=19)
-    st = init_steady_state(cfg)
+    st = NetworkState(cfg)
     rep = run_phase(st)
     assert not rep.failed
     assert rep.crossing == pytest.approx(rep.center, abs=1e-6)
@@ -217,7 +234,7 @@ def test_delay_with_negligible_delays_matches_no_delay():
 def test_delay_compensated_crossing_stays_put():
     cfg = ScenarioConfig(n_nodes=20_000, sigma2=1e-4, regime="delay",
                          seed=7, oracle_alpha=True)
-    st = init_steady_state(cfg)
+    st = NetworkState(cfg)
     rep = run_phase(st)
     probe = st.probes[0]
     assert st.interior[probe]
@@ -226,7 +243,7 @@ def test_delay_compensated_crossing_stays_put():
 
 def test_delay_estimated_alpha_still_centred():
     cfg = ScenarioConfig(n_nodes=100_000, sigma2=1e-4, regime="delay", seed=1)
-    st = init_steady_state(cfg)
+    st = NetworkState(cfg)
     rep = run_phase(st)
     assert abs(rep.crossing - rep.center) < 0.005
 
@@ -236,7 +253,7 @@ def test_delay_boundary_windows_keep_assumed_offset():
                          population=SkewPopulation.point_mass(),
                          delta_bar_range=(0.0, 0.0),
                          epsilon=0.0, boundary_epsilon=0.05)
-    st = init_steady_state(cfg)
+    st = NetworkState(cfg)
     rep = run_phase(st)
     boundary = ~st.interior
     assert np.array_equal(st.windows[boundary][:, -1],
@@ -281,7 +298,7 @@ def test_epsilon_estimate_ignores_thread_count():
 
 def test_node_views_expose_roles():
     cfg = ScenarioConfig(n_nodes=300, sigma2=1e-4, regime="delay", seed=12)
-    st = init_steady_state(cfg)
+    st = NetworkState(cfg)
     assert st[0].role == "reference"
     roles = {node.role for node in st.nodes()}
     assert roles == {"reference", "interior", "boundary"}
@@ -294,24 +311,24 @@ def test_node_views_expose_roles():
     view.window[:] = -1.0
     assert not np.any(st.windows[5] == -1.0)
 
-    plain = init_steady_state(ScenarioConfig(n_nodes=4, sigma2=0.0, seed=1))
+    plain = NetworkState(ScenarioConfig(n_nodes=4, sigma2=0.0, seed=1))
     assert [n.role for n in plain.nodes()] == ["reference", "member", "member", "member"]
     assert [n.parity for n in plain.nodes()] == [0, 1, 0, 1]
 
 
 def test_phase_reports_are_sequential():
-    st = init_steady_state(ScenarioConfig(n_nodes=30, sigma2=1e-4, seed=2))
+    st = NetworkState(ScenarioConfig(n_nodes=30, sigma2=1e-4, seed=2))
     reports = run_phases(st, 3)
     assert [r.phase_index for r in reports] == [0, 1, 2]
     assert [r.center for r in reports] == [3.0, 4.0, 5.0]
 
 
 def test_regime_runner_mismatch_is_rejected():
-    st = init_steady_state(ScenarioConfig(n_nodes=8, sigma2=0.0, seed=1))
+    st = NetworkState(ScenarioConfig(n_nodes=8, sigma2=0.0, seed=1))
     with pytest.raises(ConfigurationError):
         run_phase_even_odd(st)
-    eo = init_steady_state(ScenarioConfig(n_nodes=8, sigma2=0.0,
-                                          regime="even_odd", seed=1))
+    eo = NetworkState(ScenarioConfig(n_nodes=8, sigma2=0.0,
+                                     regime="even_odd", seed=1))
     with pytest.raises(ConfigurationError):
         run_phase_no_delay(eo)
 
@@ -338,5 +355,5 @@ def test_config_validation():
 def test_delay_regime_requires_interior_nodes():
     wide = linear_model(Region(), max_range=0.6)
     with pytest.raises(ConfigurationError):
-        init_steady_state(ScenarioConfig(n_nodes=50, regime="delay",
-                                         channel=wide, seed=3))
+        NetworkState(ScenarioConfig(n_nodes=50, regime="delay",
+                                    channel=wide, seed=3))

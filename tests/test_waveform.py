@@ -2,18 +2,23 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import chronomesh
 from chronomesh.clock import SkewPopulation
 from chronomesh.errors import DomainError, NumericsError
 from chronomesh.waveform import (
     EventArray,
     LimitSpec,
     Pulse,
-    TransmitEvent,
     contributions,
     default_tau_nz,
     evaluate_aggregate,
@@ -79,7 +84,7 @@ class TestPulseShape:
 class TestAggregate:
     def test_single_event_recovers_pulse(self):
         pulse = sine_pulse(1.0, a_max=2.0)
-        ev = [TransmitEvent(fire_time=3.0, amplitude_scale=0.5, extra_delay=0.25)]
+        ev = EventArray.build([3.0], [0.5], [0.25])
         ts = np.linspace(2.5, 4.0, 17)
         expected = 2.0 * 0.5 * pulse.evaluate(ts - 3.25)
         assert np.allclose(evaluate_aggregate(ev, pulse, ts), expected, atol=1e-15)
@@ -95,7 +100,22 @@ class TestAggregate:
 
     def test_empty_events_rejected(self):
         with pytest.raises(DomainError):
-            evaluate_aggregate([], sine_pulse(1.0), 0.0)
+            EventArray.build([])
+
+    def test_events_without_delay_arrive_at_their_fire_times(self):
+        fires = np.array([0.5, -0.25, 1.0])
+        ev = EventArray.build(fires)
+        assert ev.delay is None
+        assert ev.arrival is ev.fire
+        assert np.array_equal(ev.arrival, fires)
+        assert np.array_equal(EventArray.build(fires, delay=[0.0, 0.5, 1.0]).arrival,
+                              [0.5, 0.25, 2.0])
+
+    def test_event_columns_of_mismatched_shape_rejected(self):
+        with pytest.raises(DomainError):
+            EventArray.build([0.0, 1.0], delay=[0.5])
+        with pytest.raises(DomainError):
+            EventArray.build([0.0, 1.0], scale=[1.0, 1.0, 1.0])
 
 
 class TestCrossingSearch:
@@ -231,3 +251,17 @@ class TestLimitWaveform:
     def test_unreachable_tolerance_raises_numerics_error(self):
         with pytest.raises(NumericsError):
             limit_waveform(self.spec(), 1.8, tol=1e-16)
+
+
+def test_simulator_imports_leave_scipy_unloaded():
+    # Only limit_waveform needs scipy; it imports it on first use.
+    src = str(Path(chronomesh.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys\n"
+            "import chronomesh, chronomesh.cli, chronomesh.engine\n"
+            "assert chronomesh.__file__.startswith(sys.argv[1]), chronomesh.__file__\n"
+            "print('scipy' in sys.modules)\n")
+    done = subprocess.run([sys.executable, "-c", code, src], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout.strip() == "False"
