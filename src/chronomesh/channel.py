@@ -13,11 +13,13 @@ the region within distance r of the receiver and A_T the region area:
   integrates to one.
 - the two are coupled deterministically: K_j = gain(delay^-1(D_j)), so a
   sampled delay in the ramp region implies zero gain.
+  ``DelayDistribution.sample_pair`` draws them together.
 
 The compensation offset used by transmitters in the delay regime is the
-negated delay of an interior receiver together with its implied gain; the
-sum of that offset and an independent interior delay is symmetric about
-zero, which is what lets the aggregate waveform keep its crossing in place.
+negated delay of an interior receiver together with its implied gain
+(``sample_fix``); the sum of that offset and an independent interior delay
+is symmetric about zero, which is what lets the aggregate waveform keep its
+crossing in place.
 
 All quantile inversion is bracketed bisection on the exact area function;
 no interpolation tables.
@@ -135,12 +137,6 @@ def _reach_bound(model: ChannelModel) -> float:
     return float(np.hypot(model.region.width, model.region.height))
 
 
-def _as_position(receiver: NodePosition | tuple[float, float]) -> NodePosition:
-    if isinstance(receiver, NodePosition):
-        return receiver
-    return NodePosition(float(receiver[0]), float(receiver[1]))
-
-
 @dataclass(frozen=True)
 class PathlossDistribution:
     """Law of the received gain K_j for one receiver."""
@@ -222,18 +218,17 @@ class PathlossDistribution:
                 break
         return 0.5 * (lo + hi)
 
-    def sample(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray | float:
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Inverse-transform samples of K_j, zeros included."""
-        n = 1 if size is None else int(size)
-        target = rng.uniform(size=n)
+        target = rng.uniform(size=size)
         np.subtract(1.0, target, out=target)
         target *= self.area_total
         heard = target < self.area_at_range
-        gains = np.zeros(n)
+        gains = np.zeros(size)
         if np.any(heard):
             radii = self._invert_coverage(target[heard])
             gains[heard] = self.model.gain(radii)
-        return float(gains[0]) if size is None else gains
+        return gains
 
 
 @dataclass(frozen=True)
@@ -277,83 +272,48 @@ class DelayDistribution:
         values = np.where(x_arr > self.ramp_end, 1.0, values)
         return float(values[0]) if np.ndim(x) == 0 else values
 
-    def sample(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray | float:
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Inverse-transform samples of D_j."""
-        n = 1 if size is None else int(size)
-        u = rng.uniform(size=n)
+        u = rng.uniform(size=size)
         contact_mass = self.pathloss.area_at_range / self.pathloss.area_total
-        delays = np.empty(n)
+        delays = np.empty(size)
         heard = u <= contact_mass
         if np.any(heard):
             radii = self.pathloss._invert_coverage(u[heard] * self.pathloss.area_total)
             delays[heard] = self.model.delay(radii)
         if np.any(~heard):
             delays[~heard] = self.ramp_start + (u[~heard] - contact_mass) / self.slope
-        return float(delays[0]) if size is None else delays
+        return delays
+
+    def sample_pair(self, rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
+        """Coupled draws (D_j, K_j): each gain is the gain map at its delay's distance."""
+        delays = self.sample(rng, size)
+        return delays, self.model.gain(self.model.invert_delay(delays))
 
 
 @dataclass(frozen=True)
 class FixSample:
     """Transmit-side compensation: a negated interior delay and its gain."""
 
-    d_fix: np.ndarray | float   # <= 0, subtracted from the pulse argument
-    k_fix: np.ndarray | float   # gain implied by the compensated distance
+    d_fix: np.ndarray   # <= 0, subtracted from the pulse argument
+    k_fix: np.ndarray   # gain implied by the compensated distance
 
 
-def pathloss_cdf(model: ChannelModel, receiver, k) -> np.ndarray | float:
-    """CDF of the received gain at a receiver, F(k)."""
-    return PathlossDistribution(model, _as_position(receiver)).cdf(k)
-
-
-def sample_pathloss(model: ChannelModel, receiver, rng: np.random.Generator,
-                    size: int | None = None):
-    return PathlossDistribution(model, _as_position(receiver)).sample(rng, size)
-
-
-def delay_cdf(model: ChannelModel, receiver, x) -> np.ndarray | float:
-    """CDF of the propagation delay at a receiver, including the outage ramp."""
-    return DelayDistribution(model, _as_position(receiver)).cdf(x)
-
-
-def sample_delay_pathloss_pair(model: ChannelModel, receiver, rng: np.random.Generator,
-                               size: int | None = None):
-    """Draw coupled (D_j, K_j): the gain is a function of the sampled delay."""
-    dist = DelayDistribution(model, _as_position(receiver))
-    delays = dist.sample(rng, size if size is not None else 1)
-    delays = np.atleast_1d(delays)
-    gains = model.gain(model.invert_delay(delays))
-    if size is None:
-        return float(delays[0]), float(gains[0])
-    return delays, gains
-
-
-def interior_delay_distribution(model: ChannelModel, receiver) -> DelayDistribution:
-    """Delay law of an interior receiver; the network-wide compensation law.
-
-    Interior means the disk of radius R around the receiver stays inside the
-    region, which makes the law position independent.
-    """
-    rx = _as_position(receiver)
-    if not np.isfinite(model.max_range):
-        raise DomainError("no interior receivers exist when the gain cutoff is infinite")
-    if model.region.edge_distance(rx.x, rx.y) < model.max_range:
-        raise DomainError(
-            f"receiver ({rx.x}, {rx.y}) is within max_range of an edge; "
-            "the compensation law is defined from interior receivers only")
-    return DelayDistribution(model, rx)
-
-
-def sample_fix(model: ChannelModel, receiver, rng: np.random.Generator,
-               size: int | None = None) -> FixSample:
+def sample_fix(model: ChannelModel, receiver: NodePosition, rng: np.random.Generator,
+               size: int) -> FixSample:
     """Draw the transmit-side compensation pair (d_fix <= 0, k_fix).
 
-    d_fix is a negated draw from the interior delay law; k_fix reuses the
-    same delay-to-gain coupling as reception, evaluated at the reflected
-    delay, so compensation and channel stay consistent.
+    d_fix is a negated draw from the delay law of an interior receiver, one
+    whose disk of radius R stays inside the region, which makes the law
+    position independent; k_fix reuses the same delay-to-gain coupling as
+    reception, evaluated at the reflected delay, so compensation and channel
+    stay consistent.
     """
-    dist = interior_delay_distribution(model, receiver)
-    delays = np.atleast_1d(dist.sample(rng, size if size is not None else 1))
-    gains = model.gain(model.invert_delay(delays))
-    if size is None:
-        return FixSample(float(-delays[0]), float(gains[0]))
+    if not np.isfinite(model.max_range):
+        raise DomainError("no interior receivers exist when the gain cutoff is infinite")
+    if model.region.edge_distance(receiver.x, receiver.y) < model.max_range:
+        raise DomainError(
+            f"receiver ({receiver.x}, {receiver.y}) is within max_range of an edge; "
+            "the compensation law is defined from interior receivers only")
+    delays, gains = DelayDistribution(model, receiver).sample_pair(rng, size)
     return FixSample(-delays, gains)

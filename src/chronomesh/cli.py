@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .channel import linear_model, sample_delay_pathloss_pair, unit_gain_model
+from .channel import DelayDistribution, linear_model, unit_gain_model
 from .clock import SkewPopulation
 from .engine import NetworkState, ScenarioConfig, no_delay_phase_events, run_phases
 from .errors import ConfigurationError, DomainError, NumericsError
@@ -282,7 +282,7 @@ def write_csv(path: str, header: list[str], rows) -> None:
 def _cmd_waveform(manifest: RunManifest) -> None:
     config = build_scenario(manifest)
     state = NetworkState(config)
-    events, center, _ = no_delay_phase_events(state)
+    events, center = no_delay_phase_events(state)
     crossing = find_zero_crossing(events, state.pulse, search_center=center,
                                   gate=state.channel.gate)
     points = _parse_int(manifest.sections["scenario"]["grid_points"],
@@ -395,7 +395,7 @@ def _cmd_channel_sample(manifest: RunManifest) -> None:
     if count < 1:
         raise ConfigurationError("scenario.samples must be at least 1")
     rng = substream(manifest.seed, DOMAIN_SAMPLE)
-    delays, gains = sample_delay_pathloss_pair(config.channel, receiver, rng, count)
+    delays, gains = DelayDistribution(config.channel, receiver).sample_pair(rng, count)
     write_csv(os.path.join(manifest.out_dir, "samples.csv"),
               ["sample", "delay", "gain"],
               ((i, d, g) for i, (d, g) in enumerate(zip(delays, gains))))

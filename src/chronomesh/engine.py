@@ -2,12 +2,14 @@
 
 A scenario holds N nodes on a rectangular region. Each node keeps a window of
 m past readings of the shared firing instants, taken through its own clock.
-A phase consists of: every transmitting node extrapolates its window to the
-next firing instant, fires a pulse there, the aggregate waveform is formed at
-one or more receivers, its first downward zero crossing is located, and
-windows are refreshed with a reading of that crossing.
-
-Three regimes are supported:
+One kernel, ``run_phase``, runs a phase of every regime: each transmitting
+node extrapolates its window to the next firing instant and fires a pulse
+there; each receiver draws its channel, forms the aggregate waveform and
+locates its first downward zero crossing; listeners roll a reading of that
+crossing into their windows; the phase then advances. The regimes differ
+only in data fixed when the network is built: which rows transmit and
+listen, which receivers probe the aggregate and where they search, and the
+frame the windows are fitted in.
 
 - ``no_delay``: all nodes fire every phase, propagation is instantaneous and
   the whole network shares one crossing. Pathloss still scales amplitudes,
@@ -21,21 +23,28 @@ Three regimes are supported:
   compensation delay drawn from the interior reception law, amplitudes carry
   the coupled gains of both legs, and the aggregate differs per receiver.
   Evaluating N receivers each phase would cost O(N^2), so only a small probe
-  set (one interior node plus boundary probes) actually forms its waveform;
-  interior nodes share the interior probe's crossing (the law is position
-  independent inside), while boundary windows are refreshed at their assumed
-  offset, which is exactly the steady-state premise the probes test.
+  set (one interior node plus one boundary probe) actually forms its
+  waveform; interior nodes share the interior probe's crossing (the law is
+  position independent inside), while boundary windows are refreshed at
+  their assumed offset, which is exactly the steady-state premise the probes
+  test.
+
+When the primary receiver finds no crossing (gated or no sign change), the
+phase is flagged ``failed`` and each listener holds over: it rolls in its own
+one-step extrapolation of its window, the reading of the instant it listened
+for, so the schedule carries on instead of slipping by a phase.
 
 Per-phase randomness comes from ``substream(seed, DOMAIN_PHASE, index)`` and
 is consumed in a fixed order: fire jitter, compensation draws (delay regime),
 per-probe channel draws, observation jitter. Keeping the order fixed makes a
-phase reproducible regardless of how its report is consumed.
+phase reproducible regardless of how its report is consumed. A held-over
+phase draws no observation jitter.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -47,7 +56,7 @@ from .channel import (
     sample_fix,
 )
 from .clock import ClockParams, SkewPopulation
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError
 from .estimator import (
     EVEN_ODD,
     STANDARD,
@@ -59,9 +68,12 @@ from .estimator import (
 from .geometry import NodePosition, Region, place_nodes, positions_array
 from .rng import DOMAIN_INIT, DOMAIN_PHASE, DOMAIN_PLACEMENT, DOMAIN_SEED_SWEEP, derive_seed, substream
 from .parallel import run_indexed
-from .waveform import CrossingReport, EventArray, Pulse, default_tau_nz, find_zero_crossing, sine_pulse
+from .waveform import CrossingReport, EventArray, default_tau_nz, find_zero_crossing, sine_pulse
 
 REGIMES = ("no_delay", "even_odd", "delay")
+
+# Row selector of every node: indexing with it keeps views, an all-True mask copies.
+_ALL = slice(None)
 
 
 @dataclass(frozen=True)
@@ -85,14 +97,11 @@ class ScenarioConfig:
     region: Region = field(default_factory=Region)
     channel: ChannelModel | None = None
     tau_nz: float | None = None
-    a_max: float = 1.0
     v_factor: float = 1.0
-    grid_step: float | None = None
     epsilon: float = 0.0
     boundary_epsilon: float = 0.0
     oracle_alpha: bool = False
     compensate_delay: bool = True
-    boundary_probe_count: int = 1
     seed: int = 0
 
     def __post_init__(self):
@@ -111,10 +120,6 @@ class ScenarioConfig:
             raise ConfigurationError("v_factor must be positive")
         if self.tau_nz is not None and self.tau_nz <= 0.0:
             raise ConfigurationError("tau_nz must be positive")
-        if self.a_max <= 0.0:
-            raise ConfigurationError("a_max must be positive")
-        if self.boundary_probe_count < 0:
-            raise ConfigurationError("boundary_probe_count must be nonnegative")
         if self.channel is not None and self.channel.region != self.region:
             raise ConfigurationError("channel region does not match scenario region")
         if self.regime == "delay":
@@ -169,6 +174,16 @@ class PhaseReport:
         return report.location if report.ok else None
 
 
+@dataclass(frozen=True)
+class Schedule:
+    """Roles in one phase; rows are selected by ``_ALL`` or by a mask."""
+
+    transmit: slice | np.ndarray
+    listen: slice | np.ndarray
+    follow: np.ndarray | None    # listeners reading the crossing; the rest their assumed instant
+    receivers: tuple             # (node id, channel law, search offset), primary first
+
+
 class NetworkState:
     """Mutable state of a scenario between phases.
 
@@ -213,16 +228,16 @@ class NetworkState:
                 # keep the search window wider than the whole delay spread
                 span = channel.delay(channel.max_range + channel.pad)
                 tau_nz = max(tau_nz, 10.0 * span)
-        self.pulse = sine_pulse(tau_nz, config.a_max)
+        self.pulse = sine_pulse(tau_nz)
 
         self.probes: list[int] = []
         self.rx_gain_dist: PathlossDistribution | None = None
-        self.probe_dists: dict[int, DelayDistribution] = {}
+        self.frame_offsets: np.ndarray | None = None   # delay: fit in the interior frame
+        self.fix_receiver: NodePosition | None = None  # delay: compensation law's receiver
         if config.regime == "delay":
-            self._setup_probes()
+            self.schedules = self._delay_schedules()
         else:
-            rx = NodePosition(*self.positions[0])
-            self.rx_gain_dist = PathlossDistribution(self.channel, rx)
+            self.schedules = self._shared_schedules()
 
         self.phase_count = 0
         if config.regime == "even_odd":
@@ -233,7 +248,24 @@ class NetworkState:
 
     # -- construction helpers -------------------------------------------
 
-    def _setup_probes(self):
+    def _shared_schedules(self) -> tuple[Schedule, ...]:
+        # One aggregate, drawn with node 0's gain law, serves every listener.
+        self.rx_gain_dist = PathlossDistribution(self.channel, NodePosition(*self.positions[0]))
+        law = self.rx_gain_dist
+        if self.config.regime == "no_delay":
+            return (Schedule(_ALL, _ALL, None, ((0, law, 0.0),)),)
+        # even_odd: in the phase of an instant of parity p, parity p fires
+        # and the first listener reports the crossing
+        schedules = []
+        for p in (0, 1):
+            active = self.parity == p
+            listeners = np.flatnonzero(~active)
+            both = 0 < listeners.size < self.config.n_nodes
+            receivers = ((int(listeners[0]), law, 0.0),) if both else ()
+            schedules.append(Schedule(active, ~active, None, receivers))
+        return tuple(schedules)
+
+    def _delay_schedules(self) -> tuple[Schedule, ...]:
         cfg = self.config
         region = cfg.region
         if not np.any(self.interior):
@@ -243,18 +275,20 @@ class NetworkState:
         centered = self.positions - np.array([region.width / 2, region.height / 2])
         dist2 = np.einsum("ij,ij->i", centered, centered)
         dist2 = np.where(self.interior, dist2, np.inf)
-        probe = int(np.argmin(dist2))
-        self.probes = [probe]
+        self.probes = [int(np.argmin(dist2))]
         boundary = np.nonzero(~self.interior)[0]
-        if boundary.size and cfg.boundary_probe_count > 0:
-            # prefer mid-edge boundary nodes; corners see the thinnest population
-            anchor = np.array([0.0, region.height / 2])
-            off = self.positions[boundary] - anchor
-            order = boundary[np.argsort(np.einsum("ij,ij->i", off, off), kind="stable")]
-            self.probes.extend(int(i) for i in order[:cfg.boundary_probe_count])
-        for node in self.probes:
-            rx = NodePosition(*self.positions[node])
-            self.probe_dists[node] = DelayDistribution(self.channel, rx)
+        if boundary.size:
+            # prefer a mid-edge boundary node; corners see the thinnest population
+            off = self.positions[boundary] - np.array([0.0, region.height / 2])
+            self.probes.append(int(boundary[np.argmin(np.einsum("ij,ij->i", off, off))]))
+        receivers = tuple(
+            (node, DelayDistribution(self.channel, NodePosition(*self.positions[node])),
+             float(self.eps_i[node]))
+            for node in self.probes)
+        self.frame_offsets = self.eps_i
+        if cfg.compensate_delay:
+            self.fix_receiver = NodePosition(*self.positions[self.probes[0]])
+        return (Schedule(_ALL, _ALL, self.interior, receivers),)
 
     def _init_windows(self, rng: np.random.Generator):
         """Steady-state windows: exact past instants read with fresh jitter."""
@@ -268,10 +302,10 @@ class NetworkState:
         jitter *= self.sigma[:, None]
         windows = np.empty((n, m))
         if cfg.regime == "even_odd":
-            # active parity holds tau0-(2m-1), ..., tau0-1; the other holds
-            # tau0-2m, ..., tau0-2, so both are spaced by 2
-            active = self.parity == (self.next_center % 2)
-            first = np.where(active, self.next_center - (2 * m - 1), self.next_center - 2 * m)
+            # the coming phase's transmitters hold tau0-(2m-1), ..., tau0-1;
+            # its listeners hold tau0-2m, ..., tau0-2, so both are spaced by 2
+            first = np.where(self.schedule.transmit, self.next_center - (2 * m - 1),
+                             self.next_center - 2 * m)
             np.add(first[:, None], 2.0 * steps, out=windows)
         else:
             windows[:] = (self.next_center - m) + steps
@@ -287,6 +321,11 @@ class NetworkState:
     @property
     def n(self) -> int:
         return self.config.n_nodes
+
+    @property
+    def schedule(self) -> Schedule:
+        """Roles for the coming phase."""
+        return self.schedules[self.next_center % len(self.schedules)]
 
     def __len__(self) -> int:
         return self.n
@@ -322,185 +361,133 @@ def _phase_rng(state: NetworkState, rng: np.random.Generator | None) -> np.rando
     return substream(state.config.seed, DOMAIN_PHASE, state.phase_count)
 
 
-def _roll_windows(state: NetworkState, readings: np.ndarray, mask: np.ndarray | None = None):
-    if mask is None:
-        windows = state.windows
-        # column by column: a 2-D overlapping copy would buffer (n, m - 1)
-        for k in range(windows.shape[1] - 1):
-            windows[:, k] = windows[:, k + 1]
-        windows[:, -1] = readings
+def _require_regime(state: NetworkState, regime: str):
+    if state.config.regime != regime:
+        raise ConfigurationError("state was built for a different regime")
+
+
+def _roll_windows(windows: np.ndarray, rows: slice | np.ndarray, readings: np.ndarray):
+    # column by column: a 2-D overlapping copy would buffer (rows, m - 1)
+    for k in range(windows.shape[1] - 1):
+        windows[rows, k] = windows[rows, k + 1]
+    windows[rows, -1] = readings
+
+
+def _transmit(state: NetworkState, sched: Schedule, rng: np.random.Generator):
+    """Fire times of the transmitting rows, and their compensation gains if any.
+
+    Only phi_hat (and the slope when compensating) outlives the fit; the
+    in-place steps keep the order of (phi + alpha d_fix - jitter) / alphas + deltas.
+    """
+    cfg = state.config
+    tx = sched.transmit
+    frame = state.windows[tx]
+    if state.frame_offsets is not None:
+        frame = shift_to_epsilon_frame(frame, state.alphas[tx], state.frame_offsets[tx],
+                                       cfg.epsilon)
+    report = fit(frame, cfg.variant, cfg.sigma2)
+    del frame
+    fires = report.phi_hat
+    if state.fix_receiver is not None:
+        skew = state.alphas[tx] if cfg.oracle_alpha else report.alpha_hat
+    del report
+    fire_jitter = rng.normal(0.0, 1.0, state.n)
+    fire_jitter *= state.sigma
+    k_fix = None
+    if state.fix_receiver is not None:
+        fix = sample_fix(state.channel, state.fix_receiver, rng, state.n)
+        fires += skew * fix.d_fix[tx]
+        k_fix = fix.k_fix[tx]
+    fires -= fire_jitter[tx]
+    del fire_jitter
+    fires /= state.alphas[tx]
+    fires += state.deltas[tx]
+    return fires, k_fix
+
+
+def _receive(state: NetworkState, sched: Schedule, law, fires: np.ndarray,
+             k_fix: np.ndarray | None, rng: np.random.Generator) -> EventArray:
+    """One channel draw through the receiver's law: the events its aggregate sums."""
+    tx = sched.transmit
+    delays = None
+    if isinstance(law, DelayDistribution):
+        delays, gains = law.sample_pair(rng, state.n)
+        delays = delays[tx]
     else:
-        rolled = np.concatenate(
-            [state.windows[mask, 1:], readings[mask, None]], axis=1)
-        state.windows[mask] = rolled
+        gains = law.sample(rng, state.n)
+    scales = gains[tx]
+    del gains
+    if k_fix is not None:
+        scales *= k_fix
+    scales /= fires.size * state.config.v_factor
+    return EventArray.build(fires, scales, delays)
 
 
 def no_delay_phase_events(state: NetworkState,
-                          rng: np.random.Generator | None = None,
-                          ) -> tuple[EventArray, float, np.random.Generator]:
-    """Fires and amplitude scales for the coming no-delay phase.
+                          rng: np.random.Generator | None = None) -> tuple[EventArray, float]:
+    """Events of the coming no-delay phase and the instant they aim at.
 
-    Shared by the phase runner and by trace export, so a dumped waveform
-    shows exactly the aggregate whose crossing the phase would use.
+    Built by the kernel's own steps, so a dumped waveform is exactly the
+    aggregate whose crossing the phase would use.
     """
-    cfg = state.config
-    if cfg.regime != "no_delay":
-        raise ConfigurationError("state was built for a different regime")
+    _require_regime(state, "no_delay")
     rng = _phase_rng(state, rng)
-    # Only phi_hat is used; dropping the report frees its slope and
-    # intercept arrays before the gain draw. The in-place steps keep the
-    # arithmetic order of (phi_hat - jitter * sigma) / alphas + deltas.
-    fires = fit(state.windows, STANDARD, cfg.sigma2).phi_hat
-    fire_jitter = rng.normal(0.0, 1.0, state.n)
-    fire_jitter *= state.sigma
-    fires -= fire_jitter
-    del fire_jitter
-    fires /= state.alphas
-    fires += state.deltas
-    scales = state.rx_gain_dist.sample(rng, state.n)
-    scales /= state.n * cfg.v_factor
-    return EventArray.build(fires, scales), float(state.next_center), rng
-
-
-def run_phase_no_delay(state: NetworkState, rng: np.random.Generator | None = None) -> PhaseReport:
-    """One phase with instantaneous propagation; every node transmits."""
-    cfg = state.config
-    events, tau0, rng = no_delay_phase_events(state, rng)
-    fires = events.fire
-    crossing = find_zero_crossing(events, state.pulse, search_center=tau0,
-                                  gate=state.channel.gate, grid_step=cfg.grid_step)
-
-    sync = np.full(state.n, np.nan)
-    failed = not crossing.ok
-    if crossing.ok:
-        obs_jitter = rng.normal(0.0, 1.0, state.n) * state.sigma
-        readings = state.alphas * (crossing.location - state.deltas) + obs_jitter
-        _roll_windows(state, readings)
-        sync[:] = abs(crossing.location - tau0)
-
-    phase_index = state.phase_count
-    state.phase_count += 1
-    state.next_center += 1
-    return PhaseReport(phase_index, tau0, 0, {0: crossing}, fires, sync, failed)
-
-
-def run_phase_even_odd(state: NetworkState, rng: np.random.Generator | None = None) -> PhaseReport:
-    """One phase where the parity matching the instant fires, the rest listen."""
-    cfg = state.config
-    if cfg.regime != "even_odd":
-        raise ConfigurationError("state was built for a different regime")
-    rng = _phase_rng(state, rng)
-    tau0 = float(state.next_center)
-    active = state.parity == (state.next_center % 2)
-    listeners = ~active
-    if not np.any(active) or not np.any(listeners):
-        raise ConfigurationError("even_odd regime needs both parities present")
-
-    report = fit(state.windows[active], EVEN_ODD, cfg.sigma2)
-    fire_jitter = rng.normal(0.0, 1.0, state.n) * state.sigma
-    fires = np.full(state.n, np.nan)
-    fires[active] = ((report.phi_hat - fire_jitter[active]) / state.alphas[active]
-                     + state.deltas[active])
-
-    gains = state.rx_gain_dist.sample(rng, state.n)
-    n_active = int(np.count_nonzero(active))
-    scales = gains[active] / (n_active * cfg.v_factor)
-    events = EventArray.build(fires[active], scales)
-    crossing = find_zero_crossing(events, state.pulse, search_center=tau0,
-                                  gate=state.channel.gate, grid_step=cfg.grid_step)
-
-    sync = np.full(state.n, np.nan)
-    failed = not crossing.ok
-    if crossing.ok:
-        obs_jitter = rng.normal(0.0, 1.0, state.n) * state.sigma
-        readings = state.alphas * (crossing.location - state.deltas) + obs_jitter
-        _roll_windows(state, readings, mask=listeners)
-        sync[listeners] = abs(crossing.location - tau0)
-
-    listener_probe = int(np.nonzero(listeners)[0][0])
-    phase_index = state.phase_count
-    state.phase_count += 1
-    state.next_center += 1
-    return PhaseReport(phase_index, tau0, listener_probe,
-                       {listener_probe: crossing}, fires, sync, failed)
-
-
-def run_phase_delay(state: NetworkState, rng: np.random.Generator | None = None) -> PhaseReport:
-    """One phase with propagation delays and transmit-side compensation.
-
-    Only probe receivers evaluate their aggregate. Interior windows are
-    refreshed with the interior probe's crossing; boundary windows keep the
-    steady-state assumption and are refreshed at their assumed offsets.
-    """
-    cfg = state.config
-    if cfg.regime != "delay":
-        raise ConfigurationError("state was built for a different regime")
-    rng = _phase_rng(state, rng)
-    tau0 = float(state.next_center)
-    eps = cfg.epsilon
-
-    windows = state.windows
-    boundary = ~state.interior
-    if np.any(boundary):
-        windows = windows.copy()
-        windows[boundary] = shift_to_epsilon_frame(
-            windows[boundary], state.alphas[boundary], state.eps_i[boundary], eps)
-    report = fit(windows, epsilon_variant(eps), cfg.sigma2)
-    alpha_used = state.alphas if cfg.oracle_alpha else report.alpha_hat
-
-    fire_jitter = rng.normal(0.0, 1.0, state.n) * state.sigma
-    if cfg.compensate_delay:
-        fix = sample_fix(state.channel, NodePosition(*state.positions[state.probes[0]]),
-                         rng, state.n)
-        d_fix, k_fix = fix.d_fix, fix.k_fix
-    else:
-        d_fix = np.zeros(state.n)
-        k_fix = np.ones(state.n)
-    targets = report.phi_hat + alpha_used * d_fix
-    fires = (targets - fire_jitter) / state.alphas + state.deltas
-
-    crossings: dict[int, CrossingReport] = {}
-    for node in state.probes:
-        delays = state.probe_dists[node].sample(rng, state.n)
-        gains = state.channel.gain(state.channel.invert_delay(delays))
-        scales = k_fix * gains / (state.n * cfg.v_factor)
-        center = tau0 + (eps if state.interior[node] else state.eps_i[node])
-        events = EventArray.build(fires, scales, delays)
-        crossings[node] = find_zero_crossing(
-            events, state.pulse, search_center=center,
-            gate=state.channel.gate, grid_step=cfg.grid_step)
-
-    interior_probe = state.probes[0]
-    interior_crossing = crossings[interior_probe]
-    sync = np.full(state.n, np.nan)
-    failed = not interior_crossing.ok
-    if interior_crossing.ok:
-        obs_jitter = rng.normal(0.0, 1.0, state.n) * state.sigma
-        loc = interior_crossing.location
-        instants = np.where(state.interior, loc, tau0 + state.eps_i)
-        readings = state.alphas * (instants - state.deltas) + obs_jitter
-        _roll_windows(state, readings)
-        sync[state.interior] = abs(loc - (tau0 + eps))
-        for node in state.probes[1:]:
-            if crossings[node].ok:
-                sync[node] = abs(crossings[node].location - (tau0 + state.eps_i[node]))
-
-    phase_index = state.phase_count
-    state.phase_count += 1
-    state.next_center += 1
-    return PhaseReport(phase_index, tau0, interior_probe, crossings, fires,
-                       sync, failed)
-
-
-_PHASE_RUNNERS = {
-    "no_delay": run_phase_no_delay,
-    "even_odd": run_phase_even_odd,
-    "delay": run_phase_delay,
-}
+    sched = state.schedule
+    fires, k_fix = _transmit(state, sched, rng)
+    _, law, _ = sched.receivers[0]
+    return _receive(state, sched, law, fires, k_fix, rng), float(state.next_center)
 
 
 def run_phase(state: NetworkState, rng: np.random.Generator | None = None) -> PhaseReport:
-    return _PHASE_RUNNERS[state.config.regime](state, rng)
+    """One phase of the state's regime: transmit, receive, update, advance."""
+    sched = state.schedule
+    if not sched.receivers:
+        raise ConfigurationError("a phase needs a transmitter and a listener; "
+                                 "even_odd needs both parities present")
+    rng = _phase_rng(state, rng)
+    tau0 = float(state.next_center)
+
+    fires, k_fix = _transmit(state, sched, rng)
+
+    crossings: dict[int, CrossingReport] = {}
+    for node, law, offset in sched.receivers:
+        events = _receive(state, sched, law, fires, k_fix, rng)
+        crossings[node] = find_zero_crossing(events, state.pulse, search_center=tau0 + offset,
+                                             gate=state.channel.gate)
+
+    primary, _, primary_offset = sched.receivers[0]
+    crossing = crossings[primary]
+    sync = np.full(state.n, np.nan)
+    if crossing.ok:
+        loc = crossing.location
+        obs_jitter = rng.normal(0.0, 1.0, state.n) * state.sigma
+        follow = sched.listen if sched.follow is None else sched.follow
+        instants = loc if sched.follow is None else np.where(follow, loc, tau0 + state.eps_i)
+        readings = state.alphas * (instants - state.deltas) + obs_jitter
+        _roll_windows(state.windows, sched.listen, readings[sched.listen])
+        sync[follow] = abs(loc - (tau0 + primary_offset))
+        for node, _, offset in sched.receivers[1:]:
+            if crossings[node].ok:
+                sync[node] = abs(crossings[node].location - (tau0 + offset))
+    else:
+        # holdover: roll in the reading each listener predicted for this instant
+        held = fit(state.windows[sched.listen], STANDARD).phi_hat
+        _roll_windows(state.windows, sched.listen, held)
+
+    if not isinstance(sched.transmit, slice):
+        silent = np.full(state.n, np.nan)
+        silent[sched.transmit] = fires
+        fires = silent
+    phase_index = state.phase_count
+    state.phase_count += 1
+    state.next_center += 1
+    return PhaseReport(phase_index, tau0, primary, crossings, fires, sync, not crossing.ok)
+
+
+def run_phase_delay(state: NetworkState, rng: np.random.Generator | None = None) -> PhaseReport:
+    """run_phase on a state that must be in the delay regime."""
+    _require_regime(state, "delay")
+    return run_phase(state, rng)
 
 
 def run_phases(state: NetworkState, count: int) -> list[PhaseReport]:

@@ -1,10 +1,9 @@
 """Aggregate received waveforms and their zero crossings.
 
-Every transmitter contributes a scaled, shifted copy of one odd pulse. The
-pulse is built from a half shape q that is strictly positive on the open
-interval (-tau_nz, 0) with peak 1: the full pulse equals q before the
-crossing, the odd reflection -q(-t) after it, and 0 at t = 0 and outside
-the support. Receivers estimate the common transmit instant as the first
+Every transmitter contributes a scaled, shifted copy of one odd pulse, the
+half-sine p(t) = -sin(pi t / tau_nz) on the support (-tau_nz, tau_nz) and 0
+outside it: positive before the crossing at t = 0, negative after it, with
+peak 1. Receivers estimate the common transmit instant as the first
 downward zero crossing of the summed waveform, found on a coarse grid and
 polished by bisection.
 
@@ -20,34 +19,21 @@ simulator itself needs numpy alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .clock import SkewPopulation
 from .errors import DomainError, NumericsError
 
-# Work cap per evaluation block: grid points times events.
-_BLOCK_OPS = 8_000_000
 _REFINE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class Pulse:
-    """Odd transmit pulse of support (-tau_nz, tau_nz) and peak amplitude a_max.
+    """Half-sine transmit pulse of support (-tau_nz, tau_nz) and peak amplitude a_max."""
 
-    half_shape is the positive lobe q on (-tau_nz, 0); it must be vectorized.
-    full_form, when given, evaluates the whole odd pulse directly and must
-    agree with the reflection construction; it exists so hot loops can skip
-    the two-sided masking. sinusoidal marks the half-sine shape, for which
-    aggregates collapse to prefix sums via the angle-sum identity.
-    """
-
-    half_shape: Callable[[np.ndarray], np.ndarray]
     tau_nz: float
     a_max: float = 1.0
-    full_form: Callable[[np.ndarray], np.ndarray] | None = None
-    sinusoidal: bool = False
 
     def __post_init__(self):
         if self.tau_nz <= 0.0:
@@ -58,32 +44,13 @@ class Pulse:
     def evaluate(self, t) -> np.ndarray | float:
         """Unit-amplitude pulse value p(t); multiply by a_max for the waveform."""
         t_arr = np.asarray(t, dtype=float)
-        scalar = t_arr.ndim == 0
-        t_arr = np.atleast_1d(t_arr)
-        if self.full_form is not None:
-            out = self.full_form(t_arr)
-        else:
-            out = np.zeros_like(t_arr)
-            neg = (t_arr > -self.tau_nz) & (t_arr < 0.0)
-            pos = (t_arr > 0.0) & (t_arr < self.tau_nz)
-            if np.any(neg):
-                out[neg] = self.half_shape(t_arr[neg])
-            if np.any(pos):
-                out[pos] = -self.half_shape(-t_arr[pos])
-        return float(out[0]) if scalar else out
+        out = np.where(np.abs(t_arr) < self.tau_nz, -np.sin(np.pi * t_arr / self.tau_nz), 0.0)
+        return float(out) if out.ndim == 0 else out
 
 
 def sine_pulse(tau_nz: float, a_max: float = 1.0) -> Pulse:
-    """Default pulse: half-sine lobes, p(t) = -sin(pi t / tau_nz) inside the support."""
-    def half(t):
-        return np.sin(np.pi * (-np.asarray(t)) / tau_nz)
-
-    def full(t):
-        t = np.asarray(t, dtype=float)
-        return np.where(np.abs(t) < tau_nz, -np.sin(np.pi * t / tau_nz), 0.0)
-
-    return Pulse(half_shape=half, tau_nz=tau_nz, a_max=a_max, full_form=full,
-                 sinusoidal=True)
+    """The transmit pulse, p(t) = -sin(pi t / tau_nz) inside the support."""
+    return Pulse(tau_nz, a_max)
 
 
 def default_tau_nz(sigma_bar: float, alpha_low: float) -> float:
@@ -133,65 +100,50 @@ class EventArray:
 class AggregateEvaluator:
     """Reusable evaluator of one aggregate waveform.
 
-    The generic path sums pulse copies in blocks. For the half-sine pulse
-    the sum over in-support events factors through the angle-sum identity,
-    so after one sort the waveform at any instant costs two binary searches
-    into prefix sums; crossing searches reuse the same sorted state.
+    The sum over in-support events of the half-sine pulse factors through
+    the angle-sum identity, so after one sort the waveform at any instant
+    costs two binary searches into prefix sums; crossing searches reuse the
+    same sorted state.
     """
 
     def __init__(self, events: EventArray, pulse: Pulse):
         self.events = events
         self.pulse = pulse
-        self._fast = pulse.sinusoidal
-        if self._fast:
-            # Each temporary is dropped once spent: at 10^6 events each one
-            # is 8 MB of the phase's peak.
-            arrival = events.arrival
-            order = np.argsort(arrival, kind="stable")
-            self._arrivals = arrival[order]
-            del arrival
-            scale = events.scale[order]
-            del order
-            # prefix[k] sums the first k sorted events. The phase angles are
-            # built in the cosine buffer, which then takes their cosines.
-            self._cos_prefix = np.empty(events.count + 1)
-            self._sin_prefix = np.empty(events.count + 1)
-            self._cos_prefix[0] = self._sin_prefix[0] = 0.0
-            cos_part, sin_part = self._cos_prefix[1:], self._sin_prefix[1:]
-            np.multiply(np.pi, self._arrivals, out=cos_part)
-            cos_part /= pulse.tau_nz
-            np.sin(cos_part, out=sin_part)
-            np.cos(cos_part, out=cos_part)
-            cos_part *= scale
-            sin_part *= scale
-            del scale
-            np.cumsum(cos_part, out=cos_part)
-            np.cumsum(sin_part, out=sin_part)
+        # Each temporary is dropped once spent: at 10^6 events each one is
+        # 8 MB of the phase's peak.
+        arrival = events.arrival
+        order = np.argsort(arrival, kind="stable")
+        self._arrivals = arrival[order]
+        del arrival
+        scale = events.scale[order]
+        del order
+        # prefix[k] sums the first k sorted events. The phase angles are
+        # built in the cosine buffer, which then takes their cosines.
+        self._cos_prefix = np.empty(events.count + 1)
+        self._sin_prefix = np.empty(events.count + 1)
+        self._cos_prefix[0] = self._sin_prefix[0] = 0.0
+        cos_part, sin_part = self._cos_prefix[1:], self._sin_prefix[1:]
+        np.multiply(np.pi, self._arrivals, out=cos_part)
+        cos_part /= pulse.tau_nz
+        np.sin(cos_part, out=sin_part)
+        np.cos(cos_part, out=cos_part)
+        cos_part *= scale
+        sin_part *= scale
+        del scale
+        np.cumsum(cos_part, out=cos_part)
+        np.cumsum(sin_part, out=sin_part)
 
-    def _fast_eval(self, t_arr: np.ndarray) -> np.ndarray:
+    def __call__(self, t) -> np.ndarray | float:
+        t_arr = np.asarray(t, dtype=float)
+        scalar = t_arr.ndim == 0
+        t_arr = np.atleast_1d(t_arr)
         tau = self.pulse.tau_nz
         lo = np.searchsorted(self._arrivals, t_arr - tau, side="right")
         hi = np.searchsorted(self._arrivals, t_arr + tau, side="left")
         cos_sum = self._cos_prefix[hi] - self._cos_prefix[lo]
         sin_sum = self._sin_prefix[hi] - self._sin_prefix[lo]
         angle = np.pi * t_arr / tau
-        return -np.sin(angle) * cos_sum + np.cos(angle) * sin_sum
-
-    def _generic_eval(self, t_arr: np.ndarray) -> np.ndarray:
-        arrivals = self.events.arrival
-        out = np.empty(t_arr.size)
-        block = max(1, _BLOCK_OPS // max(self.events.count, 1))
-        for start in range(0, t_arr.size, block):
-            chunk = t_arr[start:start + block]
-            shifted = chunk[:, None] - arrivals[None, :]
-            out[start:start + block] = self.pulse.evaluate(shifted) @ self.events.scale
-        return out
-
-    def __call__(self, t) -> np.ndarray | float:
-        t_arr = np.asarray(t, dtype=float)
-        scalar = t_arr.ndim == 0
-        t_arr = np.atleast_1d(t_arr)
-        out = self._fast_eval(t_arr) if self._fast else self._generic_eval(t_arr)
+        out = -np.sin(angle) * cos_sum + np.cos(angle) * sin_sum
         out = out * self.pulse.a_max
         return float(out[0]) if scalar else out
 

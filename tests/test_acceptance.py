@@ -15,8 +15,8 @@ from scipy import stats
 
 from chronomesh import cli
 from chronomesh.channel import (
+    DelayDistribution,
     linear_model,
-    sample_delay_pathloss_pair,
     sample_fix,
     unit_gain_model,
 )
@@ -78,7 +78,7 @@ def test_criterion_2_crossing_polarity_and_odd_symmetry():
     for seed in range(10):
         cfg = ScenarioConfig(n_nodes=100_000, regime="no_delay", seed=seed)
         state = NetworkState(cfg)
-        events, tau0, _ = no_delay_phase_events(state)
+        events, tau0 = no_delay_phase_events(state)
         shift = 0.2 * state.pulse.tau_nz
         before.append(evaluate_aggregate(events, state.pulse, tau0 - shift))
         after.append(evaluate_aggregate(events, state.pulse, tau0 + shift))
@@ -174,7 +174,7 @@ def test_criterion_6_delay_compensation_symmetry():
     rng = np.random.default_rng(99)
     count = 1_000_000
     fix = sample_fix(model, receiver, rng, count)
-    delays, gains = sample_delay_pathloss_pair(model, receiver, rng, count)
+    delays, gains = DelayDistribution(model, receiver).sample_pair(rng, count)
     total = fix.d_fix + delays
     weight = fix.k_fix * gains
     edges = np.linspace(-0.3, 0.3, 22)

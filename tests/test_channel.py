@@ -8,13 +8,8 @@ import pytest
 from chronomesh.channel import (
     DelayDistribution,
     PathlossDistribution,
-    delay_cdf,
-    interior_delay_distribution,
     linear_model,
-    pathloss_cdf,
-    sample_delay_pathloss_pair,
     sample_fix,
-    sample_pathloss,
     unit_gain_model,
 )
 from chronomesh.errors import ConfigurationError, DomainError
@@ -35,18 +30,18 @@ class TestPathlossCdf:
     def test_closed_form_center_receiver(self):
         # Coverage disks around the centre stay inside the unit square, so
         # F(k) = 1 - pi (R (1-k))^2 for the linear gain map.
-        model = center_model()
-        assert pathloss_cdf(model, CENTER, 0.0) == pytest.approx(1 - np.pi / 16, abs=1e-10)
-        assert pathloss_cdf(model, CENTER, 0.5) == pytest.approx(1 - np.pi / 64, abs=1e-10)
-        assert pathloss_cdf(model, CENTER, 1.0) == 1.0
-        assert pathloss_cdf(model, CENTER, -0.3) == 0.0
-        assert pathloss_cdf(model, CENTER, 1.7) == 1.0
+        law = PathlossDistribution(center_model(), CENTER)
+        assert law.cdf(0.0) == pytest.approx(1 - np.pi / 16, abs=1e-10)
+        assert law.cdf(0.5) == pytest.approx(1 - np.pi / 64, abs=1e-10)
+        assert law.cdf(1.0) == 1.0
+        assert law.cdf(-0.3) == 0.0
+        assert law.cdf(1.7) == 1.0
 
     def test_unit_gain_is_point_mass_at_one(self):
-        model = unit_gain_model(Region(1.0, 1.0))
-        assert pathloss_cdf(model, CENTER, 0.999999) == pytest.approx(0.0, abs=1e-9)
-        assert pathloss_cdf(model, CENTER, 1.0) == 1.0
-        gains = sample_pathloss(model, CENTER, np.random.default_rng(3), size=1000)
+        law = PathlossDistribution(unit_gain_model(Region(1.0, 1.0)), CENTER)
+        assert law.cdf(0.999999) == pytest.approx(0.0, abs=1e-9)
+        assert law.cdf(1.0) == 1.0
+        gains = law.sample(np.random.default_rng(3), size=1000)
         assert np.all(gains == 1.0)
 
     def test_cdf_monotone_and_bounded(self):
@@ -74,27 +69,27 @@ class TestPathlossCdf:
 
     def test_sample_mean_against_analytic_integral(self):
         # E K = (1/A_T) int_0^R (1 - r/R) 2 pi r dr for an interior receiver.
-        model = center_model()
-        gains = sample_pathloss(model, CENTER, np.random.default_rng(17), size=1_000_000)
+        law = PathlossDistribution(center_model(), CENTER)
+        gains = law.sample(np.random.default_rng(17), size=1_000_000)
         exact = 2 * np.pi * (0.25**2 / 2 - 0.25**2 / 3)
         assert gains.mean() == pytest.approx(exact, abs=7e-4)
 
 
 class TestDelayCdf:
     def test_closed_form_body_and_ramp(self):
-        model = center_model(max_range=0.25, wave_speed=1.0, range_pad=0.025)
+        law = DelayDistribution(center_model(max_range=0.25, wave_speed=1.0, range_pad=0.025),
+                                CENTER)
         contact = np.pi / 16
-        assert delay_cdf(model, CENTER, -1e-9) == 0.0
-        assert delay_cdf(model, CENTER, 0.1) == pytest.approx(np.pi * 0.01, abs=1e-10)
-        assert delay_cdf(model, CENTER, 0.25) == pytest.approx(contact, abs=1e-10)
-        assert delay_cdf(model, CENTER, 0.2625) == pytest.approx(
-            contact + (1 - contact) / 2, abs=1e-10)
-        assert delay_cdf(model, CENTER, 0.275) == pytest.approx(1.0, abs=1e-10)
-        assert delay_cdf(model, CENTER, 0.4) == 1.0
+        assert law.cdf(-1e-9) == 0.0
+        assert law.cdf(0.1) == pytest.approx(np.pi * 0.01, abs=1e-10)
+        assert law.cdf(0.25) == pytest.approx(contact, abs=1e-10)
+        assert law.cdf(0.2625) == pytest.approx(contact + (1 - contact) / 2, abs=1e-10)
+        assert law.cdf(0.275) == pytest.approx(1.0, abs=1e-10)
+        assert law.cdf(0.4) == 1.0
 
     def test_wave_speed_rescales_body(self):
-        model = center_model(max_range=0.25, wave_speed=2.0)
-        assert delay_cdf(model, CENTER, 0.05) == pytest.approx(np.pi * 0.01, abs=1e-10)
+        law = DelayDistribution(center_model(max_range=0.25, wave_speed=2.0), CENTER)
+        assert law.cdf(0.05) == pytest.approx(np.pi * 0.01, abs=1e-10)
 
     def test_cdf_monotone_continuous(self):
         model = center_model()
@@ -119,16 +114,15 @@ class TestDelayCdf:
 class TestCoupling:
     def test_pair_gain_equals_composed_map_exactly(self):
         model = center_model()
-        delays, gains = sample_delay_pathloss_pair(
-            model, CENTER, np.random.default_rng(31), size=10_000)
+        delays, gains = DelayDistribution(model, CENTER).sample_pair(
+            np.random.default_rng(31), size=10_000)
         recomputed = model.gain(model.invert_delay(delays))
         assert np.array_equal(gains, recomputed)
 
     def test_ramp_delays_imply_zero_gain(self):
         model = center_model()
         dist = DelayDistribution(model, CENTER)
-        delays, gains = sample_delay_pathloss_pair(
-            model, CENTER, np.random.default_rng(37), size=200_000)
+        delays, gains = dist.sample_pair(np.random.default_rng(37), size=200_000)
         in_ramp = delays > dist.ramp_start
         assert np.any(in_ramp)
         assert np.all(gains[in_ramp] == 0.0)
@@ -169,9 +163,9 @@ class TestFixCompensation:
     def test_interior_guard(self):
         model = center_model()
         with pytest.raises(DomainError):
-            interior_delay_distribution(model, NodePosition(0.1, 0.5))
+            sample_fix(model, NodePosition(0.1, 0.5), np.random.default_rng(1), 1)
         with pytest.raises(DomainError):
-            sample_fix(unit_gain_model(Region(1.0, 1.0)), CENTER, np.random.default_rng(1))
+            sample_fix(unit_gain_model(Region(1.0, 1.0)), CENTER, np.random.default_rng(1), 1)
 
 
 class TestModelValidation:
@@ -186,4 +180,4 @@ class TestModelValidation:
 
     def test_receiver_outside_region_rejected(self):
         with pytest.raises(DomainError):
-            pathloss_cdf(center_model(), NodePosition(1.5, 0.5), 0.5)
+            PathlossDistribution(center_model(), NodePosition(1.5, 0.5)).cdf(0.5)

@@ -6,6 +6,8 @@ design's closed forms, and the delay regime is checked against a fixed point
 worked out from the channel law directly.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -16,12 +18,13 @@ from chronomesh.engine import (
     NetworkState,
     ScenarioConfig,
     estimate_epsilon,
+    no_delay_phase_events,
     run_phase,
-    run_phase_even_odd,
-    run_phase_no_delay,
+    run_phase_delay,
     run_phases,
 )
 from chronomesh.errors import ConfigurationError
+from chronomesh.estimator import STANDARD, fit
 from chronomesh.geometry import Region
 
 
@@ -113,17 +116,24 @@ def test_crossing_near_center_at_moderate_size():
     assert abs(rep.crossing - rep.center) < 0.02
 
 
-def test_windows_advance_with_observations():
-    cfg = ScenarioConfig(n_nodes=50, sigma2=1e-4, seed=21)
+@pytest.mark.parametrize("regime", ["no_delay", "even_odd"])
+def test_windows_advance_with_observations(regime):
+    cfg = ScenarioConfig(n_nodes=50, sigma2=1e-4, seed=21, regime=regime)
     st = NetworkState(cfg)
     before = st.windows.copy()
+    # even_odd: the parity of the instant fires, the other parity listens
+    listen = st.parity != st.next_center % 2 if regime == "even_odd" else np.ones(50, bool)
     rep = run_phase(st)
-    assert np.array_equal(st.windows[:, :-1], before[:, 1:])
+    assert np.array_equal(st.windows[listen, :-1], before[listen, 1:])
+    assert np.array_equal(st.windows[~listen], before[~listen])
     expected = st.alphas * (rep.crossing - st.deltas)
     # readings differ from the exact value only by fresh jitter
     spread = st.windows[:, -1] - expected
-    assert abs(spread[0]) == 0.0
-    assert 0.0 < abs(spread[1:]).max() < 6 * np.sqrt(1e-4)
+    jittered = listen.copy()
+    jittered[0] = False
+    if listen[0]:
+        assert abs(spread[0]) == 0.0
+    assert 0.0 < abs(spread[jittered]).max() < 6 * np.sqrt(1e-4)
 
 
 def test_v_factor_leaves_crossing_alone():
@@ -171,10 +181,28 @@ def test_gate_blocks_weak_aggregate():
     assert rep.failed
     assert rep.crossings[0].gated
     assert rep.crossing is None
-    assert np.array_equal(st.windows, before)
+    # holdover: each window rolls in its own extrapolation of the missed instant
+    assert np.array_equal(st.windows[:, :-1], before[:, 1:])
+    assert np.array_equal(st.windows[:, -1], fit(before, STANDARD).phi_hat)
     assert np.all(np.isnan(rep.sync_errors))
     # the phase counter still advances so later phases stay on schedule
     assert st.next_center == 4
+
+
+@pytest.mark.parametrize("regime", ["no_delay", "even_odd", "delay"])
+def test_schedule_recovers_after_a_gated_phase(regime):
+    # Gate one phase so its crossing is missed; holdover must keep every
+    # later crossing on its instant instead of a phase behind.
+    st = NetworkState(ScenarioConfig(n_nodes=2000, regime=regime, seed=3))
+    run_phases(st, 2)
+    channel = st.channel
+    st.channel = replace(channel, gate=1e9)
+    assert run_phase(st).failed
+    st.channel = channel
+    reports = run_phases(st, 4)
+    assert not any(rep.failed for rep in reports)
+    offsets = [rep.crossing - rep.center for rep in reports]
+    assert np.all(np.abs(offsets) < 0.05), offsets
 
 
 # -- even/odd phases -----------------------------------------------------
@@ -326,11 +354,11 @@ def test_phase_reports_are_sequential():
 def test_regime_runner_mismatch_is_rejected():
     st = NetworkState(ScenarioConfig(n_nodes=8, sigma2=0.0, seed=1))
     with pytest.raises(ConfigurationError):
-        run_phase_even_odd(st)
+        run_phase_delay(st)
     eo = NetworkState(ScenarioConfig(n_nodes=8, sigma2=0.0,
                                      regime="even_odd", seed=1))
     with pytest.raises(ConfigurationError):
-        run_phase_no_delay(eo)
+        no_delay_phase_events(eo)
 
 
 def test_config_validation():
