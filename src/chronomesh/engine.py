@@ -249,19 +249,23 @@ class NetworkState:
     # -- construction helpers -------------------------------------------
 
     def _shared_schedules(self) -> tuple[Schedule, ...]:
-        # One aggregate, drawn with node 0's gain law, serves every listener.
+        # One aggregate serves every listener, drawn with the gain law of the
+        # node that reports it.
         self.rx_gain_dist = PathlossDistribution(self.channel, NodePosition(*self.positions[0]))
-        law = self.rx_gain_dist
         if self.config.regime == "no_delay":
-            return (Schedule(_ALL, _ALL, None, ((0, law, 0.0),)),)
+            return (Schedule(_ALL, _ALL, None, ((0, self.rx_gain_dist, 0.0),)),)
         # even_odd: in the phase of an instant of parity p, parity p fires
         # and the first listener reports the crossing
         schedules = []
         for p in (0, 1):
             active = self.parity == p
             listeners = np.flatnonzero(~active)
-            both = 0 < listeners.size < self.config.n_nodes
-            receivers = ((int(listeners[0]), law, 0.0),) if both else ()
+            receivers = ()
+            if 0 < listeners.size < self.config.n_nodes:
+                node = int(listeners[0])
+                law = self.rx_gain_dist if node == 0 else PathlossDistribution(
+                    self.channel, NodePosition(*self.positions[node]))
+                receivers = ((node, law, 0.0),)
             schedules.append(Schedule(active, ~active, None, receivers))
         return tuple(schedules)
 

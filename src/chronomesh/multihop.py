@@ -1,13 +1,14 @@
 """Hop-by-hop skew relay and its error accumulation.
 
 The contrast experiment to the cooperative engine. A chain of nodes spans
-the network: node 1 emits m reference pulses at unit spacing, node 2
-estimates its relative rate from them, re-emits m pulses spaced by its
-estimate, and so on down the chain. Each stage adds fresh readout noise on
-top of whatever error it inherited, so the variance of the rate estimate
-grows linearly with hop count. The cooperative aggregate has no such
-ladder: every node hears the same crossing, however far it sits from the
-reference, which is the point the two experiments make together.
+the network: node 1 emits m reference pulses at unit spacing, node 2 fits
+its relative rate to them by least squares, re-emits m pulses spaced by its
+estimate, and so on down the chain. Each stage adds one Gaussian slope
+error from fresh jitter on top of the error it inherited, so the variance
+of the rate estimate grows linearly with hop count. The cooperative
+aggregate has no such ladder: every node hears the same crossing, however
+far it sits from the reference, which is the point the two experiments
+make together.
 
 The chain length worth simulating comes from the connectivity radius of a
 random deployment: with n nodes in a unit square the nearest-neighbor
@@ -44,8 +45,8 @@ def hop_count_estimate(n) -> HopEstimate:
 class HopChainConfig:
     """A relay chain: ``hops`` nodes in a line, window length m per stage.
 
-    ``alphas`` are per-node clock rates relative to node 1; the closed-form
-    variance ladder below applies to the all-ones case.
+    ``alphas`` are per-node clock rates relative to node 1, so ``alphas[0]``
+    must be 1; the closed-form variance ladder below applies to any rates.
     """
 
     hops: int
@@ -67,6 +68,8 @@ class HopChainConfig:
                 raise ConfigurationError("need one rate per chain node")
             if any(a <= 0.0 for a in alphas):
                 raise ConfigurationError("clock rates must be positive")
+            if alphas[0] != 1.0:
+                raise ConfigurationError("rates are relative to node 1: alphas[0] must be 1")
             object.__setattr__(self, "alphas", alphas)
 
     def rates(self) -> np.ndarray:
@@ -144,38 +147,31 @@ def run_cascade(config: HopChainConfig, trials: int,
                 rng: np.random.Generator | None = None) -> CascadeReport:
     """Simulate the relay chain across independent trials.
 
-    All trials advance together as arrays; stage i draws the sender's
-    transmit jitter and the receiver's read jitter fresh, fits the pulse
-    spacing by least squares, and passes the slope on as the next spacing.
+    One Gaussian slope error per hop; the m-pulse fit is its exact law. The
+    least-squares slope over centered indices c turns a read's jitter into
+    sd z, sd = sqrt(sigma2 / (c.c)). Hop 2 reads node 1's exact pulses; hop
+    i >= 3 scales the inherited estimate by r = alpha_i / alpha_{i-1} and
+    adds the sender's and its own jitter, sd sqrt(1 + r^2) z.
     """
     if trials < 2:
         raise ConfigurationError("variance needs at least two trials")
     rng = rng or substream(config.seed, DOMAIN_TRIAL)
-    m = config.m
-    sigma = math.sqrt(config.sigma2)
     rates = config.rates()
-
-    steps = np.arange(m, dtype=float)
-    centered = steps - steps.mean()
-    slope_weights = centered / np.dot(centered, centered)
+    centered = np.arange(config.m) - (config.m - 1) / 2.0
+    sd = math.sqrt(config.sigma2 / np.dot(centered, centered))
 
     hop_ids = np.arange(2, config.hops + 1)
-    means = np.empty(config.hops - 1)
-    variances = np.empty(config.hops - 1)
-
-    # node 1 fires exactly at 0, 1, ..., m-1 in reference time
-    fire_times = np.broadcast_to(steps, (trials, m))
-    alpha_hat = None
+    means, variances = np.empty((2, config.hops - 1))
+    alpha_hat = np.ones(trials)          # node 1 is the reference, rate 1
+    z = np.empty(trials)
     for i in range(2, config.hops + 1):
-        read_jitter = sigma * rng.standard_normal((trials, m))
-        readings = rates[i - 1] * fire_times + read_jitter
-        alpha_hat = readings @ slope_weights
+        r = rates[i - 1] / rates[i - 2]
+        alpha_hat *= r
+        rng.standard_normal(out=z)
+        z *= sd if i == 2 else sd * math.sqrt(1.0 + r * r)
+        alpha_hat += z
         means[i - 2] = alpha_hat.mean()
         variances[i - 2] = alpha_hat.var(ddof=1)
-        if i < config.hops:
-            transmit_jitter = sigma * rng.standard_normal((trials, m))
-            own_instants = steps[None, :] * alpha_hat[:, None]
-            fire_times = (own_instants - transmit_jitter) / rates[i - 1]
 
     slope, intercept = _variance_trend(hop_ids, variances)
     return CascadeReport(hop_ids, means, variances,

@@ -53,6 +53,17 @@ def test_manifest_rerun_reproduces_outputs(tmp_path):
         read_bytes(os.path.join(out_b, "phases.csv"))
 
 
+def test_multihop_manifest_rerun_reproduces_outputs(tmp_path):
+    out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")
+    assert cli.run_command(["multihop", "--hops", "7", "--m", "4", "--sigma2", "0.5",
+                            "--trials", "300", "--seed", "6", "--out", out_a]) == 0
+    manifest = os.path.join(out_a, "manifest.cfg")
+    assert cli.run_command(["--config", manifest, "--out", out_b]) == 0
+    for name in ("multihop.csv", "contrast.txt"):
+        assert read_bytes(os.path.join(out_a, name)) == \
+            read_bytes(os.path.join(out_b, name))
+
+
 def test_flag_overrides_config_file(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("[run]\ncommand = steady\nseed = 2\n\n"

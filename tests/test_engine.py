@@ -161,7 +161,7 @@ def test_same_seed_reproduces_bitwise():
 # speed alone must leave these values untouched.
 PINNED_CROSSINGS = {
     "no_delay": (3.0014524323848635, 4.002622021010557, 5.002183904838384),
-    "even_odd": (6.001504713082317, 7.0035805898612935, 8.001191724421236),
+    "even_odd": (6.001542274877169, 7.003621281811673, 8.001283840231029),
     "delay": (2.986586741693727, 3.9816729747332067, 4.9979051783844675),
 }
 
@@ -170,6 +170,14 @@ PINNED_CROSSINGS = {
 def test_crossings_are_bit_identical_to_pinned_values(regime):
     st = NetworkState(ScenarioConfig(n_nodes=2000, regime=regime, seed=3))
     assert tuple(run_phase(st).crossing for _ in range(3)) == PINNED_CROSSINGS[regime]
+
+
+def test_even_odd_aggregate_uses_the_reporting_listeners_gain_law():
+    st = NetworkState(ScenarioConfig(n_nodes=2000, regime="even_odd", seed=3))
+    assert sorted(sched.receivers[0][0] for sched in st.schedules) == [0, 1]
+    for sched in st.schedules:
+        node, law, _ = sched.receivers[0]
+        assert (law.receiver.x, law.receiver.y) == tuple(st.positions[node])
 
 
 def test_gate_blocks_weak_aggregate():

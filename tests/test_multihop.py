@@ -1,6 +1,7 @@
 """Relay-chain tests: hop formulas, exactness, and the variance ladder."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,28 @@ from chronomesh.multihop import (
     run_cascade,
 )
 from chronomesh.rng import DOMAIN_TRIAL, substream
+
+
+def per_pulse_cascade(config, trials, rng):
+    """Reference relay that simulates every pulse: each hop reads m jittered
+    pulse times, fits their spacing by least squares, and re-emits m pulses
+    spaced by that estimate with fresh transmit jitter. Returns the
+    (hops - 1, trials) rate estimates."""
+    m = config.m
+    sigma = math.sqrt(config.sigma2)
+    rates = config.rates()
+    steps = np.arange(m, dtype=float)
+    centered = steps - steps.mean()
+    slope_weights = centered / np.dot(centered, centered)
+    fire_times = np.broadcast_to(steps, (trials, m))   # node 1 is exact
+    estimates = []
+    for i in range(2, config.hops + 1):
+        readings = rates[i - 1] * fire_times + sigma * rng.standard_normal((trials, m))
+        alpha_hat = readings @ slope_weights
+        estimates.append(alpha_hat)
+        transmit_jitter = sigma * rng.standard_normal((trials, m))
+        fire_times = (steps * alpha_hat[:, None] - transmit_jitter) / rates[i - 1]
+    return np.array(estimates)
 
 
 def test_hop_estimate_reference_values():
@@ -77,6 +100,37 @@ def test_mixed_rate_recursion_matches_monte_carlo():
         assert emp == pytest.approx(pred, rel=0.05)
 
 
+@pytest.mark.parametrize("cfg", [
+    HopChainConfig(hops=6, m=3, sigma2=1.0, seed=21),
+    HopChainConfig(hops=5, m=4, sigma2=0.25, alphas=(1.0, 1.1, 0.9, 1.05, 0.98), seed=11),
+    HopChainConfig(hops=5, m=3, sigma2=0.5, alphas=(1.0, 2.0, 0.5, 1.5, 0.75), seed=4),
+], ids=["unit_m3", "mixed_m4", "wide_rates_m3"])
+def test_slope_recursion_matches_per_pulse_oracle(cfg):
+    trials = 20_000
+    oracle = per_pulse_cascade(cfg, trials, np.random.default_rng(cfg.seed + 100))
+    rep = run_cascade(cfg, trials)
+    oracle_var = oracle.var(axis=1, ddof=1)
+    se = np.hypot(oracle_var, rep.empirical_variances) * math.sqrt(2.0 / (trials - 1))
+    assert np.all(np.abs(rep.empirical_variances - oracle_var) <= 5.0 * se)
+    assert np.all(np.abs(rep.alpha_hat_means - oracle.mean(axis=1))
+                  <= 5.0 * np.sqrt((oracle_var + rep.empirical_variances) / trials))
+    # without jitter both forms carry every rate down the chain exactly
+    noiseless = replace(cfg, sigma2=0.0)
+    exact = noiseless.rates()[1:]
+    assert np.allclose(run_cascade(noiseless, 4).alpha_hat_means, exact, rtol=0.0, atol=1e-12)
+    oracle = per_pulse_cascade(noiseless, 4, np.random.default_rng(0))
+    assert np.allclose(oracle, exact[:, None], rtol=0.0, atol=1e-12)
+
+
+def test_cascade_draws_one_normal_per_trial_per_hop():
+    cfg = HopChainConfig(hops=9, m=5, sigma2=0.3)
+    rng, reference = np.random.default_rng(17), np.random.default_rng(17)
+    run_cascade(cfg, trials=321, rng=rng)
+    for _ in range(cfg.hops - 1):
+        reference.standard_normal(321)
+    assert rng.bit_generator.state == reference.bit_generator.state
+
+
 def test_same_seed_reproduces():
     cfg = HopChainConfig(hops=4, m=3, sigma2=1.0, seed=8)
     a = run_cascade(cfg, trials=500)
@@ -108,5 +162,7 @@ def test_config_validation():
         HopChainConfig(hops=3, alphas=(1.0, 1.0))
     with pytest.raises(ConfigurationError):
         HopChainConfig(hops=2, alphas=(1.0, 0.0))
+    with pytest.raises(ConfigurationError, match="relative to node 1"):
+        HopChainConfig(hops=3, alphas=(2.0, 1.0, 1.0))
     with pytest.raises(ConfigurationError):
         run_cascade(HopChainConfig(hops=3), trials=1)
