@@ -6,7 +6,8 @@ Subcommands map one-to-one onto the experiment modules:
 - ``steady`` / ``evenodd`` / ``delay``: run synchronization phases and log
   per-phase crossings.
 - ``pco``: fire-event log for one oscillator population, or a census of
-  random starting points when ``--trials`` asks for more than one.
+  random starting points when ``--trials`` asks for more than one (fewer
+  than one is a configuration error).
 - ``multihop``: relay-chain variance ladder.
 - ``channel-sample``: coupled delay/gain draws for one receiver.
 
@@ -336,31 +337,32 @@ def _cmd_phases(manifest: RunManifest) -> None:
               rows)
 
 
-def _pco_config(manifest: RunManifest, seed: int) -> PcoConfig:
-    raw = manifest.sections["pco"]
-    n = _parse_int(raw["oscillators"], "pco.oscillators")
-    rng = substream(seed, DOMAIN_INIT)
-    f, f_inv = log_charging_map(_parse_float(raw["curvature"], "pco.curvature"))
-    return PcoConfig(initial_phases=random_phases(n, rng),
-                     epsilons=_parse_float(raw["epsilon"], "pco.epsilon"),
-                     f=f, f_inverse=f_inv,
-                     max_cycles=_parse_int(raw["max_cycles"], "pco.max_cycles"))
-
-
 def _cmd_pco(manifest: RunManifest) -> None:
-    trials = _parse_int(manifest.sections["pco"]["trials"], "pco.trials")
+    raw = manifest.sections["pco"]
+    trials = _parse_int(raw["trials"], "pco.trials")
+    if trials < 1:
+        raise ConfigurationError("pco.trials must be at least 1")
+    n = _parse_int(raw["oscillators"], "pco.oscillators")
+    f, f_inv = log_charging_map(_parse_float(raw["curvature"], "pco.curvature"))
+    epsilon = _parse_float(raw["epsilon"], "pco.epsilon")
+    max_cycles = _parse_int(raw["max_cycles"], "pco.max_cycles")
+
+    def run(seed: int):
+        phases = random_phases(n, substream(seed, DOMAIN_INIT))
+        return pco_run_to_sync(PcoConfig(initial_phases=phases, epsilons=epsilon,
+                                         f=f, f_inverse=f_inv, max_cycles=max_cycles))
+
     out = manifest.out_dir
     if trials > 1:
         def one(s: int):
-            report = pco_run_to_sync(
-                _pco_config(manifest, derive_seed(manifest.seed, DOMAIN_SEED_SWEEP, s)))
+            report = run(derive_seed(manifest.seed, DOMAIN_SEED_SWEEP, s))
             return s, report.cycles, report.synchronized
 
         rows = run_indexed(one, trials)
         write_csv(os.path.join(out, "census.csv"),
                   ["seed", "cycles", "synchronized"], rows)
         return
-    report = pco_run_to_sync(_pco_config(manifest, manifest.seed))
+    report = run(manifest.seed)
     rows = [(k, e.time, len(e.members), ";".join(map(str, e.members)))
             for k, e in enumerate(report.events)]
     write_csv(os.path.join(out, "events.csv"),

@@ -1,14 +1,17 @@
-"""Thread-pool helpers with a deterministic result order.
+"""Indexed sweeps with a deterministic result order.
 
-CHRONOMESH_THREADS caps the pool size. Work items must carry their own RNG
-substreams (see rng.py); the helpers here only schedule and reassemble, so
-results are identical for any cap, including 1.
+Sweeps run serially, in index order. Both call sites, the pco census and the
+ε-sweep's child networks, ran slower on a two-worker thread pool than in a
+plain loop: a census trial is pure-Python event stepping under the GIL, so a
+second worker added only dispatch and contention. Work items carry their own
+RNG substreams (see rng.py), so results never depend on scheduling.
+CHRONOMESH_THREADS and an explicit ``threads`` are still validated as a
+worker cap, so a malformed value is reported rather than ignored.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, TypeVar
 
 from .errors import ConfigurationError
@@ -33,12 +36,11 @@ def thread_cap() -> int:
 
 
 def run_indexed(fn: Callable[[int], T], count: int, threads: int | None = None) -> list[T]:
-    """Evaluate fn(0..count-1), possibly in parallel, results in index order."""
+    """Evaluate fn(0..count-1) in index order after validating the worker cap."""
     if count < 0:
         raise ValueError("count must be non-negative")
-    workers = min(threads if threads is not None else thread_cap(), max(count, 1))
-    if workers <= 1:
-        return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(count)))
-
+    if threads is None:
+        thread_cap()
+    elif threads < 1:
+        raise ConfigurationError(f"threads must be >= 1, got {threads}")
+    return [fn(i) for i in range(count)]

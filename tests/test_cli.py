@@ -1,5 +1,6 @@
 """Command-line interface tests: orchestration, manifests, determinism."""
 
+import hashlib
 import os
 
 import numpy as np
@@ -139,6 +140,32 @@ def test_census_thread_cap_does_not_change_bytes(tmp_path, monkeypatch):
                                 "--out", out]) == 0
         outs.append(read_bytes(os.path.join(out, "census.csv")))
     assert outs[0] == outs[1]
+
+
+# SHA-256 digests pinning the pco per-trial streams and CSV format: a change
+# to how trials are seeded or written shows up here.
+CENSUS_T300_S3 = "d97ccfa074a92e2f41e113f2c09f3e4dfbb10423d3759e0642c5eaa382381ff9"
+EVENTS_S3 = "cca0e1f5c7b4acfd2b662fcd0733e1fd23fd82afeef9b172d6a1ca2b41e9d56d"
+
+
+def test_pco_census_bytes_are_pinned(tmp_path):
+    assert cli.run_command(["pco", "--trials", "300", "--seed", "3",
+                            "--out", str(tmp_path)]) == 0
+    digest = hashlib.sha256(read_bytes(os.path.join(tmp_path, "census.csv")))
+    assert digest.hexdigest() == CENSUS_T300_S3
+
+
+def test_pco_event_log_bytes_are_pinned(tmp_path):
+    assert cli.run_command(["pco", "--seed", "3", "--out", str(tmp_path)]) == 0
+    digest = hashlib.sha256(read_bytes(os.path.join(tmp_path, "events.csv")))
+    assert digest.hexdigest() == EVENTS_S3
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_pco_trials_below_one_exits_two(tmp_path, capsys, trials):
+    assert cli.run_command(["pco", "--trials", trials, "--out", str(tmp_path)]) == 2
+    assert "pco.trials" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(tmp_path, "events.csv"))
 
 
 @pytest.mark.parametrize("cap", ["abc", "0"])
