@@ -10,19 +10,18 @@ multi-hop cascade used as the scaling contrast.
 
 __version__ = "0.1.0"
 
-from .channel import ChannelModel, linear_model, unit_gain_model
-from .clock import ClockParams, SkewPopulation, read_clock
+from .channel import ChannelModel
+from .clock import SkewPopulation
 from .engine import NetworkState, PhaseReport, ScenarioConfig, estimate_epsilon, run_phase, run_phases
 from .errors import ConfigurationError, DomainError, NumericsError
-from .estimator import EVEN_ODD, STANDARD, ObservationWindow, epsilon_variant, fit
+from .estimator import EVEN_ODD, STANDARD, epsilon_variant, fit
 from .geometry import NodePosition, Region
 from .multihop import HopChainConfig, hop_count_estimate, run_cascade
 from .pco import PcoConfig, log_charging_map, pco_run_to_sync
-from .waveform import Pulse, find_zero_crossing, sine_pulse
+from .waveform import Pulse, find_zero_crossing
 
 __all__ = [
     "ChannelModel",
-    "ClockParams",
     "ConfigurationError",
     "DomainError",
     "EVEN_ODD",
@@ -30,7 +29,6 @@ __all__ = [
     "NetworkState",
     "NodePosition",
     "NumericsError",
-    "ObservationWindow",
     "PcoConfig",
     "PhaseReport",
     "Pulse",
@@ -43,14 +41,10 @@ __all__ = [
     "find_zero_crossing",
     "fit",
     "hop_count_estimate",
-    "linear_model",
     "log_charging_map",
     "pco_run_to_sync",
-    "read_clock",
     "run_cascade",
     "run_phase",
     "run_phases",
-    "sine_pulse",
-    "unit_gain_model",
     "__version__",
 ]

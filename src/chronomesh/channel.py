@@ -1,8 +1,11 @@
 """Coverage-driven pathloss and propagation-delay laws.
 
-A transmitter is dropped uniformly over the region; what a fixed receiver j
-experiences is induced by the coverage geometry. With A(j, r) the area of
-the region within distance r of the receiver and A_T the region area:
+Every link shares two range maps: the gain falls linearly from 1 to 0 at
+the cutoff range R (an infinite R means unit gain at any distance), and the
+delay is distance over the wave speed. A transmitter is dropped uniformly
+over the region; what a fixed receiver j experiences is induced by the
+coverage geometry. With A(j, r) the area of the region within distance r of
+the receiver and A_T the region area:
 
 - received gain K_j has CDF F(k) = 1 - A(j, rbar(k)) / A_T on [0, 1], where
   rbar(k) is the largest distance at which the gain map still exceeds k.
@@ -28,7 +31,6 @@ no interpolation tables.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -43,33 +45,26 @@ _BISECT_MAX_ITER = 120
 
 @dataclass(frozen=True)
 class ChannelModel:
-    """Region plus the deterministic range maps shared by every link.
+    """Region plus the range maps shared by every link.
 
-    gain(d) must be non-increasing and continuous with gain(0) <= 1 and
-    gain(d) = 0 for d >= max_range. delay(d) must be strictly increasing
-    with delay(0) = 0. Both must accept numpy arrays. delay_inverse is
-    optional; without it the inverse is bisected.
+    The gain falls linearly from 1 at distance 0 to 0 at the cutoff range R,
+    gain(d) = max(0, 1 - d / R); an infinite R hears every transmitter at
+    unit gain. The delay is distance over wave speed, delay(d) = d / c.
     """
 
     region: Region
     max_range: float                     # R: gain cutoff distance
-    gain: Callable[[np.ndarray], np.ndarray]
-    delay: Callable[[np.ndarray], np.ndarray]
-    delay_inverse: Callable[[np.ndarray], np.ndarray] | None = None
+    wave_speed: float = 1.0              # c
     range_pad: float | None = None       # outage ramp width in distance; default R / 10
     gate: float = 0.0                    # minimum usable aggregate amplitude
 
     def __post_init__(self):
         if self.max_range <= 0.0:
             raise ConfigurationError("max_range must be positive")
+        if self.wave_speed <= 0.0:
+            raise ConfigurationError("wave_speed must be positive")
         if self.range_pad is not None and self.range_pad <= 0.0:
             raise ConfigurationError("range_pad must be positive")
-        g0 = float(self.gain(np.array(0.0)))
-        if not (0.0 < g0 <= 1.0 + 1e-12):
-            raise ConfigurationError(f"gain(0) must lie in (0, 1], got {g0}")
-        d0 = float(self.delay(np.array(0.0)))
-        if abs(d0) > 1e-15:
-            raise ConfigurationError(f"delay(0) must be 0, got {d0}")
 
     @property
     def pad(self) -> float:
@@ -79,62 +74,15 @@ class ChannelModel:
             return 0.1 * max(self.region.width, self.region.height)
         return 0.1 * self.max_range
 
+    def gain(self, d: np.ndarray | float) -> np.ndarray | float:
+        return np.maximum(0.0, 1.0 - np.asarray(d, dtype=float) / self.max_range)
+
+    def delay(self, d: np.ndarray | float) -> np.ndarray | float:
+        return np.asarray(d, dtype=float) / self.wave_speed
+
     def invert_delay(self, x: np.ndarray | float) -> np.ndarray | float:
         """Distance whose one-way delay is x."""
-        if self.delay_inverse is not None:
-            return self.delay_inverse(x)
-        x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-        hi0 = min(self.max_range, _reach_bound(self)) + self.pad
-        lo = np.zeros_like(x_arr)
-        hi = np.full_like(x_arr, hi0)
-        # Grow the bracket for queries beyond the usual support.
-        for _ in range(64):
-            short = self.delay(hi) < x_arr
-            if not np.any(short):
-                break
-            hi = np.where(short, 2.0 * hi, hi)
-        for _ in range(_BISECT_MAX_ITER):
-            mid = 0.5 * (lo + hi)
-            low_side = self.delay(mid) < x_arr
-            lo = np.where(low_side, mid, lo)
-            hi = np.where(low_side, hi, mid)
-            if np.all(hi - lo < _BISECT_TOL):
-                break
-        out = 0.5 * (lo + hi)
-        return float(out[0]) if np.ndim(x) == 0 else out
-
-
-def linear_model(region: Region, max_range: float, wave_speed: float = 1.0,
-                 range_pad: float | None = None, gate: float = 0.0) -> ChannelModel:
-    """Default model: gain falls linearly to zero at R, delay is distance/speed."""
-    if wave_speed <= 0.0:
-        raise ConfigurationError("wave_speed must be positive")
-    return ChannelModel(
-        region=region,
-        max_range=max_range,
-        gain=lambda d: np.maximum(0.0, 1.0 - np.asarray(d, dtype=float) / max_range),
-        delay=lambda d: np.asarray(d, dtype=float) / wave_speed,
-        delay_inverse=lambda x: np.asarray(x, dtype=float) * wave_speed,
-        range_pad=range_pad,
-        gate=gate,
-    )
-
-
-def unit_gain_model(region: Region, wave_speed: float = 1.0, gate: float = 0.0) -> ChannelModel:
-    """Every transmitter heard at full strength; only delays vary."""
-    return ChannelModel(
-        region=region,
-        max_range=np.inf,
-        gain=lambda d: np.ones_like(np.asarray(d, dtype=float)),
-        delay=lambda d: np.asarray(d, dtype=float) / wave_speed,
-        delay_inverse=lambda x: np.asarray(x, dtype=float) * wave_speed,
-        gate=gate,
-    )
-
-
-def _reach_bound(model: ChannelModel) -> float:
-    # Largest geometrically meaningful radius anywhere in the region.
-    return float(np.hypot(model.region.width, model.region.height))
+        return np.asarray(x, dtype=float) * self.wave_speed
 
 
 @dataclass(frozen=True)

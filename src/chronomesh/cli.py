@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .channel import DelayDistribution, linear_model, unit_gain_model
+from .channel import ChannelModel, DelayDistribution
 from .clock import SkewPopulation
 from .engine import NetworkState, ScenarioConfig, no_delay_phase_events, run_phases
 from .errors import ConfigurationError, DomainError, NumericsError
@@ -206,9 +206,12 @@ def _parse_int(raw: str, label: str) -> int:
 
 def _parse_float(raw: str, label: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
-        raise ConfigurationError(f"{label} must be a number, got {raw!r}") from None
+        value = math.nan
+    if not math.isfinite(value):
+        raise ConfigurationError(f"{label} must be a finite number, got {raw!r}")
+    return value
 
 
 def _parse_bool(raw: str, label: str) -> bool:
@@ -225,14 +228,14 @@ def build_scenario(manifest: RunManifest) -> ScenarioConfig:
     region = Region()
     gain_kind = raw["gain"].strip().lower()
     if gain_kind == "unit":
-        channel = unit_gain_model(region)
+        max_range = math.inf
     elif gain_kind == "linear":
-        channel = linear_model(region,
-                               max_range=_parse_float(raw["range"], "scenario.range"),
-                               wave_speed=_parse_float(raw["wave_speed"], "scenario.wave_speed"),
-                               gate=_parse_float(raw["gate"], "scenario.gate"))
+        max_range = _parse_float(raw["range"], "scenario.range")
     else:
         raise ConfigurationError(f"scenario.gain must be linear or unit, got {raw['gain']!r}")
+    channel = ChannelModel(region, max_range,
+                           wave_speed=_parse_float(raw["wave_speed"], "scenario.wave_speed"),
+                           gate=_parse_float(raw["gate"], "scenario.gate"))
     tau_raw = raw["tau_nz"].strip().lower()
     tau_nz = None if tau_raw == "auto" else _parse_float(raw["tau_nz"], "scenario.tau_nz")
     population = SkewPopulation(_parse_float(raw["alpha_low"], "scenario.alpha_low"),

@@ -2,8 +2,8 @@
 
 A node's clock reads alpha * (t - delta_bar) + jitter, where the jitter is
 redrawn on every read. The reference node defines true time (alpha = 1,
-delta_bar = 0, no jitter), so converting a noiseless reading back to
-reference time is just the inverse affine map.
+delta_bar = 0, no jitter). The engine keeps these per-node parameters as
+arrays; this module draws the skews across the network.
 """
 
 from __future__ import annotations
@@ -14,39 +14,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-
-
-@dataclass(frozen=True)
-class ClockParams:
-    alpha: float        # skew relative to reference time
-    delta_bar: float    # fixed offset, in reference time units
-    sigma2: float       # readout jitter variance, node timescale
-
-    def __post_init__(self):
-        if self.alpha <= 0.0:
-            raise DomainError(f"clock skew must be positive, got {self.alpha}")
-        if self.sigma2 < 0.0:
-            raise DomainError(f"jitter variance must be non-negative, got {self.sigma2}")
-
-
-REFERENCE_CLOCK = ClockParams(alpha=1.0, delta_bar=0.0, sigma2=0.0)
-
-
-def read_clock(params: ClockParams, t, rng: np.random.Generator):
-    """Clock reading(s) at reference time t; jitter is fresh per read."""
-    t_arr = np.asarray(t, dtype=float)
-    mean = params.alpha * (t_arr - params.delta_bar)
-    if params.sigma2 == 0.0:
-        return mean if t_arr.ndim else float(mean)
-    noisy = mean + rng.normal(0.0, np.sqrt(params.sigma2), size=t_arr.shape)
-    return noisy if t_arr.ndim else float(noisy)
-
-
-def to_reference(params: ClockParams, reading):
-    """Reference time whose noiseless reading would equal the argument."""
-    reading_arr = np.asarray(reading, dtype=float)
-    out = reading_arr / params.alpha + params.delta_bar
-    return out if reading_arr.ndim else float(out)
 
 
 @dataclass(frozen=True)

@@ -44,18 +44,11 @@ phase draws no observation jitter.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterator
 
 import numpy as np
 
-from .channel import (
-    ChannelModel,
-    DelayDistribution,
-    PathlossDistribution,
-    linear_model,
-    sample_fix,
-)
-from .clock import ClockParams, SkewPopulation
+from .channel import ChannelModel, DelayDistribution, PathlossDistribution, sample_fix
+from .clock import SkewPopulation
 from .errors import ConfigurationError
 from .estimator import (
     EVEN_ODD,
@@ -68,7 +61,7 @@ from .estimator import (
 from .geometry import NodePosition, Region, place_nodes, positions_array
 from .rng import DOMAIN_INIT, DOMAIN_PHASE, DOMAIN_PLACEMENT, DOMAIN_SEED_SWEEP, derive_seed, substream
 from .parallel import run_indexed
-from .waveform import CrossingReport, EventArray, default_tau_nz, find_zero_crossing, sine_pulse
+from .waveform import CrossingReport, EventArray, Pulse, default_tau_nz, find_zero_crossing
 
 REGIMES = ("no_delay", "even_odd", "delay")
 
@@ -142,20 +135,6 @@ class ScenarioConfig:
 
 
 @dataclass(frozen=True)
-class NodeState:
-    """Read-only view of one node, materialized on demand."""
-
-    node_id: int
-    position: NodePosition
-    clock: ClockParams
-    window: np.ndarray
-    role: str                      # reference | member | interior | boundary
-    parity: int
-    epsilon_i: float
-    alpha_known: float | None      # boundary nodes track their skew exactly
-
-
-@dataclass(frozen=True)
 class PhaseReport:
     """Outcome of one phase."""
 
@@ -185,10 +164,7 @@ class Schedule:
 
 
 class NetworkState:
-    """Mutable state of a scenario between phases.
-
-    Node data is stored as arrays; ``state[i]`` builds a NodeState view.
-    """
+    """Mutable state of a scenario between phases, one array row per node."""
 
     def __init__(self, config: ScenarioConfig):
         self.config = config
@@ -196,7 +172,7 @@ class NetworkState:
         region = config.region
         channel = config.channel
         if channel is None:
-            channel = linear_model(region, max_range=0.25 * min(region.width, region.height))
+            channel = ChannelModel(region, 0.25 * min(region.width, region.height))
         self.channel = channel
 
         rng_place = substream(config.seed, DOMAIN_PLACEMENT)
@@ -228,7 +204,7 @@ class NetworkState:
                 # keep the search window wider than the whole delay spread
                 span = channel.delay(channel.max_range + channel.pad)
                 tau_nz = max(tau_nz, 10.0 * span)
-        self.pulse = sine_pulse(tau_nz)
+        self.pulse = Pulse(tau_nz)
 
         self.probes: list[int] = []
         self.rx_gain_dist: PathlossDistribution | None = None
@@ -320,8 +296,6 @@ class NetworkState:
         windows += jitter
         self.windows = windows
 
-    # -- sequence protocol ----------------------------------------------
-
     @property
     def n(self) -> int:
         return self.config.n_nodes
@@ -330,33 +304,6 @@ class NetworkState:
     def schedule(self) -> Schedule:
         """Roles for the coming phase."""
         return self.schedules[self.next_center % len(self.schedules)]
-
-    def __len__(self) -> int:
-        return self.n
-
-    def __getitem__(self, i: int) -> NodeState:
-        if not 0 <= i < self.n:
-            raise IndexError(i)
-        if i == 0:
-            role = "reference"
-        elif self.config.regime == "delay":
-            role = "interior" if self.interior[i] else "boundary"
-        else:
-            role = "member"
-        return NodeState(
-            node_id=i,
-            position=NodePosition(*self.positions[i]),
-            clock=ClockParams(float(self.alphas[i]), float(self.deltas[i]),
-                              float(self.sigma[i] ** 2)),
-            window=self.windows[i].copy(),
-            role=role,
-            parity=int(self.parity[i]),
-            epsilon_i=float(self.eps_i[i]),
-            alpha_known=float(self.alphas[i]) if role == "boundary" else None,
-        )
-
-    def nodes(self) -> Iterator[NodeState]:
-        return (self[i] for i in range(self.n))
 
 
 def _phase_rng(state: NetworkState, rng: np.random.Generator | None) -> np.random.Generator:
@@ -389,7 +336,7 @@ def _transmit(state: NetworkState, sched: Schedule, rng: np.random.Generator):
     if state.frame_offsets is not None:
         frame = shift_to_epsilon_frame(frame, state.alphas[tx], state.frame_offsets[tx],
                                        cfg.epsilon)
-    report = fit(frame, cfg.variant, cfg.sigma2)
+    report = fit(frame, cfg.variant)
     del frame
     fires = report.phi_hat
     if state.fix_receiver is not None:

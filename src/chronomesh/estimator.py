@@ -74,35 +74,11 @@ def epsilon_variant(offset: float) -> DesignVariant:
 
 
 @dataclass(frozen=True)
-class ObservationWindow:
-    """m clock readings at successive crossings, oldest first.
-
-    values may carry leading batch dimensions; the window axis is the last.
-    """
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", arr)
-        _check_window_length(arr.shape[-1])
-
-    @property
-    def m(self) -> int:
-        return self.values.shape[-1]
-
-
-@dataclass(frozen=True)
 class EstimateReport:
     """Fit outcome: the firing prediction and the skew estimate behind it."""
 
     phi_hat: np.ndarray | float        # predicted reading at the target crossing
     alpha_hat: np.ndarray | float      # estimated skew (slope per unit reference time)
-    intercept: np.ndarray | float      # estimated reading at the window start
-    predicted_variance: float          # exact variance of phi_hat under white noise
-    alpha_variance: float              # exact variance of alpha_hat
-    variant: DesignVariant
-    m: int
 
 
 def _check_window_length(m: int):
@@ -110,15 +86,12 @@ def _check_window_length(m: int):
         raise DomainError(f"window length must be at least 2, got {m}")
 
 
-def fit(window: ObservationWindow | np.ndarray, variant: DesignVariant = STANDARD,
-        sigma2: float = 1.0) -> EstimateReport:
-    """Least-squares fit of the window and prediction at the variant's target.
+def fit(window: np.ndarray, variant: DesignVariant = STANDARD) -> EstimateReport:
+    """Least-squares fit of the window(s) and prediction at the variant's target.
 
-    sigma2 only scales the reported variances; the point estimates do not
-    depend on it.
+    The window axis is the last; leading axes are independent windows.
     """
-    values = window.values if isinstance(window, ObservationWindow) else \
-        np.asarray(window, dtype=float)
+    values = np.asarray(window, dtype=float)
     m = values.shape[-1]
     x = variant.regressors(m)
     sum_x = x.sum()
@@ -130,19 +103,8 @@ def fit(window: ObservationWindow | np.ndarray, variant: DesignVariant = STANDAR
     intercept = (sum_xx * sum_y - sum_x * sum_xy) / det
     phi = intercept + variant.target_step(m) * slope
     if values.ndim == 1:
-        phi, slope, intercept = float(phi), float(slope), float(intercept)
-    return EstimateReport(
-        phi_hat=phi,
-        alpha_hat=slope,
-        intercept=intercept,
-        predicted_variance=predicted_variance(variant, m, sigma2),
-        # m / det is the exact slope variance for this design's regressors;
-        # offsets leave it unchanged while the doubled even_odd spread
-        # divides it by four.
-        alpha_variance=sigma2 * m / det,
-        variant=variant,
-        m=m,
-    )
+        phi, slope = float(phi), float(slope)
+    return EstimateReport(phi_hat=phi, alpha_hat=slope)
 
 
 def predicted_variance(variant: DesignVariant, m: int, sigma2: float = 1.0) -> float:
@@ -169,7 +131,7 @@ def alpha_variance(m: int, sigma2: float = 1.0) -> float:
     return sigma2 * 12.0 / ((m - 1.0) * m * (m + 1.0))
 
 
-def shift_to_epsilon_frame(window: ObservationWindow | np.ndarray, alpha_known,
+def shift_to_epsilon_frame(window: np.ndarray, alpha_known,
                            own_offset, target_offset) -> np.ndarray:
     """Re-express readings taken at integers + own_offset as integers + target_offset.
 
@@ -178,8 +140,7 @@ def shift_to_epsilon_frame(window: ObservationWindow | np.ndarray, alpha_known,
     the window into the common interior form so the epsilon design applies.
     alpha must be the node's true skew, which edge nodes are assumed to know.
     """
-    values = window.values if isinstance(window, ObservationWindow) else \
-        np.asarray(window, dtype=float)
+    values = np.asarray(window, dtype=float)
     shift = np.asarray(alpha_known, dtype=float) * (
         np.asarray(target_offset, dtype=float) - np.asarray(own_offset, dtype=float))
     return values + np.expand_dims(shift, -1) if np.ndim(shift) else values + shift

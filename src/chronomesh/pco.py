@@ -23,14 +23,15 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigurationError
 
 _CHECK_GRID = 257   # validation resolution for the charging map
+_MERGE_TOL = 1e-12  # firing instants closer than this are one instant
 
 # (f, f_inverse) pairs that have passed the charging-map check. Only
 # acceptances are remembered, so a bad pair raises on every construction.
@@ -71,7 +72,6 @@ class PcoConfig:
     f: Callable[[float], float] | None = None
     f_inverse: Callable[[float], float] | None = None
     max_cycles: int = 10_000
-    merge_tol: float = 1e-12
 
     def __post_init__(self):
         phases = tuple(float(p) for p in self.initial_phases)
@@ -104,8 +104,6 @@ class PcoConfig:
             _ACCEPTED_MAPS.add(pair)
         if self.max_cycles < 1:
             raise ConfigurationError("max_cycles must be at least 1")
-        if self.merge_tol <= 0.0:
-            raise ConfigurationError("merge_tol must be positive")
 
     def _check_charging_map(self):
         grid = np.linspace(0.0, 1.0, _CHECK_GRID)
@@ -150,7 +148,7 @@ class PcoState:
         order = sorted(range(config.n), key=lambda i: (-config.initial_phases[i], i))
         for i in order:
             p = config.initial_phases[i]
-            if by_phase and abs(-p - by_phase[-1].x_last) <= config.merge_tol:
+            if by_phase and abs(-p - by_phase[-1].x_last) <= _MERGE_TOL:
                 g = by_phase[-1]
                 g.members = tuple(sorted(g.members + (i,)))
             else:
@@ -159,24 +157,11 @@ class PcoState:
         self.fired_events: list[FireEvent] = []
 
     @property
-    def next_fire(self) -> np.ndarray:
-        """Per-oscillator next firing times."""
-        out = np.empty(self.config.n)
-        for g in self.groups:
-            for i in g.members:
-                out[i] = g.next_fire
-        return out
-
-    @property
-    def absorbed_groups(self) -> list[tuple[int, ...]]:
-        return [g.members for g in self.groups]
-
-    @property
     def synchronized(self) -> bool:
         return len(self.groups) == 1
 
 
-def pco_step(state: PcoState, config: PcoConfig | None = None) -> FireEvent:
+def pco_step(state: PcoState) -> FireEvent:
     """Advance to the next firing instant and apply the coupling.
 
     The earliest group fires; its members' pulses are applied one by one
@@ -185,13 +170,12 @@ def pco_step(state: PcoState, config: PcoConfig | None = None) -> FireEvent:
     before the instant, fires immediately and its pulses join the queue.
     Same-instant firers never couple to each other and are merged.
     """
-    config = config or state.config
+    config = state.config
     f, f_inv = config.f, config.f_inverse
-    tol = config.merge_tol
 
     t_star = min(g.next_fire for g in state.groups)
-    firing = [g for g in state.groups if g.next_fire - t_star <= tol]
-    waiting = [g for g in state.groups if g.next_fire - t_star > tol]
+    firing = [g for g in state.groups if g.next_fire - t_star <= _MERGE_TOL]
+    waiting = [g for g in state.groups if g.next_fire - t_star > _MERGE_TOL]
 
     queue = [config.epsilons[i] for g in firing for i in g.members]
     head = 0

@@ -30,27 +30,19 @@ _REFINE_TOL = 1e-12
 
 @dataclass(frozen=True)
 class Pulse:
-    """Half-sine transmit pulse of support (-tau_nz, tau_nz) and peak amplitude a_max."""
+    """Half-sine transmit pulse p(t) = -sin(pi t / tau_nz) on (-tau_nz, tau_nz), peak 1."""
 
     tau_nz: float
-    a_max: float = 1.0
 
     def __post_init__(self):
         if self.tau_nz <= 0.0:
             raise DomainError(f"pulse support must be positive, got {self.tau_nz}")
-        if self.a_max <= 0.0:
-            raise DomainError(f"peak amplitude must be positive, got {self.a_max}")
 
     def evaluate(self, t) -> np.ndarray | float:
-        """Unit-amplitude pulse value p(t); multiply by a_max for the waveform."""
+        """Pulse value p(t)."""
         t_arr = np.asarray(t, dtype=float)
         out = np.where(np.abs(t_arr) < self.tau_nz, -np.sin(np.pi * t_arr / self.tau_nz), 0.0)
         return float(out) if out.ndim == 0 else out
-
-
-def sine_pulse(tau_nz: float, a_max: float = 1.0) -> Pulse:
-    """The transmit pulse, p(t) = -sin(pi t / tau_nz) inside the support."""
-    return Pulse(tau_nz, a_max)
 
 
 def default_tau_nz(sigma_bar: float, alpha_low: float) -> float:
@@ -144,22 +136,12 @@ class AggregateEvaluator:
         sin_sum = self._sin_prefix[hi] - self._sin_prefix[lo]
         angle = np.pi * t_arr / tau
         out = -np.sin(angle) * cos_sum + np.cos(angle) * sin_sum
-        out = out * self.pulse.a_max
         return float(out[0]) if scalar else out
 
 
 def evaluate_aggregate(events: EventArray, pulse: Pulse, t) -> np.ndarray | float:
-    """Summed waveform at time(s) t: sum_i a_max scale_i p(t - arrival_i)."""
+    """Summed waveform at time(s) t: sum_i scale_i p(t - arrival_i)."""
     return AggregateEvaluator(events, pulse)(t)
-
-
-def contributions(events: EventArray, pulse: Pulse, t: float) -> np.ndarray:
-    """Per-event waveform contributions at a single instant.
-
-    Exposed so statistical checks can form standard errors of the mean
-    amplitude without re-deriving the event layout.
-    """
-    return pulse.a_max * events.scale * pulse.evaluate(float(t) - events.arrival)
 
 
 @dataclass(frozen=True)
@@ -265,7 +247,6 @@ def limit_waveform(spec: LimitSpec, t, tol: float = 1e-9) -> np.ndarray | float:
     scalar = t_arr.ndim == 0
     t_arr = np.atleast_1d(t_arr)
     pop = spec.population
-    amp = spec.pulse.a_max * spec.mean_gain
     sigma_bar = float(np.sqrt(spec.sigma_bar2))
 
     out = np.empty(t_arr.size)
@@ -287,5 +268,5 @@ def limit_waveform(spec: LimitSpec, t, tol: float = 1e-9) -> np.ndarray | float:
         if err > 10.0 * tol:
             raise NumericsError("limit waveform quadrature did not converge",
                                 {"t": float(ti), "error_estimate": float(err)})
-        out[idx] = amp * value
+        out[idx] = spec.mean_gain * value
     return float(out[0]) if scalar else out

@@ -14,12 +14,7 @@ import pytest
 from scipy import stats
 
 from chronomesh import cli
-from chronomesh.channel import (
-    DelayDistribution,
-    linear_model,
-    sample_fix,
-    unit_gain_model,
-)
+from chronomesh.channel import ChannelModel, DelayDistribution, sample_fix
 from chronomesh.clock import SkewPopulation
 from chronomesh.engine import (
     NetworkState,
@@ -40,7 +35,7 @@ from chronomesh.geometry import NodePosition, Region
 from chronomesh.multihop import HopChainConfig, run_cascade
 from chronomesh.pco import PcoConfig, log_charging_map, pco_run_to_sync, random_phases
 from chronomesh.rng import DOMAIN_SEED_SWEEP, substream
-from chronomesh.waveform import LimitSpec, evaluate_aggregate, limit_waveform, sine_pulse
+from chronomesh.waveform import LimitSpec, Pulse, evaluate_aggregate, limit_waveform
 
 
 def test_criterion_1_dense_network_crossing_near_target():
@@ -52,7 +47,7 @@ def test_criterion_1_dense_network_crossing_near_target():
     hits = 0
     for seed in range(20):
         config = ScenarioConfig(n_nodes=400, sigma2=0.003, regime="no_delay",
-                                region=region, channel=unit_gain_model(region),
+                                region=region, channel=ChannelModel(region, np.inf),
                                 seed=seed)
         assert config.fire_variance == pytest.approx(0.01)
         report = run_phase(NetworkState(config))
@@ -88,7 +83,7 @@ def test_criterion_2_crossing_polarity_and_odd_symmetry():
         assert sign * mean > 3.0 * se
 
     # quadrature oracle: the limit waveform is odd about the target
-    spec = LimitSpec(pulse=sine_pulse(1.0), tau0=0.0,
+    spec = LimitSpec(pulse=Pulse(1.0), tau0=0.0,
                      sigma_bar2=config.fire_variance,
                      population=SkewPopulation())
     offsets = np.array([0.05, 0.2, 0.5, 0.8])
@@ -169,7 +164,7 @@ def test_criterion_6_delay_compensation_symmetry():
 
     # the compensated total delay is mirror-symmetric once gain-weighted
     region = Region(1.0, 1.0)
-    model = linear_model(region, 0.25)
+    model = ChannelModel(region, 0.25)
     receiver = NodePosition(0.5, 0.5)
     rng = np.random.default_rng(99)
     count = 1_000_000

@@ -5,13 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from chronomesh.channel import (
-    DelayDistribution,
-    PathlossDistribution,
-    linear_model,
-    sample_fix,
-    unit_gain_model,
-)
+from chronomesh.channel import ChannelModel, DelayDistribution, PathlossDistribution, sample_fix
 from chronomesh.errors import ConfigurationError, DomainError
 from chronomesh.geometry import NodePosition, Region
 
@@ -19,7 +13,7 @@ CENTER = NodePosition(0.5, 0.5)
 
 
 def center_model(max_range=0.25, wave_speed=1.0, range_pad=None):
-    return linear_model(Region(1.0, 1.0), max_range, wave_speed, range_pad)
+    return ChannelModel(Region(1.0, 1.0), max_range, wave_speed, range_pad)
 
 
 def empirical_cdf(samples: np.ndarray, grid: np.ndarray) -> np.ndarray:
@@ -38,7 +32,7 @@ class TestPathlossCdf:
         assert law.cdf(1.7) == 1.0
 
     def test_unit_gain_is_point_mass_at_one(self):
-        law = PathlossDistribution(unit_gain_model(Region(1.0, 1.0)), CENTER)
+        law = PathlossDistribution(ChannelModel(Region(1.0, 1.0), np.inf), CENTER)
         assert law.cdf(0.999999) == pytest.approx(0.0, abs=1e-9)
         assert law.cdf(1.0) == 1.0
         gains = law.sample(np.random.default_rng(3), size=1000)
@@ -127,14 +121,6 @@ class TestCoupling:
         assert np.any(in_ramp)
         assert np.all(gains[in_ramp] == 0.0)
 
-    def test_bisected_delay_inverse_agrees_with_closed_form(self):
-        region = Region(1.0, 1.0)
-        closed = center_model()
-        opaque = linear_model(region, 0.25)
-        object.__setattr__(opaque, "delay_inverse", None)
-        xs = np.linspace(0.0, 0.4, 57)
-        assert np.allclose(opaque.invert_delay(xs), closed.invert_delay(xs), atol=1e-11)
-
 
 class TestFixCompensation:
     def test_fix_samples_negative_with_consistent_gain(self):
@@ -165,18 +151,21 @@ class TestFixCompensation:
         with pytest.raises(DomainError):
             sample_fix(model, NodePosition(0.1, 0.5), np.random.default_rng(1), 1)
         with pytest.raises(DomainError):
-            sample_fix(unit_gain_model(Region(1.0, 1.0)), CENTER, np.random.default_rng(1), 1)
+            sample_fix(ChannelModel(Region(1.0, 1.0), np.inf), CENTER, np.random.default_rng(1), 1)
 
 
 class TestModelValidation:
     def test_bad_parameters_rejected(self):
         region = Region(1.0, 1.0)
         with pytest.raises(ConfigurationError):
-            linear_model(region, -0.5)
+            ChannelModel(region, -0.5)
         with pytest.raises(ConfigurationError):
-            linear_model(region, 0.25, wave_speed=0.0)
+            ChannelModel(region, 0.25, wave_speed=0.0)
         with pytest.raises(ConfigurationError):
-            linear_model(region, 0.25, range_pad=-0.1)
+            ChannelModel(region, 0.25, range_pad=-0.1)
+        # an infinite speed leaves the outage ramp no width
+        with pytest.raises(ConfigurationError):
+            DelayDistribution(ChannelModel(region, 0.25, wave_speed=np.inf), CENTER)
 
     def test_receiver_outside_region_rejected(self):
         with pytest.raises(DomainError):

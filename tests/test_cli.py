@@ -8,6 +8,7 @@ import pytest
 
 from chronomesh import cli
 from chronomesh.errors import NumericsError
+from chronomesh.geometry import Region
 
 
 def read_csv(path):
@@ -161,6 +162,50 @@ def test_pco_event_log_bytes_are_pinned(tmp_path):
     assert digest.hexdigest() == EVENTS_S3
 
 
+# SHA-256 digests pinning the phase, waveform and channel-sample outputs: a
+# change to any stream, to the arithmetic behind a value or to the CSV format
+# shows up here. Each case is (argv, config body or None, {file: digest}).
+OUTPUT_PINS = {
+    "steady": (
+        ["steady", "--nodes", "2000", "--phases", "3", "--seed", "7"], None,
+        {"phases.csv": "7047ce58ff65ab24d2f6dc7f6a71c0082e0d734e84f8c797771a1416554aa9b3"}),
+    "evenodd": (
+        ["evenodd", "--nodes", "2000", "--phases", "3", "--seed", "4"], None,
+        {"phases.csv": "897c50b5fce2996e2b90e828e655709232438bd24dc5600b1af77fa45ebb30f5"}),
+    "delay": (
+        ["delay", "--nodes", "2000", "--phases", "2", "--seed", "5"], None,
+        {"phases.csv": "5570be4f617228a6e08c3eff0ef2749e0b83fae98d98b545e68c7bc9b44c3234"}),
+    "waveform": (
+        ["waveform", "--nodes", "400", "--sigma2", "0.003", "--seed", "2"], None,
+        {"waveform.csv": "b147ef86905f97c2080f1b683ee9ac9dae5b8b1d51282a427f7a1a4eea695217",
+         "crossing.csv": "586a0e01f515d7d57af7b869d49dff8de6c7341b9a1871875caea3ece63ed510"}),
+    "samples": (
+        ["channel-sample", "--trials", "400", "--seed", "8"], None,
+        {"samples.csv": "796d1865bd891e7d94aaaface644e68ea6d51a6b19f2d33305643d6364defb10"}),
+    # an edge receiver, so the coverage bisection is pinned too
+    "samples_speed2": (
+        ["channel-sample", "--trials", "400", "--seed", "8"],
+        "[scenario]\nwave_speed = 2.0\nreceiver_x = 0.1\n",
+        {"samples.csv": "003c59c7c85d592cad49b7c75ea015ce5607f256e085fb678b8d836fa2c7725f"}),
+    "samples_unit": (
+        ["channel-sample", "--trials", "400", "--seed", "8"], "[scenario]\ngain = unit\n",
+        {"samples.csv": "4027338b367972545e8870ddad182285d829f2f7449513af93dbb1a35ff651ad"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUTPUT_PINS))
+def test_output_bytes_are_pinned(tmp_path, case):
+    argv, body, digests = OUTPUT_PINS[case]
+    if body is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(body, encoding="ascii")
+        argv = argv + ["--config", str(cfg)]
+    out = tmp_path / "out"
+    assert cli.run_command(argv + ["--out", str(out)]) == 0
+    for name, digest in digests.items():
+        assert hashlib.sha256(read_bytes(out / name)).hexdigest() == digest, name
+
+
 @pytest.mark.parametrize("trials", ["0", "-3"])
 def test_pco_trials_below_one_exits_two(tmp_path, capsys, trials):
     assert cli.run_command(["pco", "--trials", trials, "--out", str(tmp_path)]) == 2
@@ -210,6 +255,25 @@ def test_channel_sample(tmp_path):
     assert np.any(gains == 0.0)
 
 
+def test_unit_gain_keeps_wave_speed_and_gate(tmp_path):
+    cfg = tmp_path / "unit.cfg"
+    cfg.write_text("[scenario]\ngain = unit\ngate = 5.0\nwave_speed = 2.0\n",
+                   encoding="ascii")
+    steady, sample = tmp_path / "steady", tmp_path / "sample"
+    assert cli.run_command(["steady", "--nodes", "400", "--phases", "2", "--seed", "1",
+                            "--config", str(cfg), "--out", str(steady)]) == 0
+    _, rows = read_csv(steady / "phases.csv")
+    assert len(rows) == 2
+    assert all(r[2] == "nan" and r[4] == "1" for r in rows)     # every phase gated
+    assert cli.run_command(["channel-sample", "--trials", "400", "--seed", "8",
+                            "--config", str(cfg), "--out", str(sample)]) == 0
+    _, rows = read_csv(sample / "samples.csv")
+    delays = np.array([float(r[1]) for r in rows])
+    assert all(r[2] == "1" for r in rows)
+    # the centre receiver's farthest transmitter sits at a corner
+    assert np.all(delays >= 0.0) and delays.max() <= Region().corner_reach(0.5, 0.5) / 2.0
+
+
 def test_usage_errors_exit_two(tmp_path):
     assert cli.run_command(["--no-such-flag"]) == 2
     assert cli.run_command([]) == 2                      # no command anywhere
@@ -223,6 +287,10 @@ def test_usage_errors_exit_two(tmp_path):
                             "--out", str(tmp_path)]) == 2
     missing = str(tmp_path / "missing.cfg")
     assert cli.run_command(["steady", "--config", missing]) == 2
+    for command, value in (("steady", "nan"), ("steady", "inf"), ("multihop", "nan")):
+        out = tmp_path / f"{command}-{value}"
+        assert cli.run_command([command, "--sigma2", value, "--out", str(out)]) == 2
+        assert not list(out.glob("*.csv"))
 
 
 def test_numeric_failures_exit_three(tmp_path, monkeypatch):
@@ -240,3 +308,8 @@ def test_config_value_errors_exit_two(tmp_path, capsys):
     assert cli.run_command(["--config", str(cfg), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "scenario.nodes" in err
+    for key, value in (("tau_nz", "nan"), ("delta_low", "-inf"), ("gate", "inf")):
+        cfg.write_text(f"[run]\ncommand = steady\n\n[scenario]\n{key} = {value}\n",
+                       encoding="ascii")
+        assert cli.run_command(["--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert f"scenario.{key}" in capsys.readouterr().err

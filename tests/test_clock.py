@@ -1,63 +1,36 @@
-"""Clock model tests: affine map round trips, jitter statistics, populations."""
+"""Clock model tests: the readings a phase rolls in, and skew populations."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from chronomesh.clock import (
-    REFERENCE_CLOCK,
-    ClockParams,
-    SkewPopulation,
-    read_clock,
-    to_reference,
-)
+from chronomesh.clock import SkewPopulation
+from chronomesh.engine import NetworkState, ScenarioConfig, run_phase
 from chronomesh.errors import ConfigurationError, DomainError
 
 
-@given(
-    alpha=st.floats(0.5, 2.0),
-    delta=st.floats(-10.0, 10.0),
-    t=st.floats(-1e3, 1e3),
-)
-@settings(max_examples=200, deadline=None)
-def test_noiseless_round_trip(alpha, delta, t):
-    params = ClockParams(alpha=alpha, delta_bar=delta, sigma2=0.0)
-    reading = read_clock(params, t, np.random.default_rng(0))
-    assert to_reference(params, reading) == pytest.approx(t, abs=1e-9)
-
-
 def test_reference_clock_reads_true_time():
-    ts = np.linspace(-5.0, 5.0, 11)
-    assert np.array_equal(read_clock(REFERENCE_CLOCK, ts, np.random.default_rng(0)), ts)
+    # node 0 has unit skew, zero offset and no jitter: it reads the crossing itself
+    st = NetworkState(ScenarioConfig(n_nodes=2000, sigma2=1e-4, seed=3))
+    report = run_phase(st)
+    assert report.crossing is not None
+    assert st.windows[0, -1] == report.crossing
 
 
 def test_jitter_variance_and_freshness():
-    params = ClockParams(alpha=1.01, delta_bar=0.3, sigma2=0.25)
-    rng = np.random.default_rng(97)
-    n = 100_000
-    reads = read_clock(params, np.full(n, 2.0), rng)
-    noise = reads - params.alpha * (2.0 - params.delta_bar)
-    assert noise.var() == pytest.approx(0.25, rel=0.05)
-    assert abs(noise.mean()) < 4 * 0.5 / np.sqrt(n)
-    # Fresh draws per read: successive jitters are uncorrelated.
-    lag1 = np.corrcoef(noise[:-1], noise[1:])[0, 1]
-    assert abs(lag1) < 0.02
-
-
-def test_reads_at_same_instant_differ():
-    params = ClockParams(alpha=1.0, delta_bar=0.0, sigma2=1e-4)
-    rng = np.random.default_rng(5)
-    assert read_clock(params, 1.0, rng) != read_clock(params, 1.0, rng)
-
-
-def test_invalid_clock_params():
-    with pytest.raises(DomainError):
-        ClockParams(alpha=0.0, delta_bar=0.0, sigma2=1.0)
-    with pytest.raises(DomainError):
-        ClockParams(alpha=1.0, delta_bar=0.0, sigma2=-1.0)
+    sigma2, n = 0.04, 20_000
+    st = NetworkState(ScenarioConfig(n_nodes=n, sigma2=sigma2, seed=17))
+    alphas, deltas = st.alphas[1:], st.deltas[1:]
+    report = run_phase(st)
+    assert report.crossing is not None
+    noise = st.windows[1:, -1] - alphas * (report.crossing - deltas)
+    assert noise.var() == pytest.approx(sigma2, rel=0.05)
+    assert abs(noise.mean()) < 4 * np.sqrt(sigma2 / n)
+    # Fresh draws per read: the jitter of the reading taken one instant
+    # earlier is uncorrelated with this one.
+    earlier = st.windows[1:, -2] - alphas * (report.center - 1.0 - deltas)
+    assert abs(np.corrcoef(earlier, noise)[0, 1]) < 0.03
 
 
 class TestSkewPopulation:

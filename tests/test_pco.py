@@ -179,10 +179,9 @@ def test_census_of_random_starts_synchronizes():
 def test_next_fire_view_covers_all_nodes():
     config = PcoConfig(initial_phases=(0.2, 0.7, 0.4))
     state = PcoState(config)
-    nf = state.next_fire
-    assert nf.shape == (3,)
-    assert nf[1] == pytest.approx(0.3)
-    assert set(map(tuple, [sorted(g) for g in state.absorbed_groups])) == {(0,), (1,), (2,)}
+    assert sorted(g.members for g in state.groups) == [(0,), (1,), (2,)]
+    next_fire = {g.members[0]: g.next_fire for g in state.groups}
+    assert next_fire[1] == pytest.approx(0.3)
 
 
 def test_config_validation():

@@ -19,19 +19,21 @@ from chronomesh.waveform import (
     EventArray,
     LimitSpec,
     Pulse,
-    contributions,
     default_tau_nz,
     evaluate_aggregate,
     find_zero_crossing,
     limit_waveform,
-    sine_pulse,
 )
 
 
 def dense_aggregate(events: EventArray, pulse: Pulse, t) -> np.ndarray:
     # Reference oracle: the direct sum of one pulse copy per event and instant.
     shifted = np.asarray(t, dtype=float)[:, None] - events.arrival[None, :]
-    return pulse.a_max * (pulse.evaluate(shifted) @ events.scale)
+    return pulse.evaluate(shifted) @ events.scale
+
+
+def contributions(events: EventArray, pulse: Pulse, t: float) -> np.ndarray:
+    return events.scale * pulse.evaluate(t - events.arrival)
 
 
 def gaussian_events(n: int, tau0: float, sigma: float, rng, scale=None) -> EventArray:
@@ -43,18 +45,18 @@ class TestPulseShape:
     @given(t=st.floats(-5.0, 5.0))
     @settings(max_examples=300, deadline=None)
     def test_odd_symmetry_exact(self, t):
-        pulse = sine_pulse(1.3)
+        pulse = Pulse(1.3)
         assert pulse.evaluate(t) == -pulse.evaluate(-t)
 
     def test_zero_at_origin_and_outside_support(self):
-        pulse = sine_pulse(0.7)
+        pulse = Pulse(0.7)
         assert pulse.evaluate(0.0) == 0.0
         assert pulse.evaluate(0.7) == 0.0
         assert pulse.evaluate(-0.7) == 0.0
         assert pulse.evaluate(5.0) == 0.0
 
     def test_positive_before_negative_after(self):
-        pulse = sine_pulse(1.0)
+        pulse = Pulse(1.0)
         ts = np.linspace(-0.999, -1e-3, 100)
         assert np.all(pulse.evaluate(ts) > 0.0)
         assert np.all(pulse.evaluate(-ts) < 0.0)
@@ -64,15 +66,13 @@ class TestPulseShape:
         rng = np.random.default_rng(2)
         ev = gaussian_events(5000, 1.0, 0.1, rng)
         grid = np.linspace(-0.5, 2.5, 701)
-        fast = evaluate_aggregate(ev, sine_pulse(1.0), grid)
-        slow = dense_aggregate(ev, sine_pulse(1.0), grid)
+        fast = evaluate_aggregate(ev, Pulse(1.0), grid)
+        slow = dense_aggregate(ev, Pulse(1.0), grid)
         assert np.max(np.abs(fast - slow)) < 1e-12
 
     def test_invalid_pulse_params(self):
         with pytest.raises(DomainError):
-            sine_pulse(0.0)
-        with pytest.raises(DomainError):
-            sine_pulse(1.0, a_max=-1.0)
+            Pulse(0.0)
 
     def test_default_tau_nz(self):
         assert default_tau_nz(0.1, 0.5) == pytest.approx(20.0)
@@ -83,19 +83,19 @@ class TestPulseShape:
 
 class TestAggregate:
     def test_single_event_recovers_pulse(self):
-        pulse = sine_pulse(1.0, a_max=2.0)
+        pulse = Pulse(1.0)
         ev = EventArray.build([3.0], [0.5], [0.25])
         ts = np.linspace(2.5, 4.0, 17)
-        expected = 2.0 * 0.5 * pulse.evaluate(ts - 3.25)
+        expected = 0.5 * pulse.evaluate(ts - 3.25)
         assert np.allclose(evaluate_aggregate(ev, pulse, ts), expected, atol=1e-15)
 
     def test_contributions_sum_to_aggregate(self):
         rng = np.random.default_rng(3)
         ev = gaussian_events(1000, 0.0, 0.05, rng)
         t = 0.037
-        parts = contributions(ev, sine_pulse(1.0), t)
+        parts = contributions(ev, Pulse(1.0), t)
         assert parts.shape == (1000,)
-        assert parts.sum() == pytest.approx(evaluate_aggregate(ev, sine_pulse(1.0), t),
+        assert parts.sum() == pytest.approx(evaluate_aggregate(ev, Pulse(1.0), t),
                                             abs=1e-12)
 
     def test_empty_events_rejected(self):
@@ -121,14 +121,14 @@ class TestAggregate:
 class TestCrossingSearch:
     def test_identical_fires_cross_exactly_at_fire_time(self):
         ev = EventArray.build(np.full(100, 2.0), np.full(100, 0.01))
-        report = find_zero_crossing(ev, sine_pulse(1.0), search_center=2.0)
+        report = find_zero_crossing(ev, Pulse(1.0), search_center=2.0)
         assert report.ok and not report.gated and not report.no_crossing
         assert report.location == pytest.approx(2.0, abs=1e-9)
 
     def test_against_dense_grid_oracle(self):
         # Independent first-crossing logic on a one-million-point grid.
         rng = np.random.default_rng(29)
-        pulse = sine_pulse(1.0)
+        pulse = Pulse(1.0)
         ev = gaussian_events(1000, 0.0, 0.15, rng)
         report = find_zero_crossing(ev, pulse, search_center=0.0)
         dense = np.linspace(-1.0, 1.0, 1_000_001)
@@ -139,13 +139,13 @@ class TestCrossingSearch:
 
     def test_refined_amplitude_is_tiny(self):
         rng = np.random.default_rng(31)
-        pulse = sine_pulse(2.0)
+        pulse = Pulse(2.0)
         ev = gaussian_events(5000, 1.0, 0.2, rng)
         report = find_zero_crossing(ev, pulse, search_center=1.0)
         assert abs(evaluate_aggregate(ev, pulse, report.location)) < 1e-9
 
     def test_monte_carlo_crossing_tightens_with_density(self):
-        pulse = sine_pulse(1.0)
+        pulse = Pulse(1.0)
         errors = {}
         for n in (100, 10_000):
             errs = []
@@ -161,7 +161,7 @@ class TestCrossingSearch:
 
     def test_amplitude_polarity_beyond_three_standard_errors(self):
         rng = np.random.default_rng(37)
-        pulse = sine_pulse(1.0)
+        pulse = Pulse(1.0)
         n = 100_000
         ev = gaussian_events(n, 0.0, 0.05, rng)
         for offset, sign in ((-0.2, 1.0), (0.2, -1.0)):
@@ -171,20 +171,20 @@ class TestCrossingSearch:
 
     def test_gate_blocks_weak_aggregates(self):
         ev = EventArray.build(np.array([0.0]), np.array([1e-6]))
-        report = find_zero_crossing(ev, sine_pulse(1.0), 0.0, gate=0.01)
+        report = find_zero_crossing(ev, Pulse(1.0), 0.0, gate=0.01)
         assert report.gated and report.location is None and not report.no_crossing
         assert report.max_amplitude < 0.01
 
     def test_no_crossing_reported_separately(self):
         # All pulse mass after the window: the waveform never turns positive.
         ev = EventArray.build(np.array([10.0]))
-        report = find_zero_crossing(ev, sine_pulse(1.0), 0.0)
+        report = find_zero_crossing(ev, Pulse(1.0), 0.0)
         assert report.no_crossing and not report.gated and report.location is None
 
     def test_amplitude_rescaling_leaves_crossing_in_place(self):
         rng = np.random.default_rng(41)
         fires = 1.0 + rng.normal(0.0, 0.1, size=2000)
-        pulse = sine_pulse(1.0)
+        pulse = Pulse(1.0)
         base = find_zero_crossing(EventArray.build(fires), pulse, 1.0)
         shrunk = find_zero_crossing(
             EventArray.build(fires, np.full(2000, 1e-3)), pulse, 1.0)
@@ -195,7 +195,7 @@ class TestCrossingSearch:
 class TestLimitWaveform:
     def spec(self, population=None, sigma_bar2=0.01):
         return LimitSpec(
-            pulse=sine_pulse(1.0),
+            pulse=Pulse(1.0),
             tau0=2.0,
             sigma_bar2=sigma_bar2,
             population=population or SkewPopulation(alpha_low=0.9, alpha_up=1.1),
@@ -241,7 +241,7 @@ class TestLimitWaveform:
 
     def test_smoothness_on_refining_grids(self):
         spec = self.spec(population=SkewPopulation.point_mass(1.0))
-        slope_bound = np.pi / spec.pulse.tau_nz  # sup |d eta / dt| / a_max
+        slope_bound = np.pi / spec.pulse.tau_nz  # sup |d eta / dt|
         for points in (41, 81):
             grid = spec.tau0 + np.linspace(-1.0, 1.0, points)
             values = limit_waveform(spec, grid)
