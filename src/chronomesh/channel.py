@@ -8,7 +8,7 @@ coverage geometry. With A(j, r) the area of the region within distance r of
 the receiver and A_T the region area:
 
 - received gain K_j has CDF F(k) = 1 - A(j, rbar(k)) / A_T on [0, 1], where
-  rbar(k) is the largest distance at which the gain map still exceeds k.
+  rbar(k) = R (1 - k) is the largest distance whose gain still exceeds k.
   Transmitters beyond the cutoff range R contribute an atom at K_j = 0.
 - propagation delay D_j has CDF A(j, delay^-1(x)) / A_T up to x = delay(R);
   past that, transmitters the receiver cannot hear are folded into a linear
@@ -59,12 +59,15 @@ class ChannelModel:
     gate: float = 0.0                    # minimum usable aggregate amplitude
 
     def __post_init__(self):
-        if self.max_range <= 0.0:
+        # `not x > 0` rather than `x <= 0`, so that nan fails too.
+        if not self.max_range > 0.0:
             raise ConfigurationError("max_range must be positive")
-        if self.wave_speed <= 0.0:
+        if not self.wave_speed > 0.0:
             raise ConfigurationError("wave_speed must be positive")
-        if self.range_pad is not None and self.range_pad <= 0.0:
+        if self.range_pad is not None and not self.range_pad > 0.0:
             raise ConfigurationError("range_pad must be positive")
+        if np.isnan(self.gate):
+            raise ConfigurationError("gate must be a number")
 
     @property
     def pad(self) -> float:
@@ -118,34 +121,15 @@ class PathlossDistribution:
     def _coverage(self, radius: np.ndarray) -> np.ndarray:
         return disk_intersection_area(self.model.region, self.receiver, radius)
 
-    def sup_radius(self, k: np.ndarray | float) -> np.ndarray | float:
-        """Largest distance at which the gain map still exceeds k.
-
-        Saturates at the coverage reach: any radius past it covers the whole
-        region, so the distinction stops mattering.
-        """
-        k_arr = np.atleast_1d(np.asarray(k, dtype=float))
-        lo = np.zeros_like(k_arr)
-        hi = np.full_like(k_arr, self.reach)
-        gain = self.model.gain
-        open_at_reach = gain(hi) > k_arr          # gain never drops below k
-        closed_at_zero = gain(lo) <= k_arr        # gain below k from the start
-        for _ in range(_BISECT_MAX_ITER):
-            mid = 0.5 * (lo + hi)
-            above = gain(mid) > k_arr
-            lo = np.where(above, mid, lo)
-            hi = np.where(above, hi, mid)
-            if np.all(hi - lo < _BISECT_TOL):
-                break
-        out = 0.5 * (lo + hi)
-        out = np.where(open_at_reach, self.reach, out)
-        out = np.where(closed_at_zero, 0.0, out)
-        return float(out[0]) if np.ndim(k) == 0 else out
-
     def cdf(self, k: np.ndarray | float) -> np.ndarray | float:
         k_arr = np.atleast_1d(np.asarray(k, dtype=float))
         inside = np.clip(k_arr, 0.0, 1.0)
-        values = 1.0 - self._coverage(self.sup_radius(inside)) / self.area_total
+        # rbar(k) up to the coverage reach; unit gain (R = inf) exceeds every
+        # k < 1 anywhere, and k >= 1 is set to 1 below.
+        r = self.model.max_range
+        radius = (np.full_like(inside, self.reach) if np.isinf(r)
+                  else np.minimum(r * (1.0 - inside), self.reach))
+        values = 1.0 - self._coverage(radius) / self.area_total
         values = np.where(k_arr < 0.0, 0.0, values)
         values = np.where(k_arr >= 1.0, 1.0, values)
         return float(values[0]) if np.ndim(k) == 0 else values

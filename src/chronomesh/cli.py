@@ -38,7 +38,7 @@ from .errors import ConfigurationError, DomainError, NumericsError
 from .geometry import NodePosition, Region
 from .multihop import HopChainConfig, run_cascade
 from .parallel import run_indexed
-from .pco import PcoConfig, log_charging_map, pco_run_to_sync, random_phases
+from .pco import PcoConfig, pco_run_to_sync, random_phases
 from .rng import DOMAIN_INIT, DOMAIN_SAMPLE, DOMAIN_SEED_SWEEP, derive_seed, substream
 from .waveform import evaluate_aggregate, find_zero_crossing
 
@@ -346,14 +346,14 @@ def _cmd_pco(manifest: RunManifest) -> None:
     if trials < 1:
         raise ConfigurationError("pco.trials must be at least 1")
     n = _parse_int(raw["oscillators"], "pco.oscillators")
-    f, f_inv = log_charging_map(_parse_float(raw["curvature"], "pco.curvature"))
+    curvature = _parse_float(raw["curvature"], "pco.curvature")
     epsilon = _parse_float(raw["epsilon"], "pco.epsilon")
     max_cycles = _parse_int(raw["max_cycles"], "pco.max_cycles")
 
     def run(seed: int):
         phases = random_phases(n, substream(seed, DOMAIN_INIT))
         return pco_run_to_sync(PcoConfig(initial_phases=phases, epsilons=epsilon,
-                                         f=f, f_inverse=f_inv, max_cycles=max_cycles))
+                                         curvature=curvature, max_cycles=max_cycles))
 
     out = manifest.out_dir
     if trials > 1:

@@ -102,17 +102,20 @@ class ScenarioConfig:
             raise ConfigurationError("need at least one node")
         if self.m < 2:
             raise ConfigurationError("window length m must be at least 2")
-        if self.sigma2 < 0.0:
-            raise ConfigurationError("sigma2 must be nonnegative")
+        # Each check is written so that nan fails it too.
+        if not 0.0 <= self.sigma2 < np.inf:
+            raise ConfigurationError("sigma2 must be nonnegative and finite")
         if self.regime not in REGIMES:
             raise ConfigurationError(f"unknown regime {self.regime!r}")
         lo, hi = self.delta_bar_range
-        if hi < lo:
-            raise ConfigurationError("delta_bar_range must be ordered")
-        if self.v_factor <= 0.0:
+        if not -np.inf < lo <= hi < np.inf:
+            raise ConfigurationError("delta_bar_range must be finite and ordered")
+        if not self.v_factor > 0.0:
             raise ConfigurationError("v_factor must be positive")
-        if self.tau_nz is not None and self.tau_nz <= 0.0:
-            raise ConfigurationError("tau_nz must be positive")
+        if self.tau_nz is not None and not 0.0 < self.tau_nz < np.inf:
+            raise ConfigurationError("tau_nz must be positive and finite")
+        if not np.isfinite(self.epsilon) or not np.isfinite(self.boundary_epsilon):
+            raise ConfigurationError("epsilon and boundary_epsilon must be finite")
         if self.channel is not None and self.channel.region != self.region:
             raise ConfigurationError("channel region does not match scenario region")
         if self.regime == "delay":

@@ -43,16 +43,11 @@ def hop_count_estimate(n) -> HopEstimate:
 
 @dataclass(frozen=True)
 class HopChainConfig:
-    """A relay chain: ``hops`` nodes in a line, window length m per stage.
-
-    ``alphas`` are per-node clock rates relative to node 1, so ``alphas[0]``
-    must be 1; the closed-form variance ladder below applies to any rates.
-    """
+    """A relay chain: ``hops`` unit-rate nodes in a line, window length m per stage."""
 
     hops: int
     m: int = 3
     sigma2: float = 1.0
-    alphas: tuple[float, ...] | None = None
     seed: int = 0
 
     def __post_init__(self):
@@ -60,46 +55,27 @@ class HopChainConfig:
             raise ConfigurationError("a chain needs at least two nodes")
         if self.m < 2:
             raise ConfigurationError("window length m must be at least 2")
-        if self.sigma2 < 0.0:
-            raise ConfigurationError("sigma2 must be nonnegative")
-        if self.alphas is not None:
-            alphas = tuple(float(a) for a in self.alphas)
-            if len(alphas) != self.hops:
-                raise ConfigurationError("need one rate per chain node")
-            if any(a <= 0.0 for a in alphas):
-                raise ConfigurationError("clock rates must be positive")
-            if alphas[0] != 1.0:
-                raise ConfigurationError("rates are relative to node 1: alphas[0] must be 1")
-            object.__setattr__(self, "alphas", alphas)
-
-    def rates(self) -> np.ndarray:
-        if self.alphas is None:
-            return np.ones(self.hops)
-        return np.asarray(self.alphas)
+        if not 0.0 <= self.sigma2 < math.inf:
+            raise ConfigurationError("sigma2 must be nonnegative and finite")
 
 
 def predicted_chain_variances(config: HopChainConfig) -> np.ndarray:
     """Variance of the rate estimate at hops 2..hops.
 
     Stage 2 reads clean reference pulses: Var = 12 sigma^2 / D with
-    D = (m-1)m(m+1). Stage i inherits the previous estimate scaled by
-    alpha_i/alpha_{i-1} and adds slope noise from two jitter sources (the
-    sender's transmit reads and its own receive reads), so
+    D = (m-1)m(m+1). Stage i inherits the previous estimate and adds slope
+    noise from two jitter sources (the sender's transmit reads and its own
+    receive reads), so
 
-        Var_i = (alpha_i/alpha_{i-1})^2 Var_{i-1}
-                + (12 sigma^2 / D) (1 + (alpha_i/alpha_{i-1})^2).
-
-    With all rates equal this telescopes to 12 s/D + (i-2) 24 s/D.
+        Var_i = Var_{i-1} + 2 (12 sigma^2 / D) = 12 s/D + (i-2) 24 s/D.
     """
     m = config.m
     d_const = (m - 1) * m * (m + 1)
     base = 12.0 * config.sigma2 / d_const
-    rates = config.rates()
     out = np.empty(config.hops - 1)
     out[0] = base
     for i in range(3, config.hops + 1):
-        ratio2 = (rates[i - 1] / rates[i - 2]) ** 2
-        out[i - 2] = ratio2 * out[i - 3] + base * (1.0 + ratio2)
+        out[i - 2] = out[i - 3] + base * 2.0
     return out
 
 
@@ -150,13 +126,12 @@ def run_cascade(config: HopChainConfig, trials: int,
     One Gaussian slope error per hop; the m-pulse fit is its exact law. The
     least-squares slope over centered indices c turns a read's jitter into
     sd z, sd = sqrt(sigma2 / (c.c)). Hop 2 reads node 1's exact pulses; hop
-    i >= 3 scales the inherited estimate by r = alpha_i / alpha_{i-1} and
-    adds the sender's and its own jitter, sd sqrt(1 + r^2) z.
+    i >= 3 adds the sender's and its own jitter to the inherited estimate,
+    sd sqrt(2) z.
     """
     if trials < 2:
         raise ConfigurationError("variance needs at least two trials")
     rng = rng or substream(config.seed, DOMAIN_TRIAL)
-    rates = config.rates()
     centered = np.arange(config.m) - (config.m - 1) / 2.0
     sd = math.sqrt(config.sigma2 / np.dot(centered, centered))
 
@@ -165,10 +140,8 @@ def run_cascade(config: HopChainConfig, trials: int,
     alpha_hat = np.ones(trials)          # node 1 is the reference, rate 1
     z = np.empty(trials)
     for i in range(2, config.hops + 1):
-        r = rates[i - 1] / rates[i - 2]
-        alpha_hat *= r
         rng.standard_normal(out=z)
-        z *= sd if i == 2 else sd * math.sqrt(1.0 + r * r)
+        z *= sd if i == 2 else sd * math.sqrt(2.0)
         alpha_hat += z
         means[i - 2] = alpha_hat.mean()
         variances[i - 2] = alpha_hat.var(ddof=1)

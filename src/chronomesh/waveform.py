@@ -258,10 +258,8 @@ def limit_waveform(spec: LimitSpec, t, tol: float = 1e-9) -> np.ndarray | float:
             width = pop.alpha_up - pop.alpha_low
 
             def skew_weighted(s: float) -> float:
-                weight = (1.0 / width if pop.density is None
-                          else float(pop.density(np.array(s))))
                 inner, _ = _smoothed_pulse(spec.pulse, x, sigma_bar / s, tol / 100.0)
-                return weight * inner
+                return 1.0 / width * inner
 
             value, err = quad(skew_weighted, pop.alpha_low, pop.alpha_up,
                               limit=100, epsabs=tol, epsrel=1e-9)

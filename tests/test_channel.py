@@ -30,11 +30,24 @@ class TestPathlossCdf:
         assert law.cdf(1.0) == 1.0
         assert law.cdf(-0.3) == 0.0
         assert law.cdf(1.7) == 1.0
+        grid = np.array([-0.3, 0.0, 0.5, 1.0, 1.7])
+        assert np.array_equal(law.cdf(grid), [law.cdf(k) for k in grid])
+        # A cutoff past the farthest corner: R (1 - k) saturates at the reach
+        # until k = 1 - reach / R; once R (1 - k) < 0.5 the disk is inside
+        # the square again and F = 1 - pi (R (1 - k))^2.
+        wide = PathlossDistribution(ChannelModel(Region(1.0, 1.0), 3.0), CENTER)
+        assert wide.cdf(0.0) == 0.0
+        assert wide.cdf(0.5) == 0.0
+        assert wide.cdf(0.9) == pytest.approx(1 - np.pi * 0.09, abs=1e-10)
+        assert wide.cdf(1.0) == 1.0
 
     def test_unit_gain_is_point_mass_at_one(self):
         law = PathlossDistribution(ChannelModel(Region(1.0, 1.0), np.inf), CENTER)
         assert law.cdf(0.999999) == pytest.approx(0.0, abs=1e-9)
         assert law.cdf(1.0) == 1.0
+        # R = inf meets 1 - k = 0 at k = 1 without an inf * 0 warning
+        assert np.array_equal(law.cdf(np.array([-0.3, 0.0, 0.5, 1.0, 1.7])),
+                              [0.0, 0.0, 0.0, 1.0, 1.0])
         gains = law.sample(np.random.default_rng(3), size=1000)
         assert np.all(gains == 1.0)
 
@@ -163,6 +176,10 @@ class TestModelValidation:
             ChannelModel(region, 0.25, wave_speed=0.0)
         with pytest.raises(ConfigurationError):
             ChannelModel(region, 0.25, range_pad=-0.1)
+        for kwargs in ({"max_range": np.nan}, {"wave_speed": np.nan},
+                       {"range_pad": np.nan}, {"gate": np.nan}):
+            with pytest.raises(ConfigurationError):
+                ChannelModel(region, **{"max_range": 0.25, **kwargs})
         # an infinite speed leaves the outage ramp no width
         with pytest.raises(ConfigurationError):
             DelayDistribution(ChannelModel(region, 0.25, wave_speed=np.inf), CENTER)

@@ -162,9 +162,10 @@ def test_pco_event_log_bytes_are_pinned(tmp_path):
     assert digest.hexdigest() == EVENTS_S3
 
 
-# SHA-256 digests pinning the phase, waveform and channel-sample outputs: a
-# change to any stream, to the arithmetic behind a value or to the CSV format
-# shows up here. Each case is (argv, config body or None, {file: digest}).
+# SHA-256 digests pinning the phase, waveform, channel-sample, relay-chain and
+# pco outputs: a change to any stream, to the arithmetic behind a value or to
+# the CSV format shows up here. Each case is (argv, config body or None,
+# {file: digest}).
 OUTPUT_PINS = {
     "steady": (
         ["steady", "--nodes", "2000", "--phases", "3", "--seed", "7"], None,
@@ -190,6 +191,17 @@ OUTPUT_PINS = {
     "samples_unit": (
         ["channel-sample", "--trials", "400", "--seed", "8"], "[scenario]\ngain = unit\n",
         {"samples.csv": "4027338b367972545e8870ddad182285d829f2f7449513af93dbb1a35ff651ad"}),
+    "multihop": (
+        ["multihop", "--hops", "40", "--trials", "3000", "--seed", "5"], None,
+        {"multihop.csv": "49578def1562acde79d7914321ca9b89b41885c362630ee64c62b730d9216424",
+         "contrast.txt": "6ebd12f191d18d316d8280d9dcf99f3bfe5ae658b45be2442881cbbf99708050"}),
+    # a flatter charging map than the default curvature 3
+    "pco_census_curvature": (
+        ["pco", "--trials", "200", "--seed", "3"], "[pco]\ncurvature = 1.5\nepsilon = 0.1\n",
+        {"census.csv": "3d80728ec0b7c05fd6c793e685867aa2106c73a961e6d8a6ab87d9e51039ac2c"}),
+    "pco_events_curvature": (
+        ["pco", "--seed", "3"], "[pco]\ncurvature = 1.5\nepsilon = 0.1\n",
+        {"events.csv": "e3c87a445f4fcd854d1d2558a5180b4f7ae131a250f7b98009a866e58b348edd"}),
 }
 
 
@@ -313,3 +325,7 @@ def test_config_value_errors_exit_two(tmp_path, capsys):
                        encoding="ascii")
         assert cli.run_command(["--config", str(cfg), "--out", str(tmp_path)]) == 2
         assert f"scenario.{key}" in capsys.readouterr().err
+    # math.expm1 overflows past b = log(DBL_MAX), about 709.78
+    cfg.write_text("[run]\ncommand = pco\n\n[pco]\ncurvature = 800\n", encoding="ascii")
+    assert cli.run_command(["--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "curvature" in capsys.readouterr().err

@@ -35,7 +35,7 @@ def test_jitter_variance_and_freshness():
 
 class TestSkewPopulation:
     def test_point_mass(self):
-        pop = SkewPopulation.point_mass(1.0)
+        pop = SkewPopulation(1.0, 1.0)
         assert np.all(pop.sample(100, np.random.default_rng(0)) == 1.0)
 
     def test_uniform_ks(self):
@@ -45,36 +45,13 @@ class TestSkewPopulation:
         ecdf = np.searchsorted(np.sort(draws), grid, side="right") / draws.size
         assert np.max(np.abs(ecdf - (grid - 0.9) / 0.2)) < 0.005
 
-    def test_rejection_sampling_matches_triangular_cdf(self):
-        # Symmetric triangle on [0.9, 1.1], peak height 10 at 1.0.
-        lo, hi, peak = 0.9, 1.1, 10.0
-        pop = SkewPopulation(
-            alpha_low=lo, alpha_up=hi,
-            density=lambda s: peak * (1.0 - np.abs(s - 1.0) / 0.1),
-            density_bound=peak,
-        )
-        draws = pop.sample(400_000, np.random.default_rng(13))
-        assert draws.min() >= lo and draws.max() <= hi
-        grid = np.linspace(lo, hi, 1001)
-        cdf = np.where(grid <= 1.0,
-                       50.0 * (grid - lo) ** 2,
-                       1.0 - 50.0 * (hi - grid) ** 2)
-        ecdf = np.searchsorted(np.sort(draws), grid, side="right") / draws.size
-        assert np.max(np.abs(ecdf - cdf)) < 0.005
-
-    def test_density_bound_violation_detected(self):
-        pop = SkewPopulation(alpha_low=0.9, alpha_up=1.1,
-                             density=lambda s: np.full_like(s, 20.0),
-                             density_bound=5.0)
-        with pytest.raises(ConfigurationError):
-            pop.sample(100, np.random.default_rng(0))
-
     def test_invalid_population_configs(self):
         with pytest.raises(ConfigurationError):
             SkewPopulation(alpha_low=0.0, alpha_up=1.0)
         with pytest.raises(ConfigurationError):
             SkewPopulation(alpha_low=1.1, alpha_up=0.9)
-        with pytest.raises(ConfigurationError):
-            SkewPopulation(alpha_low=0.9, alpha_up=1.1, density=lambda s: s)
+        for low, up in ((np.nan, 1.0), (0.9, np.nan), (np.nan, np.nan), (0.9, np.inf)):
+            with pytest.raises(ConfigurationError):
+                SkewPopulation(alpha_low=low, alpha_up=up)
         with pytest.raises(DomainError):
             SkewPopulation().sample(0, np.random.default_rng(0))

@@ -30,7 +30,7 @@ from chronomesh.geometry import Region
 
 def quiet_config(**kw):
     defaults = dict(n_nodes=64, m=3, sigma2=0.0,
-                    population=SkewPopulation.point_mass(),
+                    population=SkewPopulation(1.0, 1.0),
                     delta_bar_range=(0.0, 0.0), seed=3)
     defaults.update(kw)
     return ScenarioConfig(**defaults)
@@ -286,7 +286,7 @@ def test_delay_estimated_alpha_still_centred():
 
 def test_delay_boundary_windows_keep_assumed_offset():
     cfg = ScenarioConfig(n_nodes=3000, sigma2=0.0, regime="delay", seed=7,
-                         population=SkewPopulation.point_mass(),
+                         population=SkewPopulation(1.0, 1.0),
                          delta_bar_range=(0.0, 0.0),
                          epsilon=0.0, boundary_epsilon=0.05)
     st = NetworkState(cfg)
@@ -366,6 +366,13 @@ def test_config_validation():
         ScenarioConfig(n_nodes=5, channel=ChannelModel(Region(2.0, 2.0), 0.25))
     with pytest.raises(ConfigurationError):
         ScenarioConfig(n_nodes=5, regime="delay", channel=ChannelModel(Region(), np.inf))
+    for field_values in ({"sigma2": np.nan}, {"sigma2": np.inf}, {"v_factor": np.nan},
+                         {"tau_nz": np.nan}, {"epsilon": np.nan},
+                         {"boundary_epsilon": np.nan},
+                         {"delta_bar_range": (np.nan, 0.5)},
+                         {"delta_bar_range": (-0.5, np.nan)}):
+        with pytest.raises(ConfigurationError):
+            ScenarioConfig(n_nodes=5, **field_values)
 
 
 def test_delay_regime_requires_interior_nodes():

@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chronomesh import pco
 from chronomesh.errors import ConfigurationError
 from chronomesh.pco import (
     FireEvent,
@@ -70,9 +69,7 @@ def test_single_oscillator_period_is_exact():
 
 
 def test_two_oscillators_absorb():
-    f, f_inv = log_charging_map(b=1.0)
-    config = PcoConfig(initial_phases=(0.0, 0.5), epsilons=0.3,
-                       f=f, f_inverse=f_inv)
+    config = PcoConfig(initial_phases=(0.0, 0.5), epsilons=0.3, curvature=1.0)
     report = pco_run_to_sync(config)
     assert report.synchronized
     assert report.cycles < config.max_cycles
@@ -83,9 +80,7 @@ def test_two_oscillators_absorb():
 
 
 def test_two_oscillator_gap_contracts():
-    f, f_inv = log_charging_map(b=1.0)
-    config = PcoConfig(initial_phases=(0.0, 0.5), epsilons=0.3,
-                       f=f, f_inverse=f_inv)
+    config = PcoConfig(initial_phases=(0.0, 0.5), epsilons=0.3, curvature=1.0)
     state = PcoState(config)
     gaps = []
     while not state.synchronized:
@@ -195,15 +190,15 @@ def test_config_validation():
         PcoConfig(initial_phases=(0.2,), epsilons=0.0)
     with pytest.raises(ConfigurationError):
         PcoConfig(initial_phases=(0.2,), max_cycles=0)
-    f, f_inv = log_charging_map()
     with pytest.raises(ConfigurationError):
-        PcoConfig(initial_phases=(0.2,), f=f)           # missing inverse
+        PcoConfig(initial_phases=(0.2,), epsilons=math.nan)
     with pytest.raises(ConfigurationError):
-        PcoConfig(initial_phases=(0.2,), f=lambda p: p ** 2,
-                  f_inverse=math.sqrt)                   # convex, not concave
+        PcoConfig(initial_phases=(0.2, 0.4), epsilons=(0.1, math.nan))
     with pytest.raises(ConfigurationError):
-        PcoConfig(initial_phases=(0.2,), f=lambda p: 0.5 * p,
-                  f_inverse=lambda x: 2.0 * x)           # misses f(1)=1
+        PcoConfig(initial_phases=(math.nan,))
+    for curvature in (0.0, -1.0, math.nan, math.inf, 800.0):
+        with pytest.raises(ConfigurationError):
+            PcoConfig(initial_phases=(0.2,), curvature=curvature)
     with pytest.raises(ConfigurationError):
         log_charging_map(b=0.0)
 
@@ -216,34 +211,3 @@ def test_charging_map_round_trip():
     assert f(0.0) == 0.0
     assert f(1.0) == pytest.approx(1.0, abs=1e-12)
 
-
-def _count_checks(monkeypatch) -> list[int]:
-    """Start from an empty acceptance memo and count charging-map checks."""
-    monkeypatch.setattr(pco, "_ACCEPTED_MAPS", set())
-    calls = [0]
-    check = PcoConfig._check_charging_map
-
-    def counted(self):
-        calls[0] += 1
-        check(self)
-
-    monkeypatch.setattr(PcoConfig, "_check_charging_map", counted)
-    return calls
-
-
-def test_charging_map_checked_once_per_map(monkeypatch):
-    calls = _count_checks(monkeypatch)
-    for phases in ((0.1, 0.4), (0.3, 0.7)):
-        f, f_inv = log_charging_map(2.5)
-        PcoConfig(initial_phases=phases, f=f, f_inverse=f_inv)
-    assert calls[0] == 1
-    assert log_charging_map(2.5) is log_charging_map(2.5)
-
-
-def test_rejected_charging_map_raises_every_time(monkeypatch):
-    calls = _count_checks(monkeypatch)
-    convex = lambda p: p ** 2
-    for _ in range(2):
-        with pytest.raises(ConfigurationError):
-            PcoConfig(initial_phases=(0.2,), f=convex, f_inverse=math.sqrt)
-    assert calls[0] == 2

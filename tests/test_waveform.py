@@ -218,7 +218,7 @@ class TestLimitWaveform:
         # With one skew value the limit is the half-sine convolved with one
         # Gaussian. Far from the support edges the truncation is negligible
         # and E[-sin(pi (x - sd Z))] = -sin(pi x) exp(-(pi sd)^2 / 2).
-        spec = self.spec(population=SkewPopulation.point_mass(1.0))
+        spec = self.spec(population=SkewPopulation(1.0, 1.0))
         sd = np.sqrt(spec.sigma_bar2)
         damping = np.exp(-0.5 * (np.pi * sd) ** 2)
         for x in (-0.4, -0.1, 0.0, 0.2, 0.4):
@@ -240,7 +240,7 @@ class TestLimitWaveform:
             assert abs(parts.mean() - target) < 3.0 * se, t
 
     def test_smoothness_on_refining_grids(self):
-        spec = self.spec(population=SkewPopulation.point_mass(1.0))
+        spec = self.spec(population=SkewPopulation(1.0, 1.0))
         slope_bound = np.pi / spec.pulse.tau_nz  # sup |d eta / dt|
         for points in (41, 81):
             grid = spec.tau0 + np.linspace(-1.0, 1.0, points)
