@@ -41,6 +41,7 @@ from .geometry import NodePosition, Region, disk_intersection_area
 # the (Lipschitz) gain and delay maps.
 _BISECT_TOL = 1e-12
 _BISECT_MAX_ITER = 120
+_BISECT_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -139,16 +140,22 @@ class PathlossDistribution:
         if self._interior:
             # coverage never meets an edge, so the area map is exactly pi r^2
             return np.sqrt(target_area / np.pi)
-        lo = np.zeros_like(target_area)
-        hi = np.full_like(target_area, self.effective_range)
-        for _ in range(_BISECT_MAX_ITER):
-            mid = 0.5 * (lo + hi)
-            below = self._coverage(mid) < target_area
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-            if np.all(hi - lo < _BISECT_TOL):
-                break
-        return 0.5 * (lo + hi)
+        # Bisected in blocks to keep the area temporaries small. Every bracket
+        # halves from [0, effective_range] alike, so all stop on one round.
+        radii = np.empty_like(target_area)
+        for start in range(0, target_area.size, _BISECT_BLOCK):
+            target = target_area[start:start + _BISECT_BLOCK]
+            lo = np.zeros_like(target)
+            hi = np.full_like(target, self.effective_range)
+            for _ in range(_BISECT_MAX_ITER):
+                mid = 0.5 * (lo + hi)
+                below = self._coverage(mid) < target
+                lo = np.where(below, mid, lo)
+                hi = np.where(below, hi, mid)
+                if np.all(hi - lo < _BISECT_TOL):
+                    break
+            radii[start:start + _BISECT_BLOCK] = 0.5 * (lo + hi)
+        return radii
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Inverse-transform samples of K_j, zeros included."""
@@ -156,11 +163,10 @@ class PathlossDistribution:
         np.subtract(1.0, target, out=target)
         target *= self.area_total
         heard = target < self.area_at_range
-        gains = np.zeros(size)
-        if np.any(heard):
-            radii = self._invert_coverage(target[heard])
-            gains[heard] = self.model.gain(radii)
-        return gains
+        radii = self._invert_coverage(target[heard])
+        target[:] = 0.0                     # the gains overwrite the spent draws
+        target[heard] = self.model.gain(radii)
+        return target
 
 
 @dataclass(frozen=True)

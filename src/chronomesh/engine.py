@@ -167,7 +167,12 @@ class Schedule:
 
 
 class NetworkState:
-    """Mutable state of a scenario between phases, one array row per node."""
+    """Mutable state of a scenario between phases, one array row per node.
+
+    Every regime keeps ``positions`` (n, 2), ``alphas``, ``deltas``, the
+    boolean ``interior`` and the (n, m) ``windows``; only the delay regime
+    adds ``eps_i``, each node's assumed crossing offset (None otherwise).
+    """
 
     def __init__(self, config: ScenarioConfig):
         self.config = config
@@ -185,20 +190,19 @@ class NetworkState:
         self.alphas = config.population.sample(n, rng_init)
         lo, hi = config.delta_bar_range
         self.deltas = rng_init.uniform(lo, hi, size=n)
-        self.sigma = np.full(n, np.sqrt(config.sigma2))
+        self.sigma = float(np.sqrt(config.sigma2))
         # node 0 is the reference: exact clock, zero offset, zero jitter
         self.alphas[0] = 1.0
         self.deltas[0] = 0.0
-        self.sigma[0] = 0.0
 
         edge = region.edge_distance(self.positions[:, 0], self.positions[:, 1])
         if np.isfinite(channel.max_range):
             self.interior = edge >= channel.max_range
         else:
             self.interior = np.ones(n, dtype=bool)
-        self.parity = np.arange(n) % 2
 
-        self.eps_i = np.where(self.interior, config.epsilon, config.boundary_epsilon)
+        self.eps_i = (np.where(self.interior, config.epsilon, config.boundary_epsilon)
+                      if config.regime == "delay" else None)
 
         tau_nz = config.tau_nz
         if tau_nz is None:
@@ -281,8 +285,7 @@ class NetworkState:
         steps = np.arange(m, dtype=float)
         # Built in two (n, m) buffers, in the arithmetic order of
         # alphas * (instants - deltas) + jitter * sigma.
-        jitter = rng.normal(0.0, 1.0, size=(n, m))
-        jitter *= self.sigma[:, None]
+        jitter = self._jitter(rng, (n, m))
         windows = np.empty((n, m))
         if cfg.regime == "even_odd":
             # the coming phase's transmitters hold tau0-(2m-1), ..., tau0-1;
@@ -299,9 +302,20 @@ class NetworkState:
         windows += jitter
         self.windows = windows
 
+    def _jitter(self, rng: np.random.Generator, shape) -> np.ndarray:
+        """Readout jitter, one row per node; node 0's row is exactly zero."""
+        draws = rng.normal(0.0, 1.0, size=shape)
+        draws *= self.sigma
+        draws[0] = 0.0
+        return draws
+
     @property
     def n(self) -> int:
         return self.config.n_nodes
+
+    @property
+    def parity(self) -> np.ndarray:
+        return np.arange(self.n) % 2
 
     @property
     def schedule(self) -> Schedule:
@@ -345,8 +359,7 @@ def _transmit(state: NetworkState, sched: Schedule, rng: np.random.Generator):
     if state.fix_receiver is not None:
         skew = state.alphas[tx] if cfg.oracle_alpha else report.alpha_hat
     del report
-    fire_jitter = rng.normal(0.0, 1.0, state.n)
-    fire_jitter *= state.sigma
+    fire_jitter = state._jitter(rng, state.n)
     k_fix = None
     if state.fix_receiver is not None:
         fix = sample_fix(state.channel, state.fix_receiver, rng, state.n)
@@ -408,16 +421,20 @@ def run_phase(state: NetworkState, rng: np.random.Generator | None = None) -> Ph
         events = _receive(state, sched, law, fires, k_fix, rng)
         crossings[node] = find_zero_crossing(events, state.pulse, search_center=tau0 + offset,
                                              gate=state.channel.gate)
+        del events
 
     primary, _, primary_offset = sched.receivers[0]
     crossing = crossings[primary]
     sync = np.full(state.n, np.nan)
     if crossing.ok:
         loc = crossing.location
-        obs_jitter = rng.normal(0.0, 1.0, state.n) * state.sigma
+        obs_jitter = state._jitter(rng, state.n)
         follow = sched.listen if sched.follow is None else sched.follow
         instants = loc if sched.follow is None else np.where(follow, loc, tau0 + state.eps_i)
-        readings = state.alphas * (instants - state.deltas) + obs_jitter
+        # in place, in the order of alphas * (instants - deltas) + jitter
+        readings = np.subtract(instants, state.deltas)
+        readings *= state.alphas
+        readings += obs_jitter
         _roll_windows(state.windows, sched.listen, readings[sched.listen])
         sync[follow] = abs(loc - (tau0 + primary_offset))
         for node, _, offset in sched.receivers[1:]:

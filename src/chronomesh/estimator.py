@@ -90,6 +90,8 @@ def fit(window: np.ndarray, variant: DesignVariant = STANDARD) -> EstimateReport
     """Least-squares fit of the window(s) and prediction at the variant's target.
 
     The window axis is the last; leading axes are independent windows.
+    After the two sums every step runs in place, in the textbook order, so at
+    most four window-count buffers are live and no intercept array is kept.
     """
     values = np.asarray(window, dtype=float)
     m = values.shape[-1]
@@ -97,13 +99,18 @@ def fit(window: np.ndarray, variant: DesignVariant = STANDARD) -> EstimateReport
     sum_x = x.sum()
     sum_xx = (x * x).sum()
     det = m * sum_xx - sum_x * sum_x
-    sum_y = values.sum(axis=-1)
-    sum_xy = values @ x
-    slope = (m * sum_xy - sum_x * sum_y) / det
-    intercept = (sum_xx * sum_y - sum_x * sum_xy) / det
-    phi = intercept + variant.target_step(m) * slope
+    sum_y = np.atleast_1d(values.sum(axis=-1))
+    sum_xy = np.atleast_1d(values @ x)
+    slope = np.multiply(m, sum_xy)
+    term = np.multiply(sum_x, sum_y)
+    slope -= term
+    slope /= det
+    phi = np.multiply(sum_xx, sum_y, out=sum_y)
+    phi -= np.multiply(sum_x, sum_xy, out=term)
+    phi /= det                                      # the intercept
+    phi += np.multiply(variant.target_step(m), slope, out=term)
     if values.ndim == 1:
-        phi, slope = float(phi), float(slope)
+        return EstimateReport(phi_hat=float(phi[0]), alpha_hat=float(slope[0]))
     return EstimateReport(phi_hat=phi, alpha_hat=slope)
 
 

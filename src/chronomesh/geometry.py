@@ -106,8 +106,8 @@ def disk_intersection_area(region: Region, center: NodePosition | tuple[float, f
     if not region.contains(cx, cy):
         raise DomainError(f"disk center ({cx}, {cy}) lies outside the region")
     r = np.asarray(radius, dtype=float)
-    if np.any(r < 0.0):
-        raise DomainError("disk radius must be non-negative")
+    if not np.all(r >= 0.0):
+        raise DomainError("disk radius must be non-negative, not nan")
     scalar = r.ndim == 0
     r = np.atleast_1d(r)
     # Beyond the farthest corner the area saturates; capping keeps the

@@ -26,6 +26,7 @@ from .clock import SkewPopulation
 from .errors import DomainError, NumericsError
 
 _REFINE_TOL = 1e-12
+_ANGLE_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -35,8 +36,8 @@ class Pulse:
     tau_nz: float
 
     def __post_init__(self):
-        if self.tau_nz <= 0.0:
-            raise DomainError(f"pulse support must be positive, got {self.tau_nz}")
+        if not 0.0 < self.tau_nz < np.inf:
+            raise DomainError(f"pulse support must be positive and finite, got {self.tau_nz}")
 
     def evaluate(self, t) -> np.ndarray | float:
         """Pulse value p(t)."""
@@ -47,8 +48,8 @@ class Pulse:
 
 def default_tau_nz(sigma_bar: float, alpha_low: float) -> float:
     """Support wide enough that transmit errors stay deep inside the pulse."""
-    if sigma_bar < 0.0 or alpha_low <= 0.0:
-        raise DomainError("sigma_bar must be >= 0 and alpha_low > 0")
+    if not (0.0 <= sigma_bar < np.inf and alpha_low > 0.0):
+        raise DomainError("sigma_bar must be finite and >= 0, and alpha_low > 0")
     if sigma_bar == 0.0:
         return 1.0
     return 100.0 * sigma_bar / alpha_low
@@ -101,27 +102,30 @@ class AggregateEvaluator:
     def __init__(self, events: EventArray, pulse: Pulse):
         self.events = events
         self.pulse = pulse
-        # Each temporary is dropped once spent: at 10^6 events each one is
-        # 8 MB of the phase's peak.
+        # Event-sized buffers, in order: sort order, sorted arrivals, sine
+        # prefix (first holding the sorted scales), then, once the order is
+        # dropped, cosine prefix. Phase angles are built a block at a time.
         arrival = events.arrival
         order = np.argsort(arrival, kind="stable")
         self._arrivals = arrival[order]
         del arrival
-        scale = events.scale[order]
-        del order
-        # prefix[k] sums the first k sorted events. The phase angles are
-        # built in the cosine buffer, which then takes their cosines.
-        self._cos_prefix = np.empty(events.count + 1)
+        # prefix[k] sums the first k sorted events
         self._sin_prefix = np.empty(events.count + 1)
+        sin_part = self._sin_prefix[1:]
+        # mode="wrap" writes straight into out; the default "raise" buffers it
+        np.take(events.scale, order, out=sin_part, mode="wrap")
+        del order
+        self._cos_prefix = np.empty(events.count + 1)
+        cos_part = self._cos_prefix[1:]
         self._cos_prefix[0] = self._sin_prefix[0] = 0.0
-        cos_part, sin_part = self._cos_prefix[1:], self._sin_prefix[1:]
-        np.multiply(np.pi, self._arrivals, out=cos_part)
-        cos_part /= pulse.tau_nz
-        np.sin(cos_part, out=sin_part)
-        np.cos(cos_part, out=cos_part)
-        cos_part *= scale
-        sin_part *= scale
-        del scale
+        for start in range(0, events.count, _ANGLE_BLOCK):
+            block = slice(start, start + _ANGLE_BLOCK)
+            angle = np.multiply(np.pi, self._arrivals[block])
+            angle /= pulse.tau_nz
+            np.cos(angle, out=cos_part[block])
+            cos_part[block] *= sin_part[block]
+            np.sin(angle, out=angle)
+            sin_part[block] *= angle
         np.cumsum(cos_part, out=cos_part)
         np.cumsum(sin_part, out=sin_part)
 
@@ -169,7 +173,7 @@ def find_zero_crossing(events: EventArray, pulse: Pulse, search_center: float,
     """
     waveform = AggregateEvaluator(events, pulse)
     step = pulse.tau_nz / 1000.0 if grid_step is None else float(grid_step)
-    if step <= 0.0:
+    if not step > 0.0:
         raise DomainError("grid_step must be positive")
     half_points = max(1, int(np.ceil(pulse.tau_nz / step)))
     grid = search_center + np.linspace(-pulse.tau_nz, pulse.tau_nz, 2 * half_points + 1)

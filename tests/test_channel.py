@@ -5,15 +5,36 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from chronomesh.channel import ChannelModel, DelayDistribution, PathlossDistribution, sample_fix
+from chronomesh.channel import (
+    _BISECT_BLOCK,
+    ChannelModel,
+    DelayDistribution,
+    PathlossDistribution,
+    sample_fix,
+)
 from chronomesh.errors import ConfigurationError, DomainError
-from chronomesh.geometry import NodePosition, Region
+from chronomesh.geometry import NodePosition, Region, disk_intersection_area
 
 CENTER = NodePosition(0.5, 0.5)
+EDGE = NodePosition(0.1, 0.3)        # its coverage disk crosses the left edge
 
 
 def center_model(max_range=0.25, wave_speed=1.0, range_pad=None):
     return ChannelModel(Region(1.0, 1.0), max_range, wave_speed, range_pad)
+
+
+def one_shot_inversion(dist: PathlossDistribution, target: np.ndarray) -> np.ndarray:
+    # Reference oracle: bisect the coverage area of every target at once.
+    lo = np.zeros_like(target)
+    hi = np.full_like(target, dist.effective_range)
+    for _ in range(120):
+        mid = 0.5 * (lo + hi)
+        below = disk_intersection_area(dist.model.region, dist.receiver, mid) < target
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+        if np.all(hi - lo < 1e-12):
+            break
+    return 0.5 * (lo + hi)
 
 
 def empirical_cdf(samples: np.ndarray, grid: np.ndarray) -> np.ndarray:
@@ -73,6 +94,24 @@ class TestPathlossCdf:
             grid = np.linspace(0.0, 1.0, 2001)
             ks = np.max(np.abs(empirical_cdf(gains, grid) - dist.cdf(grid)))
             assert ks < 0.005, (rx, ks)
+
+    @pytest.mark.parametrize("size", [_BISECT_BLOCK - 1, _BISECT_BLOCK, _BISECT_BLOCK + 1,
+                                      3 * _BISECT_BLOCK + 5])
+    def test_block_inversion_matches_one_shot_bisection(self, size):
+        dist = PathlossDistribution(center_model(), EDGE)
+        assert not dist._interior
+        target = np.random.default_rng(size).uniform(0.0, dist.area_at_range, size)
+        assert np.array_equal(dist._invert_coverage(target), one_shot_inversion(dist, target))
+
+    def test_gains_are_the_gain_map_of_the_inverted_draws(self):
+        dist = PathlossDistribution(center_model(), EDGE)
+        gains = dist.sample(np.random.default_rng(4), size=5000)
+        target = (1.0 - np.random.default_rng(4).uniform(size=5000)) * dist.area_total
+        heard = target < dist.area_at_range
+        expected = np.zeros(5000)
+        expected[heard] = dist.model.gain(one_shot_inversion(dist, target[heard]))
+        assert 0 < heard.sum() < 5000
+        assert np.array_equal(gains, expected)
 
     def test_sample_mean_against_analytic_integral(self):
         # E K = (1/A_T) int_0^R (1 - r/R) 2 pi r dr for an interior receiver.

@@ -6,6 +6,7 @@ design's closed forms, and the delay regime is checked against a fixed point
 worked out from the channel law directly.
 """
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -211,6 +212,28 @@ def test_schedule_recovers_after_a_gated_phase(regime):
     assert not any(rep.failed for rep in reports)
     offsets = [rep.crossing - rep.center for rep in reports]
     assert np.all(np.abs(offsets) < 0.05), offsets
+
+
+def test_no_delay_memory_stays_within_a_few_node_vectors():
+    # Seed 0 puts node 0's coverage disk across an edge, so the phase's gain
+    # draws go through the coverage bisection.
+    n = 200_000
+    vector = 8 * n
+    st = NetworkState(ScenarioConfig(n_nodes=n, regime="no_delay", seed=0))
+    x0, y0 = st.positions[0]
+    assert st.rx_gain_dist.effective_range > st.config.region.edge_distance(x0, y0)
+    held = sum(v.nbytes for v in vars(st).values() if isinstance(v, np.ndarray))
+    assert held <= 7.25 * vector
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        report = run_phase(st)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.crossing is not None
+    assert peak - entry <= 5.5 * vector
 
 
 # -- even/odd phases -----------------------------------------------------

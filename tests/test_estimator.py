@@ -30,6 +30,20 @@ def matrix_variance(variant: DesignVariant, m: int, row: np.ndarray) -> float:
     return float(row @ np.linalg.inv(H.T @ H) @ row)
 
 
+def textbook_fit(values: np.ndarray, variant: DesignVariant):
+    """Reference oracle: the normal-equation expressions, one array per term."""
+    m = values.shape[-1]
+    x = variant.regressors(m)
+    sum_x = x.sum()
+    sum_xx = (x * x).sum()
+    det = m * sum_xx - sum_x * sum_x
+    sum_y = values.sum(axis=-1)
+    sum_xy = values @ x
+    slope = (m * sum_xy - sum_x * sum_y) / det
+    intercept = (sum_xx * sum_y - sum_x * sum_xy) / det
+    return intercept + variant.target_step(m) * slope, slope
+
+
 class TestExactFits:
     @given(
         a=st.floats(-50.0, 50.0),
@@ -51,6 +65,21 @@ class TestExactFits:
         batch = fit(windows, STANDARD)
         singles = [fit(w, STANDARD).phi_hat for w in windows]
         assert np.allclose(batch.phi_hat, singles, atol=1e-12)
+
+    @pytest.mark.parametrize("variant", [STANDARD, EVEN_ODD, epsilon_variant(0.37)],
+                             ids=["standard", "even_odd", "epsilon"])
+    @pytest.mark.parametrize("shape", [(3,), (6,), (1000, 3), (20, 5)])
+    def test_fit_matches_textbook_bitwise(self, variant, shape):
+        rng = np.random.default_rng(sum(shape))
+        windows = 7.0 + np.arange(shape[-1]) * 1.01 + rng.normal(0.0, 0.01, size=shape)
+        before = windows.copy()
+        report = fit(windows, variant)
+        phi, slope = textbook_fit(windows, variant)
+        assert np.array_equal(report.phi_hat, phi)
+        assert np.array_equal(report.alpha_hat, slope)
+        assert np.array_equal(windows, before)
+        if windows.ndim == 1:
+            assert type(report.phi_hat) is float and type(report.alpha_hat) is float
 
     def test_epsilon_zero_reduces_to_standard(self):
         rng = np.random.default_rng(7)

@@ -97,8 +97,9 @@ def test_center_outside_region_rejected():
 
 
 def test_negative_radius_rejected():
-    with pytest.raises(DomainError):
-        disk_intersection_area(Region(), (0.5, 0.5), -0.2)
+    for radius in (-0.2, float("nan"), np.array([0.1, np.nan])):
+        with pytest.raises(DomainError):
+            disk_intersection_area(Region(), (0.5, 0.5), radius)
 
 
 def test_place_nodes_uniform_moments():

@@ -16,6 +16,8 @@ import chronomesh
 from chronomesh.clock import SkewPopulation
 from chronomesh.errors import DomainError, NumericsError
 from chronomesh.waveform import (
+    _ANGLE_BLOCK,
+    AggregateEvaluator,
     EventArray,
     LimitSpec,
     Pulse,
@@ -30,6 +32,18 @@ def dense_aggregate(events: EventArray, pulse: Pulse, t) -> np.ndarray:
     # Reference oracle: the direct sum of one pulse copy per event and instant.
     shifted = np.asarray(t, dtype=float)[:, None] - events.arrival[None, :]
     return pulse.evaluate(shifted) @ events.scale
+
+
+def full_array_prefixes(events: EventArray, pulse: Pulse):
+    # Reference oracle: sorted arrivals and the angle-sum prefix sums, built
+    # on whole arrays in one pass each.
+    order = np.argsort(events.arrival, kind="stable")
+    arrivals = events.arrival[order]
+    scale = events.scale[order]
+    angle = np.pi * arrivals / pulse.tau_nz
+    cos_prefix = np.concatenate(([0.0], np.cumsum(np.cos(angle) * scale)))
+    sin_prefix = np.concatenate(([0.0], np.cumsum(np.sin(angle) * scale)))
+    return arrivals, cos_prefix, sin_prefix
 
 
 def contributions(events: EventArray, pulse: Pulse, t: float) -> np.ndarray:
@@ -71,14 +85,21 @@ class TestPulseShape:
         assert np.max(np.abs(fast - slow)) < 1e-12
 
     def test_invalid_pulse_params(self):
-        with pytest.raises(DomainError):
-            Pulse(0.0)
+        for tau_nz in (0.0, float("nan"), float("inf")):
+            with pytest.raises(DomainError):
+                Pulse(tau_nz)
+        events = EventArray.build([0.0])
+        for step in (0.0, float("nan")):
+            with pytest.raises(DomainError):
+                find_zero_crossing(events, Pulse(1.0), 0.0, grid_step=step)
 
     def test_default_tau_nz(self):
         assert default_tau_nz(0.1, 0.5) == pytest.approx(20.0)
         assert default_tau_nz(0.0, 0.9) == 1.0
-        with pytest.raises(DomainError):
-            default_tau_nz(-0.1, 1.0)
+        for sigma_bar, alpha_low in ((-0.1, 1.0), (float("nan"), 1.0), (float("inf"), 1.0),
+                                     (0.1, 0.0), (0.1, float("nan"))):
+            with pytest.raises(DomainError):
+                default_tau_nz(sigma_bar, alpha_low)
 
 
 class TestAggregate:
@@ -110,6 +131,20 @@ class TestAggregate:
         assert np.array_equal(ev.arrival, fires)
         assert np.array_equal(EventArray.build(fires, delay=[0.0, 0.5, 1.0]).arrival,
                               [0.5, 0.25, 2.0])
+
+    @pytest.mark.parametrize("size", [_ANGLE_BLOCK - 1, _ANGLE_BLOCK, _ANGLE_BLOCK + 1,
+                                      3 * _ANGLE_BLOCK + 5])
+    def test_prefix_sums_match_full_array_construction(self, size):
+        rng = np.random.default_rng(size)
+        # fires on a coarse grid, so the stable sort has ties to keep in order
+        fires = np.round(rng.normal(4.0, 0.3, size), 3)
+        events = EventArray.build(fires, rng.uniform(0.0, 2.0, size), rng.uniform(0.0, 0.1, size))
+        pulse = Pulse(0.7)
+        arrivals, cos_prefix, sin_prefix = full_array_prefixes(events, pulse)
+        evaluator = AggregateEvaluator(events, pulse)
+        assert np.array_equal(evaluator._arrivals, arrivals)
+        assert np.array_equal(evaluator._cos_prefix, cos_prefix)
+        assert np.array_equal(evaluator._sin_prefix, sin_prefix)
 
     def test_event_columns_of_mismatched_shape_rejected(self):
         with pytest.raises(DomainError):
