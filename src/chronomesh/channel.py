@@ -12,8 +12,9 @@ the receiver and A_T the region area:
   Transmitters beyond the cutoff range R contribute an atom at K_j = 0.
 - propagation delay D_j has CDF A(j, delay^-1(x)) / A_T up to x = delay(R);
   past that, transmitters the receiver cannot hear are folded into a linear
-  ramp of width delay(R + range_pad) - delay(R) so the delay law still
-  integrates to one.
+  ramp of width delay(R + pad) - delay(R) so the delay law still integrates
+  to one. The pad is R / 10, or a tenth of the region's longer side when R
+  is infinite.
 - the two are coupled deterministically: K_j = gain(delay^-1(D_j)), so a
   sampled delay in the ramp region implies zero gain.
   ``DelayDistribution.sample_pair`` draws them together.
@@ -51,12 +52,12 @@ class ChannelModel:
     The gain falls linearly from 1 at distance 0 to 0 at the cutoff range R,
     gain(d) = max(0, 1 - d / R); an infinite R hears every transmitter at
     unit gain. The delay is distance over wave speed, delay(d) = d / c.
+    Scenarios default to ``ChannelModel(Region(), 0.25)``.
     """
 
     region: Region
     max_range: float                     # R: gain cutoff distance
     wave_speed: float = 1.0              # c
-    range_pad: float | None = None       # outage ramp width in distance; default R / 10
     gate: float = 0.0                    # minimum usable aggregate amplitude
 
     def __post_init__(self):
@@ -65,15 +66,12 @@ class ChannelModel:
             raise ConfigurationError("max_range must be positive")
         if not self.wave_speed > 0.0:
             raise ConfigurationError("wave_speed must be positive")
-        if self.range_pad is not None and not self.range_pad > 0.0:
-            raise ConfigurationError("range_pad must be positive")
         if np.isnan(self.gate):
             raise ConfigurationError("gate must be a number")
 
     @property
     def pad(self) -> float:
-        if self.range_pad is not None:
-            return self.range_pad
+        """Outage ramp width in distance."""
         if not np.isfinite(self.max_range):
             return 0.1 * max(self.region.width, self.region.height)
         return 0.1 * self.max_range
@@ -177,7 +175,7 @@ class DelayDistribution:
     receiver: NodePosition
     pathloss: PathlossDistribution = field(init=False)
     ramp_start: float = field(init=False)    # delay(R)
-    ramp_end: float = field(init=False)      # delay(R + range_pad)
+    ramp_end: float = field(init=False)      # delay(R + pad)
     slope: float = field(init=False)          # density of the outage ramp
 
     def __post_init__(self):

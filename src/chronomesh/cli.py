@@ -148,11 +148,9 @@ def _load_config(path: str) -> dict[str, dict[str, str]]:
         known = _SECTION_DEFAULTS[target]
         body = sections.setdefault(target, {})
         for key, value in parser.items(name):
-            if name == "manifest" and key in ("version", "source", "command"):
-                if key == "command":
-                    body["command"] = value
+            if name == "manifest" and key in ("version", "source"):
                 continue
-            if key != "command" and key not in known:
+            if key not in known and not (target == "run" and key == "command"):
                 raise ConfigurationError(f"unknown key {key!r} in section [{name}]")
             body[key] = value
     return sections
@@ -225,7 +223,6 @@ def _parse_bool(raw: str, label: str) -> bool:
 
 def build_scenario(manifest: RunManifest) -> ScenarioConfig:
     raw = manifest.sections["scenario"]
-    region = Region()
     gain_kind = raw["gain"].strip().lower()
     if gain_kind == "unit":
         max_range = math.inf
@@ -233,7 +230,7 @@ def build_scenario(manifest: RunManifest) -> ScenarioConfig:
         max_range = _parse_float(raw["range"], "scenario.range")
     else:
         raise ConfigurationError(f"scenario.gain must be linear or unit, got {raw['gain']!r}")
-    channel = ChannelModel(region, max_range,
+    channel = ChannelModel(Region(), max_range,
                            wave_speed=_parse_float(raw["wave_speed"], "scenario.wave_speed"),
                            gate=_parse_float(raw["gate"], "scenario.gate"))
     tau_raw = raw["tau_nz"].strip().lower()
@@ -248,7 +245,6 @@ def build_scenario(manifest: RunManifest) -> ScenarioConfig:
         population=population,
         delta_bar_range=(_parse_float(raw["delta_low"], "scenario.delta_low"),
                          _parse_float(raw["delta_high"], "scenario.delta_high")),
-        region=region,
         channel=channel,
         tau_nz=tau_nz,
         v_factor=_parse_float(raw["v_factor"], "scenario.v_factor"),
@@ -306,8 +302,7 @@ def _cmd_waveform(manifest: RunManifest) -> None:
 
 
 def _cmd_phases(manifest: RunManifest) -> None:
-    config = build_scenario(manifest)
-    state = NetworkState(config)
+    state = NetworkState(build_scenario(manifest))
     count = _parse_int(manifest.sections["scenario"]["phases"], "scenario.phases")
     if count < 1:
         raise ConfigurationError("scenario.phases must be at least 1")
@@ -318,7 +313,7 @@ def _cmd_phases(manifest: RunManifest) -> None:
             for node in sorted(rep.crossings):
                 cr = rep.crossings[node]
                 role = "interior" if state.interior[node] else "boundary"
-                assumed = config.epsilon if state.interior[node] else state.eps_i[node]
+                assumed = state.eps_i[node]
                 location = cr.location if cr.ok else math.nan
                 offset = location - (rep.center + assumed) if cr.ok else math.nan
                 rows.append((rep.phase_index, rep.center, node, role, assumed,

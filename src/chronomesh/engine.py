@@ -39,6 +39,9 @@ is consumed in a fixed order: fire jitter, compensation draws (delay regime),
 per-probe channel draws, observation jitter. Keeping the order fixed makes a
 phase reproducible regardless of how its report is consumed. A held-over
 phase draws no observation jitter.
+
+A phase reports only its receivers' crossings: nothing per node outlives it,
+so a run of many phases holds one or two ``CrossingReport``s per phase.
 """
 
 from __future__ import annotations
@@ -78,7 +81,8 @@ class ScenarioConfig:
     sit at (delay regime); ``boundary_epsilon`` is the same assumption for
     edge nodes, which see a thinner transmitter population. ``v_factor``
     rescales amplitudes by 1/v to model a mismatch between the believed and
-    actual node count; the crossing location is invariant to it.
+    actual node count; the crossing location is invariant to it. The
+    channel carries the deployment region; ``region`` reads it from there.
     """
 
     n_nodes: int
@@ -87,8 +91,7 @@ class ScenarioConfig:
     regime: str = "no_delay"
     population: SkewPopulation = field(default_factory=SkewPopulation)
     delta_bar_range: tuple[float, float] = (-0.5, 0.5)
-    region: Region = field(default_factory=Region)
-    channel: ChannelModel | None = None
+    channel: ChannelModel = ChannelModel(Region(), 0.25)
     tau_nz: float | None = None
     v_factor: float = 1.0
     epsilon: float = 0.0
@@ -116,12 +119,12 @@ class ScenarioConfig:
             raise ConfigurationError("tau_nz must be positive and finite")
         if not np.isfinite(self.epsilon) or not np.isfinite(self.boundary_epsilon):
             raise ConfigurationError("epsilon and boundary_epsilon must be finite")
-        if self.channel is not None and self.channel.region != self.region:
-            raise ConfigurationError("channel region does not match scenario region")
-        if self.regime == "delay":
-            model = self.channel
-            if model is not None and not np.isfinite(model.max_range):
-                raise ConfigurationError("delay regime needs a finite channel range")
+        if self.regime == "delay" and not np.isfinite(self.channel.max_range):
+            raise ConfigurationError("delay regime needs a finite channel range")
+
+    @property
+    def region(self) -> Region:
+        return self.channel.region
 
     @property
     def variant(self):
@@ -145,8 +148,6 @@ class PhaseReport:
     center: float                            # the integer instant aimed at
     primary: int                             # receiver whose crossing drives updates
     crossings: dict[int, CrossingReport]     # receiver node id -> search report
-    fire_times: np.ndarray                   # reference-time fires, nan if silent
-    sync_errors: np.ndarray                  # |crossing - target| per node, nan if unknown
     failed: bool
 
     @property
@@ -178,10 +179,7 @@ class NetworkState:
         self.config = config
         n = config.n_nodes
         region = config.region
-        channel = config.channel
-        if channel is None:
-            channel = ChannelModel(region, 0.25 * min(region.width, region.height))
-        self.channel = channel
+        channel = self.channel = config.channel
 
         rng_place = substream(config.seed, DOMAIN_PLACEMENT)
         self.positions = positions_array(place_nodes(region, n, rng_place))
@@ -323,12 +321,6 @@ class NetworkState:
         return self.schedules[self.next_center % len(self.schedules)]
 
 
-def _phase_rng(state: NetworkState, rng: np.random.Generator | None) -> np.random.Generator:
-    if rng is not None:
-        return rng
-    return substream(state.config.seed, DOMAIN_PHASE, state.phase_count)
-
-
 def _require_regime(state: NetworkState, regime: str):
     if state.config.regime != regime:
         raise ConfigurationError("state was built for a different regime")
@@ -390,28 +382,27 @@ def _receive(state: NetworkState, sched: Schedule, law, fires: np.ndarray,
     return EventArray.build(fires, scales, delays)
 
 
-def no_delay_phase_events(state: NetworkState,
-                          rng: np.random.Generator | None = None) -> tuple[EventArray, float]:
+def no_delay_phase_events(state: NetworkState) -> tuple[EventArray, float]:
     """Events of the coming no-delay phase and the instant they aim at.
 
     Built by the kernel's own steps, so a dumped waveform is exactly the
     aggregate whose crossing the phase would use.
     """
     _require_regime(state, "no_delay")
-    rng = _phase_rng(state, rng)
+    rng = substream(state.config.seed, DOMAIN_PHASE, state.phase_count)
     sched = state.schedule
     fires, k_fix = _transmit(state, sched, rng)
     _, law, _ = sched.receivers[0]
     return _receive(state, sched, law, fires, k_fix, rng), float(state.next_center)
 
 
-def run_phase(state: NetworkState, rng: np.random.Generator | None = None) -> PhaseReport:
+def run_phase(state: NetworkState) -> PhaseReport:
     """One phase of the state's regime: transmit, receive, update, advance."""
     sched = state.schedule
     if not sched.receivers:
         raise ConfigurationError("a phase needs a transmitter and a listener; "
                                  "even_odd needs both parities present")
-    rng = _phase_rng(state, rng)
+    rng = substream(state.config.seed, DOMAIN_PHASE, state.phase_count)
     tau0 = float(state.next_center)
 
     fires, k_fix = _transmit(state, sched, rng)
@@ -422,43 +413,34 @@ def run_phase(state: NetworkState, rng: np.random.Generator | None = None) -> Ph
         crossings[node] = find_zero_crossing(events, state.pulse, search_center=tau0 + offset,
                                              gate=state.channel.gate)
         del events
+    del fires, k_fix
 
-    primary, _, primary_offset = sched.receivers[0]
+    primary = sched.receivers[0][0]
     crossing = crossings[primary]
-    sync = np.full(state.n, np.nan)
     if crossing.ok:
         loc = crossing.location
         obs_jitter = state._jitter(rng, state.n)
-        follow = sched.listen if sched.follow is None else sched.follow
-        instants = loc if sched.follow is None else np.where(follow, loc, tau0 + state.eps_i)
+        instants = loc if sched.follow is None else np.where(sched.follow, loc, tau0 + state.eps_i)
         # in place, in the order of alphas * (instants - deltas) + jitter
         readings = np.subtract(instants, state.deltas)
         readings *= state.alphas
         readings += obs_jitter
         _roll_windows(state.windows, sched.listen, readings[sched.listen])
-        sync[follow] = abs(loc - (tau0 + primary_offset))
-        for node, _, offset in sched.receivers[1:]:
-            if crossings[node].ok:
-                sync[node] = abs(crossings[node].location - (tau0 + offset))
     else:
         # holdover: roll in the reading each listener predicted for this instant
         held = fit(state.windows[sched.listen], STANDARD).phi_hat
         _roll_windows(state.windows, sched.listen, held)
 
-    if not isinstance(sched.transmit, slice):
-        silent = np.full(state.n, np.nan)
-        silent[sched.transmit] = fires
-        fires = silent
     phase_index = state.phase_count
     state.phase_count += 1
     state.next_center += 1
-    return PhaseReport(phase_index, tau0, primary, crossings, fires, sync, not crossing.ok)
+    return PhaseReport(phase_index, tau0, primary, crossings, not crossing.ok)
 
 
-def run_phase_delay(state: NetworkState, rng: np.random.Generator | None = None) -> PhaseReport:
+def run_phase_delay(state: NetworkState) -> PhaseReport:
     """run_phase on a state that must be in the delay regime."""
     _require_regime(state, "delay")
-    return run_phase(state, rng)
+    return run_phase(state)
 
 
 def run_phases(state: NetworkState, count: int) -> list[PhaseReport]:

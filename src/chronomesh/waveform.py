@@ -163,19 +163,18 @@ class CrossingReport:
 
 
 def find_zero_crossing(events: EventArray, pulse: Pulse, search_center: float,
-                       gate: float = 0.0, grid_step: float | None = None) -> CrossingReport:
+                       gate: float = 0.0) -> CrossingReport:
     """Locate the first downward zero crossing near the search centre.
 
     Scans (search_center - tau_nz, search_center + tau_nz) on a uniform grid
-    (default step tau_nz / 1000) for the first positive-to-non-positive sign
+    of step about tau_nz / 1000 for the first positive-to-non-positive sign
     change, then bisects until the amplitude magnitude drops below 1e-12 or
     the bracket is narrower than 1e-12.
     """
     waveform = AggregateEvaluator(events, pulse)
-    step = pulse.tau_nz / 1000.0 if grid_step is None else float(grid_step)
-    if not step > 0.0:
-        raise DomainError("grid_step must be positive")
-    half_points = max(1, int(np.ceil(pulse.tau_nz / step)))
+    # Not a literal 1000: tau / (tau / 1000) rounds up to 1001 for some tau
+    # (17.3 is one), and the pinned crossings were found on that grid.
+    half_points = int(np.ceil(pulse.tau_nz / (pulse.tau_nz / 1000.0)))
     grid = search_center + np.linspace(-pulse.tau_nz, pulse.tau_nz, 2 * half_points + 1)
     amps = waveform(grid)
     peak = float(np.max(np.abs(amps)))

@@ -47,7 +47,7 @@ def test_criterion_1_dense_network_crossing_near_target():
     hits = 0
     for seed in range(20):
         config = ScenarioConfig(n_nodes=400, sigma2=0.003, regime="no_delay",
-                                region=region, channel=ChannelModel(region, np.inf),
+                                channel=ChannelModel(region, np.inf),
                                 seed=seed)
         assert config.fire_variance == pytest.approx(0.01)
         report = run_phase(NetworkState(config))

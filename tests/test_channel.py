@@ -19,8 +19,8 @@ CENTER = NodePosition(0.5, 0.5)
 EDGE = NodePosition(0.1, 0.3)        # its coverage disk crosses the left edge
 
 
-def center_model(max_range=0.25, wave_speed=1.0, range_pad=None):
-    return ChannelModel(Region(1.0, 1.0), max_range, wave_speed, range_pad)
+def center_model(max_range=0.25, wave_speed=1.0):
+    return ChannelModel(Region(1.0, 1.0), max_range, wave_speed)
 
 
 def one_shot_inversion(dist: PathlossDistribution, target: np.ndarray) -> np.ndarray:
@@ -123,7 +123,7 @@ class TestPathlossCdf:
 
 class TestDelayCdf:
     def test_closed_form_body_and_ramp(self):
-        law = DelayDistribution(center_model(max_range=0.25, wave_speed=1.0, range_pad=0.025),
+        law = DelayDistribution(center_model(max_range=0.25, wave_speed=1.0),
                                 CENTER)
         contact = np.pi / 16
         assert law.cdf(-1e-9) == 0.0
@@ -213,10 +213,7 @@ class TestModelValidation:
             ChannelModel(region, -0.5)
         with pytest.raises(ConfigurationError):
             ChannelModel(region, 0.25, wave_speed=0.0)
-        with pytest.raises(ConfigurationError):
-            ChannelModel(region, 0.25, range_pad=-0.1)
-        for kwargs in ({"max_range": np.nan}, {"wave_speed": np.nan},
-                       {"range_pad": np.nan}, {"gate": np.nan}):
+        for kwargs in ({"max_range": np.nan}, {"wave_speed": np.nan}, {"gate": np.nan}):
             with pytest.raises(ConfigurationError):
                 ChannelModel(region, **{"max_range": 0.25, **kwargs})
         # an infinite speed leaves the outage ramp no width

@@ -80,6 +80,15 @@ def test_flag_overrides_config_file(tmp_path):
     assert "seed = 2" in body
 
 
+@pytest.mark.parametrize("section", ["scenario", "pco", "multihop"])
+def test_command_key_outside_run_and_manifest_exits_two(tmp_path, section):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"[{section}]\ncommand = delay\n", encoding="ascii")
+    out = tmp_path / "out"
+    assert cli.run_command(["steady", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_waveform_trace(tmp_path):
     out = str(tmp_path)
     assert cli.run_command(["waveform", "--nodes", "400", "--sigma2", "0.003",
