@@ -14,7 +14,7 @@ from .channel import ChannelModel
 from .clock import SkewPopulation
 from .engine import NetworkState, PhaseReport, ScenarioConfig, estimate_epsilon, run_phase, run_phases
 from .errors import ConfigurationError, DomainError, NumericsError
-from .estimator import EVEN_ODD, STANDARD, epsilon_variant, fit
+from .estimator import fit
 from .geometry import NodePosition, Region
 from .multihop import HopChainConfig, hop_count_estimate, run_cascade
 from .pco import PcoConfig, log_charging_map, pco_run_to_sync
@@ -24,7 +24,6 @@ __all__ = [
     "ChannelModel",
     "ConfigurationError",
     "DomainError",
-    "EVEN_ODD",
     "HopChainConfig",
     "NetworkState",
     "NodePosition",
@@ -33,10 +32,8 @@ __all__ = [
     "PhaseReport",
     "Pulse",
     "Region",
-    "STANDARD",
     "ScenarioConfig",
     "SkewPopulation",
-    "epsilon_variant",
     "estimate_epsilon",
     "find_zero_crossing",
     "fit",

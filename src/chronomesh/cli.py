@@ -132,7 +132,8 @@ class RunManifest:
 # -- config plumbing ------------------------------------------------------
 
 def _load_config(path: str) -> dict[str, dict[str, str]]:
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    # values are literal: a manifest records paths and numbers as they were given
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
     try:
         with open(path, "r", encoding="ascii") as fh:
             parser.read_file(fh)
@@ -193,6 +194,13 @@ def _resolve(args: argparse.Namespace) -> RunManifest:
     out_dir = sections["run"]["out"]
     return RunManifest(command, seed, out_dir, __version__,
                        args.config or "(command line)", sections)
+
+
+def _make_out_dir(path: str) -> None:
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot use output directory {path}: {exc.strerror}") from None
 
 
 def _parse_int(raw: str, label: str) -> int:
@@ -439,7 +447,7 @@ def run_command(argv: list[str]) -> int:
         return int(exc.code or 0)
     try:
         manifest = _resolve(args)
-        os.makedirs(manifest.out_dir, exist_ok=True)
+        _make_out_dir(manifest.out_dir)
         _RUNNERS[manifest.command](manifest)
         with open(os.path.join(manifest.out_dir, "manifest.cfg"), "w",
                   encoding="ascii") as fh:

@@ -9,7 +9,7 @@ locates its first downward zero crossing; listeners roll a reading of that
 crossing into their windows; the phase then advances. The regimes differ
 only in data fixed when the network is built: which rows transmit and
 listen, which receivers probe the aggregate and where they search, and the
-frame the windows are fitted in.
+window step each fit predicts at (``ScenarioConfig.target``).
 
 - ``no_delay``: all nodes fire every phase, propagation is instantaneous and
   the whole network shares one crossing. Pathloss still scales amplitudes,
@@ -17,8 +17,9 @@ frame the windows are fitted in.
   the crossing does not depend on who listens.
 - ``even_odd``: nodes are split by parity; each phase one half fires while
   the other half listens, so a node never has to hear through its own
-  transmission. Windows hold every second instant, which changes the
-  extrapolation design but not the steady-state picture.
+  transmission. Windows hold every second instant, so the next own instant
+  is half a window step past the last reading; the steady-state picture is
+  the same.
 - ``delay``: propagation takes time. Transmitters subtract a random
   compensation delay drawn from the interior reception law, amplitudes carry
   the coupled gains of both legs, and the aggregate differs per receiver.
@@ -27,7 +28,8 @@ frame the windows are fitted in.
   waveform; interior nodes share the interior probe's crossing (the law is
   position independent inside), while boundary windows are refreshed at
   their assumed offset, which is exactly the steady-state premise the probes
-  test.
+  test. Every fit predicts at step m - epsilon; a boundary node then moves
+  its prediction by alpha (epsilon - eps_i) for its own offset.
 
 When the primary receiver finds no crossing (gated or no sign change), the
 phase is flagged ``failed`` and each listener holds over: it rolls in its own
@@ -53,14 +55,7 @@ import numpy as np
 from .channel import ChannelModel, DelayDistribution, PathlossDistribution, sample_fix
 from .clock import SkewPopulation
 from .errors import ConfigurationError
-from .estimator import (
-    EVEN_ODD,
-    STANDARD,
-    epsilon_variant,
-    fit,
-    predicted_variance,
-    shift_to_epsilon_frame,
-)
+from .estimator import fit, predicted_variance
 from .geometry import NodePosition, Region, place_nodes, positions_array
 from .rng import DOMAIN_INIT, DOMAIN_PHASE, DOMAIN_PLACEMENT, DOMAIN_SEED_SWEEP, derive_seed, substream
 from .parallel import run_indexed
@@ -127,17 +122,18 @@ class ScenarioConfig:
         return self.channel.region
 
     @property
-    def variant(self):
+    def target(self) -> float:
+        """Window step of the next instant, where a transmitter's fit predicts."""
         if self.regime == "even_odd":
-            return EVEN_ODD
+            return self.m - 0.5          # windows hold every second instant
         if self.regime == "delay":
-            return epsilon_variant(self.epsilon)
-        return STANDARD
+            return self.m - self.epsilon
+        return float(self.m)
 
     @property
     def fire_variance(self) -> float:
         """Variance of one node's firing error in its own clock units."""
-        return self.sigma2 * (1.0 + predicted_variance(self.variant, self.m, 1.0))
+        return self.sigma2 * (1.0 + predicted_variance(self.m, self.target, 1.0))
 
 
 @dataclass(frozen=True)
@@ -213,7 +209,6 @@ class NetworkState:
 
         self.probes: list[int] = []
         self.rx_gain_dist: PathlossDistribution | None = None
-        self.frame_offsets: np.ndarray | None = None   # delay: fit in the interior frame
         self.fix_receiver: NodePosition | None = None  # delay: compensation law's receiver
         if config.regime == "delay":
             self.schedules = self._delay_schedules()
@@ -270,7 +265,6 @@ class NetworkState:
             (node, DelayDistribution(self.channel, NodePosition(*self.positions[node])),
              float(self.eps_i[node]))
             for node in self.probes)
-        self.frame_offsets = self.eps_i
         if cfg.compensate_delay:
             self.fix_receiver = NodePosition(*self.positions[self.probes[0]])
         return (Schedule(_ALL, _ALL, self.interior, receivers),)
@@ -338,16 +332,19 @@ def _transmit(state: NetworkState, sched: Schedule, rng: np.random.Generator):
 
     Only phi_hat (and the slope when compensating) outlives the fit; the
     in-place steps keep the order of (phi + alpha d_fix - jitter) / alphas + deltas.
+    Delay-regime readings sit at integers + eps_i while the target assumes
+    integers + epsilon; the fit is linear in a constant shift, so adding
+    alpha (epsilon - eps_i), with the node's true skew, makes up the difference.
     """
     cfg = state.config
     tx = sched.transmit
-    frame = state.windows[tx]
-    if state.frame_offsets is not None:
-        frame = shift_to_epsilon_frame(frame, state.alphas[tx], state.frame_offsets[tx],
-                                       cfg.epsilon)
-    report = fit(frame, cfg.variant)
-    del frame
+    report = fit(state.windows[tx], cfg.target)
     fires = report.phi_hat
+    if state.eps_i is not None:
+        shift = np.subtract(cfg.epsilon, state.eps_i[tx])
+        shift *= state.alphas[tx]
+        fires += shift
+        del shift
     if state.fix_receiver is not None:
         skew = state.alphas[tx] if cfg.oracle_alpha else report.alpha_hat
     del report
@@ -428,7 +425,7 @@ def run_phase(state: NetworkState) -> PhaseReport:
         _roll_windows(state.windows, sched.listen, readings[sched.listen])
     else:
         # holdover: roll in the reading each listener predicted for this instant
-        held = fit(state.windows[sched.listen], STANDARD).phi_hat
+        held = fit(state.windows[sched.listen], state.config.m).phi_hat
         _roll_windows(state.windows, sched.listen, held)
 
     phase_index = state.phase_count

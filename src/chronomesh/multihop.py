@@ -119,8 +119,7 @@ def _variance_trend(hops: np.ndarray, variances: np.ndarray) -> tuple[float, flo
     return float(slope), float(my - slope * mx)
 
 
-def run_cascade(config: HopChainConfig, trials: int,
-                rng: np.random.Generator | None = None) -> CascadeReport:
+def run_cascade(config: HopChainConfig, trials: int) -> CascadeReport:
     """Simulate the relay chain across independent trials.
 
     One Gaussian slope error per hop; the m-pulse fit is its exact law. The
@@ -131,7 +130,7 @@ def run_cascade(config: HopChainConfig, trials: int,
     """
     if trials < 2:
         raise ConfigurationError("variance needs at least two trials")
-    rng = rng or substream(config.seed, DOMAIN_TRIAL)
+    rng = substream(config.seed, DOMAIN_TRIAL)
     centered = np.arange(config.m) - (config.m - 1) / 2.0
     sd = math.sqrt(config.sigma2 / np.dot(centered, centered))
 

@@ -23,14 +23,7 @@ from chronomesh.engine import (
     run_phase,
     run_phases,
 )
-from chronomesh.estimator import (
-    EVEN_ODD,
-    STANDARD,
-    alpha_variance,
-    epsilon_variant,
-    fit,
-    predicted_variance,
-)
+from chronomesh.estimator import alpha_variance, fit, predicted_variance
 from chronomesh.geometry import NodePosition, Region
 from chronomesh.multihop import HopChainConfig, run_cascade
 from chronomesh.pco import PcoConfig, log_charging_map, pco_run_to_sync, random_phases
@@ -94,10 +87,17 @@ def test_criterion_2_crossing_polarity_and_odd_symmetry():
     assert time.perf_counter() - start < 60.0
 
 
-def _matrix_variance(variant, m: int) -> float:
-    x = variant.regressors(m)
-    design = np.column_stack([np.ones(m), x])
-    row = np.array([1.0, variant.target_step(m)])
+def _designs(m: int) -> list:
+    """The paper's standard, even_odd and two epsilon designs on their original
+    axes, as (regressors, target, window step given to the one-number fit)."""
+    k = np.arange(m, dtype=float)
+    return [(k, m, m), (2 * k, 2 * m - 1, m - 0.5),
+            (k + 0.3, m, m - 0.3), (k - 0.5, m, m + 0.5)]
+
+
+def _matrix_variance(x: np.ndarray, target: float) -> float:
+    design = np.column_stack([np.ones(x.size), x])
+    row = np.array([1.0, target])
     return float(row @ np.linalg.inv(design.T @ design) @ row)
 
 
@@ -105,17 +105,17 @@ def test_criterion_3_prediction_variance_closed_forms():
     start = time.perf_counter()
     m, trials = 3, 100_000
     rng = np.random.default_rng(20240601)
-    variants = [STANDARD, EVEN_ODD, epsilon_variant(0.3), epsilon_variant(-0.5)]
-    for variant in variants:
+    for _, _, step in _designs(m):
         noise = rng.standard_normal((trials, m))
-        phi = fit(noise, variant).phi_hat
-        assert phi.var(ddof=1) == pytest.approx(predicted_variance(variant, m),
+        phi = fit(noise, step).phi_hat
+        assert phi.var(ddof=1) == pytest.approx(predicted_variance(m, step),
                                                 rel=0.03)
-    # the closed forms agree with the explicit design-matrix algebra
-    for variant in variants:
-        for m_i in range(2, 51):
-            assert predicted_variance(variant, m_i) == pytest.approx(
-                _matrix_variance(variant, m_i), rel=1e-12)
+    # the closed form agrees with the explicit design-matrix algebra on the
+    # paper's original regressors
+    for m_i in range(2, 51):
+        for x, target, step in _designs(m_i):
+            assert predicted_variance(m_i, step) == pytest.approx(
+                _matrix_variance(x, target), rel=1e-12)
     assert time.perf_counter() - start < 30.0
 
 
@@ -123,7 +123,7 @@ def test_criterion_4_skew_estimate_law():
     m, trials = 3, 100_000
     rng = np.random.default_rng(77)
     noise = rng.standard_normal((trials, m))
-    alpha_hat = fit(noise, STANDARD).alpha_hat
+    alpha_hat = fit(noise, m).alpha_hat
     target = alpha_variance(m)
     assert target == pytest.approx(12.0 / ((m - 1) * m * (m + 1)), rel=1e-12)
     assert alpha_hat.var(ddof=1) == pytest.approx(target, rel=0.03)

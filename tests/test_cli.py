@@ -55,6 +55,16 @@ def test_manifest_rerun_reproduces_outputs(tmp_path):
         read_bytes(os.path.join(out_b, "phases.csv"))
 
 
+def test_manifest_with_a_percent_sign_reruns(tmp_path):
+    # manifest values are literal, so a "%" in a recorded path is no interpolation
+    out_a, out_b = str(tmp_path / "p%1"), str(tmp_path / "rr")
+    assert cli.run_command(["steady", "--nodes", "50", "--out", out_a]) == 0
+    manifest = os.path.join(out_a, "manifest.cfg")
+    assert cli.run_command(["--config", manifest, "--out", out_b]) == 0
+    assert read_bytes(os.path.join(out_a, "phases.csv")) == \
+        read_bytes(os.path.join(out_b, "phases.csv"))
+
+
 def test_multihop_manifest_rerun_reproduces_outputs(tmp_path):
     out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")
     assert cli.run_command(["multihop", "--hops", "7", "--m", "4", "--sigma2", "0.5",
@@ -312,6 +322,17 @@ def test_usage_errors_exit_two(tmp_path):
         out = tmp_path / f"{command}-{value}"
         assert cli.run_command([command, "--sigma2", value, "--out", str(out)]) == 2
         assert not list(out.glob("*.csv"))
+
+
+@pytest.mark.parametrize("leaf", [None, "sub"])
+def test_out_through_an_existing_file_exits_two(tmp_path, capsys, leaf):
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n", encoding="ascii")
+    out = afile if leaf is None else afile / leaf
+    assert cli.run_command(["steady", "--nodes", "50", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("chronomesh: error:") and str(out) in err
+    assert afile.read_text(encoding="ascii") == "kept\n"
 
 
 def test_numeric_failures_exit_three(tmp_path, monkeypatch):

@@ -25,7 +25,7 @@ from chronomesh.engine import (
     run_phases,
 )
 from chronomesh.errors import ConfigurationError
-from chronomesh.estimator import STANDARD, fit
+from chronomesh.estimator import fit
 from chronomesh.geometry import Region
 from chronomesh.waveform import EventArray
 
@@ -228,7 +228,7 @@ def test_gate_blocks_weak_aggregate():
     assert rep.crossing is None
     # holdover: each window rolls in its own extrapolation of the missed instant
     assert np.array_equal(st.windows[:, :-1], before[:, 1:])
-    assert np.array_equal(st.windows[:, -1], fit(before, STANDARD).phi_hat)
+    assert np.array_equal(st.windows[:, -1], fit(before, cfg.m).phi_hat)
     assert not any(cr.ok for cr in rep.crossings.values())
     # the phase counter still advances so later phases stay on schedule
     assert st.next_center == 4
@@ -374,6 +374,20 @@ def test_delay_boundary_windows_keep_assumed_offset():
                           np.full(boundary.sum(), rep.center + 0.05))
     interior_reading = st.windows[st.interior][:, -1]
     assert np.allclose(interior_reading, rep.crossing, atol=0)
+
+
+def test_delay_boundary_nodes_fire_on_the_instant(built_fires):
+    # Noiseless windows read at each node's assumed offset; the fit predicts
+    # in the interior frame and alpha (epsilon - eps_i) moves boundary nodes
+    # back, so every node, skewed or not, fires on the instant itself.
+    cfg = ScenarioConfig(n_nodes=3000, sigma2=0.0, regime="delay", seed=7,
+                         epsilon=0.03, boundary_epsilon=0.05, compensate_delay=False)
+    st = NetworkState(cfg)
+    assert np.any(~st.interior) and np.ptp(st.alphas) > 0.01
+    center = st.next_center
+    run_phase(st)
+    for fires in built_fires:
+        assert np.allclose(fires, center, rtol=0.0, atol=1e-9)
 
 
 def test_uncompensated_fixed_point_is_gain_weighted_delay():

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from chronomesh import multihop
 from chronomesh.errors import ConfigurationError
 from chronomesh.multihop import (
     CascadeReport,
@@ -105,21 +106,30 @@ def test_slope_recursion_matches_per_pulse_oracle(cfg):
     assert np.allclose(oracle, 1.0, rtol=0.0, atol=1e-12)
 
 
-def test_cascade_draws_one_normal_per_trial_per_hop():
+def test_cascade_draws_one_normal_per_trial_per_hop(monkeypatch):
     cfg = HopChainConfig(hops=9, m=5, sigma2=0.3)
     rng, reference = np.random.default_rng(17), np.random.default_rng(17)
-    run_cascade(cfg, trials=321, rng=rng)
+    monkeypatch.setattr(multihop, "substream", lambda *key: rng)
+    run_cascade(cfg, trials=321)
     for _ in range(cfg.hops - 1):
         reference.standard_normal(321)
     assert rng.bit_generator.state == reference.bit_generator.state
 
 
-def test_same_seed_reproduces():
+def test_same_seed_reproduces(monkeypatch):
     cfg = HopChainConfig(hops=4, m=3, sigma2=1.0, seed=8)
     a = run_cascade(cfg, trials=500)
     b = run_cascade(cfg, trials=500)
     assert np.array_equal(a.empirical_variances, b.empirical_variances)
-    external = run_cascade(cfg, trials=500, rng=substream(8, DOMAIN_TRIAL))
+    keys = []
+
+    def recorded(*key):
+        keys.append(key)
+        return substream(*key)
+
+    monkeypatch.setattr(multihop, "substream", recorded)
+    external = run_cascade(cfg, trials=500)
+    assert keys == [(8, DOMAIN_TRIAL)]
     assert np.array_equal(a.empirical_variances, external.empirical_variances)
 
 
