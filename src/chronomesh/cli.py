@@ -132,8 +132,10 @@ class RunManifest:
 # -- config plumbing ------------------------------------------------------
 
 def _load_config(path: str) -> dict[str, dict[str, str]]:
-    # values are literal: a manifest records paths and numbers as they were given
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
+    # values are literal: a manifest records paths and numbers as they were
+    # given, so neither "%" nor an inline "#" is special; "#" starts a comment
+    # only at the start of a line
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         with open(path, "r", encoding="ascii") as fh:
             parser.read_file(fh)

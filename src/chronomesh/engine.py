@@ -194,6 +194,7 @@ class NetworkState:
             self.interior = edge >= channel.max_range
         else:
             self.interior = np.ones(n, dtype=bool)
+        del edge
 
         self.eps_i = (np.where(self.interior, config.epsilon, config.boundary_epsilon)
                       if config.regime == "delay" else None)
@@ -270,33 +271,38 @@ class NetworkState:
         return (Schedule(_ALL, _ALL, self.interior, receivers),)
 
     def _init_windows(self, rng: np.random.Generator):
-        """Steady-state windows: exact past instants read with fresh jitter."""
+        """Steady-state windows: exact past instants read with fresh jitter.
+
+        The jitter is drawn straight into the window buffer, then each column
+        adds alphas * (instant - deltas), one node vector at a time.
+        """
         cfg = self.config
         m = cfg.m
-        n = cfg.n_nodes
-        steps = np.arange(m, dtype=float)
-        # Built in two (n, m) buffers, in the arithmetic order of
-        # alphas * (instants - deltas) + jitter * sigma.
-        jitter = self._jitter(rng, (n, m))
-        windows = np.empty((n, m))
+        windows = np.empty((cfg.n_nodes, m))
+        rng.standard_normal(out=windows)
+        windows *= self.sigma
+        windows[0] = 0.0
         if cfg.regime == "even_odd":
             # the coming phase's transmitters hold tau0-(2m-1), ..., tau0-1;
             # its listeners hold tau0-2m, ..., tau0-2, so both are spaced by 2
             first = np.where(self.schedule.transmit, self.next_center - (2 * m - 1),
                              self.next_center - 2 * m)
-            np.add(first[:, None], 2.0 * steps, out=windows)
-        else:
-            windows[:] = (self.next_center - m) + steps
-            if cfg.regime == "delay":
-                windows += self.eps_i[:, None]
-        windows -= self.deltas[:, None]
-        windows *= self.alphas[:, None]
-        windows += jitter
+        reading = np.empty(cfg.n_nodes)
+        for k in range(m):
+            if cfg.regime == "even_odd":
+                np.add(first, 2.0 * k, out=reading)
+            else:
+                reading.fill(self.next_center - m + k)
+                if cfg.regime == "delay":
+                    reading += self.eps_i
+            reading -= self.deltas
+            reading *= self.alphas
+            windows[:, k] += reading
         self.windows = windows
 
-    def _jitter(self, rng: np.random.Generator, shape) -> np.ndarray:
-        """Readout jitter, one row per node; node 0's row is exactly zero."""
-        draws = rng.normal(0.0, 1.0, size=shape)
+    def _jitter(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """Readout jitter, one entry per node; node 0's is exactly zero."""
+        draws = rng.normal(0.0, 1.0, size=size)
         draws *= self.sigma
         draws[0] = 0.0
         return draws

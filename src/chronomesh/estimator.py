@@ -17,9 +17,9 @@ The regimes differ only in that number:
 
 ``alpha_hat`` is the slope per window step: the clock skew where windows are
 one instant apart, 2 alpha for even_odd windows. Only the delay regime reads
-it. Fits use the explicit 2x2 normal equations; the closed-form variances
-below are exact for white noise and are checked against direct matrix
-evaluation in the tests.
+it. Fits use the explicit 2x2 normal equations; the closed-form prediction
+variance below is exact for white noise and is checked against direct
+matrix evaluation in the tests.
 """
 
 from __future__ import annotations
@@ -29,6 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
+
+_FIT_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -47,30 +49,38 @@ def _check_window_length(m: int):
 def fit(window: np.ndarray, target: float) -> EstimateReport:
     """Least-squares line through the window(s), predicted at step ``target``.
 
-    The window axis is the last; leading axes are independent windows.
-    After the two sums every step runs in place, in the textbook order, so at
-    most four window-count buffers are live and no intercept array is kept.
+    The window axis is the last; leading axes are independent windows. Rows
+    go through the textbook normal equations in blocks of ``_FIT_BLOCK``, so
+    only the two outputs are window-count sized; every element sees the same
+    operations in the same order as a whole-array evaluation.
     """
     values = np.asarray(window, dtype=float)
     m = values.shape[-1]
     _check_window_length(m)
+    if values.ndim == 1:
+        phi, slope = _fit_rows(values, target)
+        return EstimateReport(phi_hat=float(phi), alpha_hat=float(slope))
+    rows = values.reshape(-1, m)
+    phi = np.empty(rows.shape[0])
+    slope = np.empty(rows.shape[0])
+    for start in range(0, rows.shape[0], _FIT_BLOCK):
+        block = slice(start, start + _FIT_BLOCK)
+        phi[block], slope[block] = _fit_rows(rows[block], target)
+    return EstimateReport(phi_hat=phi.reshape(values.shape[:-1]),
+                          alpha_hat=slope.reshape(values.shape[:-1]))
+
+
+def _fit_rows(values: np.ndarray, target: float):
+    m = values.shape[-1]
     x = np.arange(m, dtype=float)
     sum_x = x.sum()
     sum_xx = (x * x).sum()
     det = m * sum_xx - sum_x * sum_x
-    sum_y = np.atleast_1d(values.sum(axis=-1))
-    sum_xy = np.atleast_1d(values @ x)
-    slope = np.multiply(m, sum_xy)
-    term = np.multiply(sum_x, sum_y)
-    slope -= term
-    slope /= det
-    phi = np.multiply(sum_xx, sum_y, out=sum_y)
-    phi -= np.multiply(sum_x, sum_xy, out=term)
-    phi /= det                                      # the intercept
-    phi += np.multiply(target, slope, out=term)
-    if values.ndim == 1:
-        return EstimateReport(phi_hat=float(phi[0]), alpha_hat=float(slope[0]))
-    return EstimateReport(phi_hat=phi, alpha_hat=slope)
+    sum_y = values.sum(axis=-1)
+    sum_xy = values @ x
+    slope = (m * sum_xy - sum_x * sum_y) / det
+    intercept = (sum_xx * sum_y - sum_x * sum_xy) / det
+    return intercept + target * slope, slope
 
 
 def predicted_variance(m: int, target: float, sigma2: float = 1.0) -> float:
@@ -80,8 +90,3 @@ def predicted_variance(m: int, target: float, sigma2: float = 1.0) -> float:
     return sigma2 * ((m - 1.0) * (m + 1.0) + 12.0 * lever * lever) / (
         (m - 1.0) * m * (m + 1.0))
 
-
-def alpha_variance(m: int, sigma2: float = 1.0) -> float:
-    """Exact variance of the slope estimate per window step, whatever the target."""
-    _check_window_length(m)
-    return sigma2 * 12.0 / ((m - 1.0) * m * (m + 1.0))

@@ -4,8 +4,15 @@ Every transmitter contributes a scaled, shifted copy of one odd pulse, the
 half-sine p(t) = -sin(pi t / tau_nz) on the support (-tau_nz, tau_nz) and 0
 outside it: positive before the crossing at t = 0, negative after it, with
 peak 1. Receivers estimate the common transmit instant as the first
-downward zero crossing of the summed waveform, found on a coarse grid and
-polished by bisection.
+downward zero crossing of the summed waveform.
+
+While every arrival lies inside one pulse support the aggregate is a single
+sinusoid, -A sin(pi (t - phi) / tau_nz) with A e^{i pi phi / tau_nz} =
+sum_i scale_i e^{i pi arrival_i / tau_nz}, so the crossing is phi, read off
+two weighted sums. find_zero_crossing takes that closed form whenever the
+scales are non-negative and the arrivals span less than tau_nz / 2, which
+holds for the engine's default supports. Otherwise it falls back to a scan
+on a coarse grid polished by bisection.
 
 The infinite-density limit of the aggregate is a deterministic waveform:
 the pulse smoothed by the transmit-error law and averaged over the skew
@@ -18,6 +25,7 @@ simulator itself needs numpy alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,7 +161,9 @@ class CrossingReport:
     """Outcome of a zero-crossing search on one aggregate waveform."""
 
     location: float | None       # refined crossing time; None if not usable
-    max_amplitude: float         # sup of |aggregate| over the search grid
+    max_amplitude: float         # closed form: the sinusoid's amplitude A, the
+                                 # aggregate's peak; scan: sup of |aggregate|
+                                 # over the search grid
     gated: bool                  # amplitude never cleared the detection gate
     no_crossing: bool            # gate cleared but no downward sign change
 
@@ -166,11 +176,74 @@ def find_zero_crossing(events: EventArray, pulse: Pulse, search_center: float,
                        gate: float = 0.0) -> CrossingReport:
     """Locate the first downward zero crossing near the search centre.
 
-    Scans (search_center - tau_nz, search_center + tau_nz) on a uniform grid
-    of step about tau_nz / 1000 for the first positive-to-non-positive sign
-    change, then bisects until the amplitude magnitude drops below 1e-12 or
-    the bracket is narrower than 1e-12.
+    Closed form, when the scales are non-negative and the arrivals span less
+    than tau_nz / 2: every arrival is then in support on [a_min, a_max],
+    where the aggregate is -A sin(pi (t - phi) / tau_nz). Before a_min every
+    term is non-negative and after a_max none is positive, so phi, taken
+    modulo 2 tau_nz into [a_min, a_max], is the first downward crossing, and
+    A, the aggregate's peak, is what the gate sees. A = 0, or a phi farther
+    than tau_nz from the search centre, reports no crossing.
+
+    Otherwise it scans [search_center - tau_nz, search_center + tau_nz] on a
+    uniform grid of step about tau_nz / 1000 for the first
+    positive-to-non-positive sign change, then bisects until the amplitude
+    magnitude drops below 1e-12 or the bracket is narrower than 1e-12.
     """
+    tau = pulse.tau_nz
+    sums = _single_support_sums(events, tau, search_center)
+    if sums is None:
+        return _scan_crossing(events, pulse, search_center, gate)
+    sin_sum, cos_sum, lo, hi = sums
+    amplitude = math.hypot(sin_sum, cos_sum)
+    if amplitude < gate:
+        return CrossingReport(location=None, max_amplitude=amplitude, gated=True,
+                              no_crossing=False)
+    offset = tau / math.pi * math.atan2(sin_sum, cos_sum)
+    # atan2 fixes phi modulo 2 tau; the crossing lies among the arrivals
+    offset += 2.0 * tau * round((0.5 * (lo + hi) - offset) / (2.0 * tau))
+    if amplitude == 0.0 or not abs(offset) <= tau:
+        return CrossingReport(location=None, max_amplitude=amplitude, gated=False,
+                              no_crossing=True)
+    return CrossingReport(location=float(search_center + offset), max_amplitude=amplitude,
+                          gated=False, no_crossing=False)
+
+
+def _single_support_sums(events: EventArray, tau: float, center: float):
+    """S and C of the arrivals about ``center``, with their least and greatest.
+
+    None when the closed form does not apply: a negative or nan scale, or
+    arrivals spanning tau / 2 or more (nan arrivals included). Arrivals are
+    formed a block at a time, so nothing event-sized is allocated.
+    """
+    sin_sum = cos_sum = 0.0
+    lo, hi = math.inf, -math.inf
+    for start in range(0, events.count, _ANGLE_BLOCK):
+        block = slice(start, start + _ANGLE_BLOCK)
+        weight = events.scale[block]
+        if not weight.min() >= 0.0:
+            return None
+        if events.delay is None:
+            angle = np.subtract(events.fire[block], center)
+        else:
+            angle = np.add(events.fire[block], events.delay[block])
+            angle -= center
+        lo, hi = np.minimum(lo, angle.min()), np.maximum(hi, angle.max())  # nan sticks
+        if not hi - lo < 0.5 * tau:
+            return None
+        angle *= np.pi
+        angle /= tau
+        trig = np.sin(angle)
+        trig *= weight
+        sin_sum += float(trig.sum())
+        np.cos(angle, out=trig)
+        trig *= weight
+        cos_sum += float(trig.sum())
+    return sin_sum, cos_sum, float(lo), float(hi)
+
+
+def _scan_crossing(events: EventArray, pulse: Pulse, search_center: float,
+                   gate: float) -> CrossingReport:
+    """The fallback: grid scan and bisection over the search window."""
     waveform = AggregateEvaluator(events, pulse)
     # Not a literal 1000: tau / (tau / 1000) rounds up to 1001 for some tau
     # (17.3 is one), and the pinned crossings were found on that grid.

@@ -23,12 +23,13 @@ from chronomesh.engine import (
     run_phase,
     run_phases,
 )
-from chronomesh.estimator import alpha_variance, fit, predicted_variance
+from chronomesh.estimator import fit, predicted_variance
 from chronomesh.geometry import NodePosition, Region
 from chronomesh.multihop import HopChainConfig, run_cascade
 from chronomesh.pco import PcoConfig, log_charging_map, pco_run_to_sync, random_phases
 from chronomesh.rng import DOMAIN_SEED_SWEEP, substream
 from chronomesh.waveform import LimitSpec, Pulse, evaluate_aggregate, limit_waveform
+from test_estimator import alpha_variance
 
 
 def test_criterion_1_dense_network_crossing_near_target():

@@ -65,6 +65,28 @@ def test_manifest_with_a_percent_sign_reruns(tmp_path):
         read_bytes(os.path.join(out_b, "phases.csv"))
 
 
+def test_manifest_with_a_hash_in_a_value_reruns_in_place(tmp_path):
+    # "#" starts a comment only at the start of a line, so " #" in a
+    # recorded path is part of the value
+    out = tmp_path / "q #1"
+    assert cli.run_command(["steady", "--nodes", "50", "--out", str(out)]) == 0
+    first = read_bytes(out / "phases.csv")
+    (out / "phases.csv").unlink()
+    assert cli.run_command(["--config", str(out / "manifest.cfg")]) == 0
+    assert read_bytes(out / "phases.csv") == first
+    assert not (tmp_path / "q").exists()
+
+
+def test_full_line_comments_in_a_config_are_skipped(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# a comment before any section\n[run]\ncommand = steady\n"
+                   "# seed = 9\n[scenario]\n; nodes = 7\nnodes = 60\n", encoding="ascii")
+    out = tmp_path / "out"
+    assert cli.run_command(["--config", str(cfg), "--out", str(out)]) == 0
+    manifest = (out / "manifest.cfg").read_text(encoding="ascii").splitlines()
+    assert "nodes = 60" in manifest and "seed = 0" in manifest
+
+
 def test_multihop_manifest_rerun_reproduces_outputs(tmp_path):
     out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")
     assert cli.run_command(["multihop", "--hops", "7", "--m", "4", "--sigma2", "0.5",
@@ -184,21 +206,22 @@ def test_pco_event_log_bytes_are_pinned(tmp_path):
 # SHA-256 digests pinning the phase, waveform, channel-sample, relay-chain and
 # pco outputs: a change to any stream, to the arithmetic behind a value or to
 # the CSV format shows up here. Each case is (argv, config body or None,
-# {file: digest}).
+# {file: digest}). The crossings, and crossing.csv's max_amplitude, are the
+# closed form's.
 OUTPUT_PINS = {
     "steady": (
         ["steady", "--nodes", "2000", "--phases", "3", "--seed", "7"], None,
-        {"phases.csv": "7047ce58ff65ab24d2f6dc7f6a71c0082e0d734e84f8c797771a1416554aa9b3"}),
+        {"phases.csv": "b994d6550a7252438495e98e1251617b09d0f4c9f894eb165917ef1d427308f8"}),
     "evenodd": (
         ["evenodd", "--nodes", "2000", "--phases", "3", "--seed", "4"], None,
-        {"phases.csv": "897c50b5fce2996e2b90e828e655709232438bd24dc5600b1af77fa45ebb30f5"}),
+        {"phases.csv": "9ee5f3bdbfa55ed0ec73c066eb99c18b7d0ccc069015e3bf4d65c44ff63f6ed6"}),
     "delay": (
         ["delay", "--nodes", "2000", "--phases", "2", "--seed", "5"], None,
-        {"phases.csv": "5570be4f617228a6e08c3eff0ef2749e0b83fae98d98b545e68c7bc9b44c3234"}),
+        {"phases.csv": "c44b21f4d543075db1279766384f217bc9ab8965831a4aae26edbf9a16d4d38b"}),
     "waveform": (
         ["waveform", "--nodes", "400", "--sigma2", "0.003", "--seed", "2"], None,
         {"waveform.csv": "b147ef86905f97c2080f1b683ee9ac9dae5b8b1d51282a427f7a1a4eea695217",
-         "crossing.csv": "586a0e01f515d7d57af7b869d49dff8de6c7341b9a1871875caea3ece63ed510"}),
+         "crossing.csv": "38e53c2dcfbb124ce52eb418ef9becd8f06a7f502fddddf477c87fb6ea57eeed"}),
     "samples": (
         ["channel-sample", "--trials", "400", "--seed", "8"], None,
         {"samples.csv": "796d1865bd891e7d94aaaface644e68ea6d51a6b19f2d33305643d6364defb10"}),

@@ -12,6 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from chronomesh import engine
 from chronomesh.channel import ChannelModel
 from chronomesh.clock import SkewPopulation
 from chronomesh.engine import (
@@ -27,7 +28,8 @@ from chronomesh.engine import (
 from chronomesh.errors import ConfigurationError
 from chronomesh.estimator import fit
 from chronomesh.geometry import Region
-from chronomesh.waveform import EventArray
+from chronomesh.waveform import EventArray, find_zero_crossing
+from test_waveform import assert_matches_scan, scan_crossing
 
 
 def quiet_config(**kw):
@@ -195,11 +197,13 @@ def test_same_seed_reproduces_bitwise():
 # First three primary crossings of a 2000-node network, seed 3. Exact
 # equality pins every RNG stream and the order of every floating-point
 # operation on the build and phase paths, so a change made for memory or
-# speed alone must leave these values untouched.
+# speed alone must leave these values untouched. Taken with the closed-form
+# crossing; the earlier pins, found by grid scan and bisection, differ from
+# these by at most 1.6e-10.
 PINNED_CROSSINGS = {
-    "no_delay": (3.0014524323848635, 4.002622021010557, 5.002183904838384),
-    "even_odd": (6.001542274877169, 7.003621281811673, 8.001283840231029),
-    "delay": (2.986586741693727, 3.9816729747332067, 4.9979051783844675),
+    "no_delay": (3.0014524323806495, 4.002622021013744, 5.002183904848987),
+    "even_odd": (6.001542274878006, 7.0036212818123245, 8.001283840234246),
+    "delay": (2.9865867418297394, 3.981672974884989, 4.997905178315389),
 }
 
 
@@ -207,6 +211,48 @@ PINNED_CROSSINGS = {
 def test_crossings_are_bit_identical_to_pinned_values(regime):
     st = NetworkState(ScenarioConfig(n_nodes=2000, regime=regime, seed=3))
     assert tuple(run_phase(st).crossing for _ in range(3)) == PINNED_CROSSINGS[regime]
+
+
+@pytest.mark.parametrize("regime", ["no_delay", "even_odd", "delay"])
+def test_closed_form_crossings_agree_with_the_scan(monkeypatch, regime):
+    # Every receiver of every phase, both delay probes included, takes the
+    # closed form; the scan over the same events finds the same crossing.
+    seen = []
+    closed_form = engine.find_zero_crossing
+
+    def both(events, pulse, search_center, gate=0.0):
+        report = closed_form(events, pulse, search_center, gate)
+        assert np.ptp(events.arrival) < pulse.tau_nz / 2
+        seen.append((report, scan_crossing(events, pulse, search_center, gate)))
+        return report
+
+    monkeypatch.setattr(engine, "find_zero_crossing", both)
+    st = NetworkState(ScenarioConfig(n_nodes=2000, regime=regime, seed=3))
+    run_phases(st, 3)
+    assert len(seen) == 3 * (2 if regime == "delay" else 1)
+    for report, scan in seen:
+        assert report.ok
+        assert_matches_scan(report, scan)
+
+
+def test_support_narrower_than_twice_the_spread_takes_the_scan(monkeypatch):
+    # a user tau_nz below twice the arrival spread: find_zero_crossing falls
+    # back to the scan, and the phase still finds its crossing
+    seen = []
+    search = engine.find_zero_crossing
+
+    def scanned(events, pulse, search_center, gate=0.0):
+        report = search(events, pulse, search_center, gate)
+        assert np.ptp(events.arrival) >= pulse.tau_nz / 2
+        assert report == scan_crossing(events, pulse, search_center, gate)
+        seen.append(report)
+        return report
+
+    monkeypatch.setattr(engine, "find_zero_crossing", scanned)
+    st = NetworkState(ScenarioConfig(n_nodes=2000, seed=3, tau_nz=0.2))
+    reports = run_phases(st, 2)
+    assert len(seen) == 2 and all(r.ok for r in seen)
+    assert all(abs(rep.crossing - rep.center) < 0.02 for rep in reports)
 
 
 def test_even_odd_aggregate_uses_the_reporting_listeners_gain_law():
@@ -269,7 +315,38 @@ def test_no_delay_memory_stays_within_a_few_node_vectors():
     finally:
         tracemalloc.stop()
     assert report.crossing is not None
-    assert peak - entry <= 5.5 * vector
+    # the coverage bisection's block workspace is about 1.6 of these at this n
+    assert peak - entry <= 4.0 * vector
+
+
+def traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+
+
+def test_fit_and_crossing_work_in_blocks():
+    # fit holds its two outputs plus block temporaries; the closed-form
+    # crossing holds block temporaries only
+    n = 200_000
+    vector = 8 * n
+    st = NetworkState(ScenarioConfig(n_nodes=n, regime="no_delay", seed=0))
+    events, center = no_delay_phase_events(st)
+    assert traced_peak(lambda: fit(st.windows, 3.0)) <= 2.6 * vector
+    assert traced_peak(lambda: find_zero_crossing(events, st.pulse, center)) <= 0.3 * vector
+
+
+def test_no_delay_build_stays_within_a_few_node_vectors():
+    # positions (2), skews, offsets and windows (3) are kept; the jitter is
+    # drawn into the windows, so one more node vector is the working space.
+    n = 200_000
+    config = ScenarioConfig(n_nodes=n, regime="no_delay", seed=0)
+    NetworkState(replace(config, n_nodes=10))  # pays the first build's lazy imports
+    assert traced_peak(lambda: NetworkState(config)) <= 8.5 * 8 * n
 
 
 def test_phase_reports_hold_no_node_vectors():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from chronomesh.errors import DomainError
-from chronomesh.estimator import alpha_variance, fit, predicted_variance
+from chronomesh.estimator import _FIT_BLOCK, fit, predicted_variance
 
 
 @dataclass(frozen=True)
@@ -51,6 +51,11 @@ def epsilon_design(offset: float) -> Design:
 
 ALL_DESIGNS = [STANDARD, EVEN_ODD, epsilon_design(0.3),
                epsilon_design(-0.5), epsilon_design(1.0)]
+
+
+def alpha_variance(m: int, sigma2: float = 1.0) -> float:
+    """Oracle: exact variance of the slope estimate per window step, whatever the target."""
+    return sigma2 * 12.0 / ((m - 1.0) * m * (m + 1.0))
 
 
 def matrix_variance(design: Design, m: int, row: np.ndarray) -> float:
@@ -97,11 +102,14 @@ class TestExactFits:
 
     @pytest.mark.parametrize("design", [STANDARD, EVEN_ODD, epsilon_design(0.37)],
                              ids=["standard", "even_odd", "epsilon"])
-    @pytest.mark.parametrize("shape", [(3,), (6,), (1000, 3), (20, 5)])
+    @pytest.mark.parametrize("shape", [(3,), (6,), (1000, 3), (20, 5),
+                                       (2 * _FIT_BLOCK + 77, 3), (4, 5, 3)])
     def test_fit_matches_textbook_bitwise(self, design, shape):
         # Bitwise for the unit and doubled designs: doubling every regressor
         # scales each sum by an exact power of two. An offset design differs
-        # from the one-number fit only by rounding.
+        # from the one-number fit only by rounding. The textbook runs on whole
+        # arrays, so more than two row blocks with a ragged last one check
+        # that fit's blocking moves no bit.
         rng = np.random.default_rng(sum(shape))
         windows = 7.0 + np.arange(shape[-1]) * 1.01 + rng.normal(0.0, 0.01, size=shape)
         before = windows.copy()

@@ -13,11 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chronomesh
+from chronomesh import waveform
 from chronomesh.clock import SkewPopulation
 from chronomesh.errors import DomainError, NumericsError
 from chronomesh.waveform import (
     _ANGLE_BLOCK,
     AggregateEvaluator,
+    CrossingReport,
     EventArray,
     LimitSpec,
     Pulse,
@@ -44,6 +46,46 @@ def full_array_prefixes(events: EventArray, pulse: Pulse):
     cos_prefix = np.concatenate(([0.0], np.cumsum(np.cos(angle) * scale)))
     sin_prefix = np.concatenate(([0.0], np.cumsum(np.sin(angle) * scale)))
     return arrivals, cos_prefix, sin_prefix
+
+
+def scan_crossing(events: EventArray, pulse: Pulse, center: float,
+                  gate: float = 0.0) -> CrossingReport:
+    """Oracle: the grid scan and bisection, on the sorted prefix-sum evaluator.
+
+    The same first-crossing rule find_zero_crossing falls back to, written
+    out here so the closed form is always checked against an independent scan.
+    """
+    aggregate = AggregateEvaluator(events, pulse)
+    tau = pulse.tau_nz
+    grid = center + np.linspace(-tau, tau, 2 * int(np.ceil(tau / (tau / 1000.0))) + 1)
+    amps = aggregate(grid)
+    peak = float(np.max(np.abs(amps)))
+    if peak < gate:
+        return CrossingReport(None, peak, gated=True, no_crossing=False)
+    down = np.nonzero((amps[:-1] > 0.0) & (amps[1:] <= 0.0))[0]
+    if down.size == 0:
+        return CrossingReport(None, peak, gated=False, no_crossing=True)
+    lo, hi = grid[down[0]], grid[down[0] + 1]
+    while hi - lo >= 1e-12:
+        mid = 0.5 * (lo + hi)
+        value = aggregate(mid)
+        if abs(value) < 1e-12:
+            break
+        lo, hi = (mid, hi) if value > 0.0 else (lo, mid)
+    return CrossingReport(float(0.5 * (lo + hi)), peak, gated=False, no_crossing=False)
+
+
+def assert_matches_scan(report: CrossingReport, scan: CrossingReport, tol: float = 1e-9,
+                        peak_in_window: bool = True):
+    assert (report.gated, report.no_crossing) == (scan.gated, scan.no_crossing)
+    assert report.ok == scan.ok
+    if report.ok:
+        assert abs(report.location - scan.location) < tol
+    # the grid samples, inside the window only, the peak the closed form reads
+    assert scan.max_amplitude <= report.max_amplitude * (1.0 + 1e-12)
+    if peak_in_window:
+        assert report.max_amplitude == pytest.approx(scan.max_amplitude, rel=1e-4,
+                                                     abs=1e-300)
 
 
 def contributions(events: EventArray, pulse: Pulse, t: float) -> np.ndarray:
@@ -220,6 +262,107 @@ class TestCrossingSearch:
             EventArray.build(fires, np.full(2000, 1e-3)), pulse, 1.0)
         assert base.ok and shrunk.ok
         assert shrunk.location == pytest.approx(base.location, abs=1e-9)
+
+
+class TestClosedFormCrossing:
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        """Count the evaluators find_zero_crossing builds, i.e. its fallback scans."""
+        built = []
+        evaluator = waveform.AggregateEvaluator
+
+        def counting(events, pulse):
+            built.append(events.count)
+            return evaluator(events, pulse)
+
+        monkeypatch.setattr(waveform, "AggregateEvaluator", counting)
+        return built
+
+    @pytest.mark.parametrize("size", [1, 5000, 3 * _ANGLE_BLOCK + 5])
+    @pytest.mark.parametrize("with_delay", [False, True], ids=["no_delay", "delay"])
+    def test_narrow_arrivals_agree_with_the_scan(self, scans, size, with_delay):
+        rng = np.random.default_rng(size + with_delay)
+        pulse = Pulse(1.3)
+        fires = 4.0 + rng.normal(0.0, 0.02, size)
+        delay = rng.uniform(0.0, 0.2, size) if with_delay else None
+        events = EventArray.build(fires, rng.uniform(0.0, 1.0, size) / size, delay)
+        report = find_zero_crossing(events, pulse, 4.05)
+        assert scans == [] and report.ok
+        assert_matches_scan(report, scan_crossing(events, pulse, 4.05))
+        assert type(report.location) is float
+
+    def test_spread_of_half_the_support_takes_the_fallback(self, scans):
+        # a user tau_nz narrower than twice the spread
+        rng = np.random.default_rng(61)
+        pulse = Pulse(0.3)
+        fires = np.concatenate(([0.0, 0.15], rng.uniform(0.0, 0.15, 500)))
+        events = EventArray.build(fires, np.full(fires.size, 1e-3))
+        report = find_zero_crossing(events, pulse, 0.1)
+        assert scans == [fires.size]
+        assert report == scan_crossing(events, pulse, 0.1)
+        assert report.ok
+
+    def test_just_below_half_the_support_uses_the_closed_form(self, scans):
+        fires = np.array([0.0, 0.1499, 0.07])
+        events = EventArray.build(fires, [1.0, 2.0, 0.5])
+        report = find_zero_crossing(events, Pulse(0.3), 0.1)
+        assert scans == []
+        assert_matches_scan(report, scan_crossing(events, Pulse(0.3), 0.1))
+
+    def test_negative_scale_takes_the_fallback(self, scans):
+        events = EventArray.build([0.0, 0.01, 0.02], [1.0, -0.2, 1.0])
+        report = find_zero_crossing(events, Pulse(1.0), 0.0)
+        assert scans == [3]
+        assert report == scan_crossing(events, Pulse(1.0), 0.0)
+
+    def test_all_scales_zero_is_no_crossing(self, scans):
+        # every transmitter in outage: no pulse at all, not a crossing at the centre
+        events = EventArray.build(np.linspace(2.0, 2.1, 50), np.zeros(50))
+        report = find_zero_crossing(events, Pulse(1.0), 2.05)
+        assert scans == []
+        assert report.no_crossing and not report.gated and report.location is None
+        assert report.max_amplitude == 0.0
+        assert_matches_scan(report, scan_crossing(events, Pulse(1.0), 2.05))
+        assert find_zero_crossing(events, Pulse(1.0), 2.05, gate=1e-9).gated
+
+    @pytest.mark.parametrize("center", [-1.5, 3.2])
+    def test_crossing_outside_the_search_window_is_no_crossing(self, scans, center):
+        rng = np.random.default_rng(67)
+        events = EventArray.build(1.0 + rng.normal(0.0, 0.01, 400), np.full(400, 0.01))
+        report = find_zero_crossing(events, Pulse(1.0), center)
+        assert scans == []
+        assert report.no_crossing and report.location is None
+        assert_matches_scan(report, scan_crossing(events, Pulse(1.0), center),
+                            peak_in_window=False)
+
+    @pytest.mark.parametrize("share", [0.0, 0.5, 0.999, 2.0])
+    def test_gate_relative_to_the_amplitude_agrees_with_the_scan(self, share):
+        rng = np.random.default_rng(71)
+        pulse = Pulse(1.0)
+        events = EventArray.build(rng.normal(0.0, 0.03, 800), rng.uniform(0.0, 1.0, 800) / 800)
+        amplitude = find_zero_crossing(events, pulse, 0.0).max_amplitude
+        report = find_zero_crossing(events, pulse, 0.0, gate=share * amplitude)
+        assert report.gated == (share > 1.0)
+        assert_matches_scan(report, scan_crossing(events, pulse, 0.0, gate=share * amplitude))
+
+    @pytest.mark.parametrize("fires, found", [
+        ([8.4, 8.45, 8.5], True),            # crossing near +tau, inside the window
+        ([8.45, 8.5, 8.58], False),          # just past +tau: atan2 alone wraps it to -tau
+        ([6.52, 6.55, 6.6], True),           # near -tau, inside
+        ([6.44, 6.48, 6.52], False),         # just before -tau
+    ])
+    def test_crossings_at_the_window_edge_are_taken_among_the_arrivals(self, fires, found):
+        events = EventArray.build(np.array(fires))
+        report = find_zero_crossing(events, Pulse(1.0), 7.5)
+        assert report.ok == found
+        if found:
+            assert min(fires) <= report.location <= max(fires)
+        assert_matches_scan(report, scan_crossing(events, Pulse(1.0), 7.5))
+
+    def test_nan_arrivals_take_the_fallback(self, scans):
+        events = EventArray.build([0.0, np.nan, 0.01])
+        find_zero_crossing(events, Pulse(1.0), 0.0)
+        assert scans == [3]
 
 
 class TestLimitWaveform:
