@@ -25,8 +25,9 @@ negated delay of an interior receiver together with its implied gain
 is symmetric about zero, which is what lets the aggregate waveform keep its
 crossing in place.
 
-All quantile inversion is bracketed bisection on the exact area function;
-no interpolation tables.
+Quantiles invert the exact area function, with no interpolation tables: in
+closed form (A = pi r^2) for a receiver whose coverage disk never meets an
+edge, by bracketed bisection otherwise.
 """
 
 from __future__ import annotations

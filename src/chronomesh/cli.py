@@ -12,11 +12,14 @@ Subcommands map one-to-one onto the experiment modules:
 - ``channel-sample``: coupled delay/gain draws for one receiver.
 
 Configuration is layered: built-in defaults, then an INI-style ``--config``
-file with one section per module, then command-line flags. Every run writes
-``manifest.cfg`` next to its CSVs with all values resolved; running that
-manifest reproduces the outputs byte for byte, whatever CHRONOMESH_THREADS
-says. All floats are printed with 17 significant digits so round-trips
-lose nothing.
+file with one section per module, then command-line flags. ``_SETTINGS``
+declares every key once, with its default text and its parser, and
+``_FLAGS`` says which keys each flag overrides. Every value is parsed when
+the run is resolved, whichever command reads it, so a run never records a
+value it could not re-run. Every run writes ``manifest.cfg`` next to its CSVs
+with all values resolved; running that manifest reproduces the outputs byte
+for byte, whatever CHRONOMESH_THREADS says. All floats are printed with 17
+significant digits so round-trips lose nothing.
 """
 
 from __future__ import annotations
@@ -45,53 +48,86 @@ from .waveform import evaluate_aggregate, find_zero_crossing
 COMMANDS = ("waveform", "steady", "evenodd", "delay", "pco", "multihop",
             "channel-sample")
 
-_RUN_DEFAULTS = {"seed": "0", "out": "."}
 
-_SCENARIO_DEFAULTS = {
-    "nodes": "400",
-    "m": "3",
-    "sigma2": "0.0001",
-    "phases": "1",
-    "alpha_low": "0.98",
-    "alpha_up": "1.02",
-    "delta_low": "-0.5",
-    "delta_high": "0.5",
-    "gain": "linear",          # linear | unit
-    "range": "0.25",
-    "wave_speed": "1.0",
-    "gate": "0.0",
-    "epsilon": "0.0",
-    "boundary_epsilon": "0.0",
-    "oracle_alpha": "false",
-    "compensate_delay": "true",
-    "v_factor": "1.0",
-    "tau_nz": "auto",
-    "grid_points": "2001",
-    "receiver_x": "0.5",
-    "receiver_y": "0.5",
-    "samples": "1000",
+def _typed(kind: str, convert, accept=lambda value: True):
+    """Parser of one setting's text; text that ``convert`` or ``accept`` refuses names ``kind``."""
+    def parse(raw: str):
+        try:
+            value = convert(raw.strip().lower())
+        except (KeyError, ValueError):
+            raise ValueError(kind) from None
+        if not accept(value):
+            raise ValueError(kind)
+        return value
+    return parse
+
+
+_INT = _typed("an integer", int)
+_FLOAT = _typed("a finite number", float, math.isfinite)
+_BOOL = _typed("a boolean", {**dict.fromkeys(("true", "yes", "on", "1"), True),
+                             **dict.fromkeys(("false", "no", "off", "0"), False)}.__getitem__)
+
+# section -> key -> (default text, parser). Range checks stay with the
+# configs and commands that read a value: one flag feeds several sections,
+# and a count valid in one (samples >= 1) is invalid in another (trials >= 2).
+_SETTINGS = {
+    "run": {
+        "seed": ("0", _typed("a non-negative integer", int, lambda seed: seed >= 0)),
+        "out": (".", str),
+    },
+    "scenario": {
+        "nodes": ("400", _INT),
+        "m": ("3", _INT),
+        "sigma2": ("0.0001", _FLOAT),
+        "phases": ("1", _INT),
+        "alpha_low": ("0.98", _FLOAT),
+        "alpha_up": ("1.02", _FLOAT),
+        "delta_low": ("-0.5", _FLOAT),
+        "delta_high": ("0.5", _FLOAT),
+        "gain": ("linear", _typed("linear or unit",
+                                  {"linear": "linear", "unit": "unit"}.__getitem__)),
+        "range": ("0.25", _FLOAT),
+        "wave_speed": ("1.0", _FLOAT),
+        "gate": ("0.0", _FLOAT),
+        "epsilon": ("0.0", _FLOAT),
+        "boundary_epsilon": ("0.0", _FLOAT),
+        "oracle_alpha": ("false", _BOOL),
+        "compensate_delay": ("true", _BOOL),
+        "v_factor": ("1.0", _FLOAT),
+        "tau_nz": ("auto", _typed("auto or a finite number",
+                                  lambda raw: None if raw == "auto" else float(raw),
+                                  lambda tau: tau is None or math.isfinite(tau))),
+        "grid_points": ("2001", _INT),
+        "receiver_x": ("0.5", _FLOAT),
+        "receiver_y": ("0.5", _FLOAT),
+        "samples": ("1000", _INT),
+    },
+    "pco": {
+        "oscillators": ("5", _INT),
+        "epsilon": ("0.2", _FLOAT),
+        "curvature": ("3.0", _FLOAT),
+        "max_cycles": ("10000", _INT),
+        "trials": ("1", _INT),
+    },
+    "multihop": {
+        "hops": ("10", _INT),
+        "m": ("3", _INT),
+        "sigma2": ("1.0", _FLOAT),
+        "trials": ("10000", _INT),
+    },
 }
 
-_PCO_DEFAULTS = {
-    "oscillators": "5",
-    "epsilon": "0.2",
-    "curvature": "3.0",
-    "max_cycles": "10000",
-    "trials": "1",
-}
-
-_MULTIHOP_DEFAULTS = {
-    "hops": "10",
-    "m": "3",
-    "sigma2": "1.0",
-    "trials": "10000",
-}
-
-_SECTION_DEFAULTS = {
-    "run": _RUN_DEFAULTS,
-    "scenario": _SCENARIO_DEFAULTS,
-    "pco": _PCO_DEFAULTS,
-    "multihop": _MULTIHOP_DEFAULTS,
+# flag -> (argparse type, help, the section.key settings it overrides)
+_FLAGS = {
+    "seed": (int, "master seed", ("run.seed",)),
+    "out": (str, "output directory", ("run.out",)),
+    "nodes": (int, "node / oscillator count", ("scenario.nodes", "pco.oscillators")),
+    "m": (int, "observation window length", ("scenario.m", "multihop.m")),
+    "sigma2": (float, "clock readout jitter variance", ("scenario.sigma2", "multihop.sigma2")),
+    "phases": (int, "synchronization phases to run", ("scenario.phases",)),
+    "trials": (int, "Monte-Carlo trials / samples",
+               ("multihop.trials", "pco.trials", "scenario.samples")),
+    "hops": (int, "relay chain length", ("multihop.hops",)),
 }
 
 _REGIME_BY_COMMAND = {
@@ -107,15 +143,21 @@ class RunManifest:
     """Fully resolved description of one run."""
 
     command: str
-    seed: int
-    out_dir: str
-    version: str
-    source: str                       # config path the run started from
-    sections: dict[str, dict[str, str]]
+    source: str                             # config path the run started from
+    sections: dict[str, dict[str, str]]     # the text of every setting, as rendered
+    values: dict[str, dict[str, object]]    # the same settings, parsed
+
+    @property
+    def seed(self) -> int:
+        return self.values["run"]["seed"]
+
+    @property
+    def out_dir(self) -> str:
+        return self.values["run"]["out"]
 
     def render(self) -> str:
         lines = ["[manifest]",
-                 f"version = {self.version}",
+                 f"version = {__version__}",
                  f"source = {self.source}",
                  f"command = {self.command}",
                  f"seed = {self.seed}",
@@ -137,65 +179,55 @@ def _load_config(path: str) -> dict[str, dict[str, str]]:
     # only at the start of a line
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        with open(path, "r", encoding="ascii") as fh:
+        # paths are recorded as their bytes, even bytes that are not UTF-8
+        with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
             parser.read_file(fh)
     except OSError as exc:
         raise ConfigurationError(f"cannot read config {path}: {exc.strerror}") from None
-    except (configparser.Error, UnicodeDecodeError) as exc:
+    except configparser.Error as exc:
         raise ConfigurationError(f"malformed config {path}: {exc}") from None
     sections: dict[str, dict[str, str]] = {}
     for name in parser.sections():
         target = "run" if name == "manifest" else name
-        if target not in _SECTION_DEFAULTS:
+        if target not in _SETTINGS:
             raise ConfigurationError(f"unknown config section [{name}]")
-        known = _SECTION_DEFAULTS[target]
         body = sections.setdefault(target, {})
         for key, value in parser.items(name):
             if name == "manifest" and key in ("version", "source"):
                 continue
-            if key not in known and not (target == "run" and key == "command"):
+            if key not in _SETTINGS[target] and not (target == "run" and key == "command"):
                 raise ConfigurationError(f"unknown key {key!r} in section [{name}]")
             body[key] = value
     return sections
 
 
 def _resolve(args: argparse.Namespace) -> RunManifest:
-    file_sections = _load_config(args.config) if args.config else {}
-    sections = {}
-    for name, defaults in _SECTION_DEFAULTS.items():
-        merged = dict(defaults)
-        merged.update(file_sections.get(name, {}))
-        sections[name] = merged
-
-    command = args.command or sections["run"].pop("command", None)
+    # text given in the file, then by flags; defaults fill the rest
+    given = _load_config(args.config) if args.config else {}
+    command = args.command or given.get("run", {}).pop("command", None)
     if command is None:
         raise ConfigurationError("no command given on the command line or in the config")
     if command not in COMMANDS:
         raise ConfigurationError(f"unknown command {command!r}")
+    for flag, (_, _, targets) in _FLAGS.items():
+        value = getattr(args, flag)
+        if value is None:
+            continue
+        for target in targets:
+            section, key = target.split(".")
+            given.setdefault(section, {})[key] = str(value)
 
-    overrides = {
-        ("run", "seed"): args.seed,
-        ("run", "out"): args.out,
-        ("scenario", "nodes"): args.nodes,
-        ("scenario", "m"): args.m,
-        ("scenario", "sigma2"): args.sigma2,
-        ("scenario", "phases"): args.phases,
-        ("pco", "oscillators"): args.nodes,
-        ("multihop", "hops"): args.hops,
-        ("multihop", "m"): args.m,
-        ("multihop", "sigma2"): args.sigma2,
-        ("multihop", "trials"): args.trials,
-        ("pco", "trials"): args.trials,
-        ("scenario", "samples"): args.trials,
-    }
-    for (section, key), value in overrides.items():
-        if value is not None:
-            sections[section][key] = str(value)
-
-    seed = _parse_int(sections["run"]["seed"], "run.seed")
-    out_dir = sections["run"]["out"]
-    return RunManifest(command, seed, out_dir, __version__,
-                       args.config or "(command line)", sections)
+    sections, values = {}, {}
+    for name, table in _SETTINGS.items():
+        text = sections[name] = {key: default for key, (default, _) in table.items()}
+        text.update(given.get(name, {}))
+        parsed = values[name] = {}
+        for key, (_, parse) in table.items():
+            try:
+                parsed[key] = parse(text[key])
+            except ValueError as exc:
+                raise ConfigurationError(f"{name}.{key} must be {exc}, got {text[key]!r}") from None
+    return RunManifest(command, args.config or "(command line)", sections, values)
 
 
 def _make_out_dir(path: str) -> None:
@@ -205,65 +237,18 @@ def _make_out_dir(path: str) -> None:
         raise ConfigurationError(f"cannot use output directory {path}: {exc.strerror}") from None
 
 
-def _parse_int(raw: str, label: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigurationError(f"{label} must be an integer, got {raw!r}") from None
-
-
-def _parse_float(raw: str, label: str) -> float:
-    try:
-        value = float(raw)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise ConfigurationError(f"{label} must be a finite number, got {raw!r}")
-    return value
-
-
-def _parse_bool(raw: str, label: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("true", "yes", "on", "1"):
-        return True
-    if low in ("false", "no", "off", "0"):
-        return False
-    raise ConfigurationError(f"{label} must be a boolean, got {raw!r}")
-
-
 def build_scenario(manifest: RunManifest) -> ScenarioConfig:
-    raw = manifest.sections["scenario"]
-    gain_kind = raw["gain"].strip().lower()
-    if gain_kind == "unit":
-        max_range = math.inf
-    elif gain_kind == "linear":
-        max_range = _parse_float(raw["range"], "scenario.range")
-    else:
-        raise ConfigurationError(f"scenario.gain must be linear or unit, got {raw['gain']!r}")
-    channel = ChannelModel(Region(), max_range,
-                           wave_speed=_parse_float(raw["wave_speed"], "scenario.wave_speed"),
-                           gate=_parse_float(raw["gate"], "scenario.gate"))
-    tau_raw = raw["tau_nz"].strip().lower()
-    tau_nz = None if tau_raw == "auto" else _parse_float(raw["tau_nz"], "scenario.tau_nz")
-    population = SkewPopulation(_parse_float(raw["alpha_low"], "scenario.alpha_low"),
-                                _parse_float(raw["alpha_up"], "scenario.alpha_up"))
+    s = manifest.values["scenario"]
+    max_range = math.inf if s["gain"] == "unit" else s["range"]
+    channel = ChannelModel(Region(), max_range, wave_speed=s["wave_speed"], gate=s["gate"])
     return ScenarioConfig(
-        n_nodes=_parse_int(raw["nodes"], "scenario.nodes"),
-        m=_parse_int(raw["m"], "scenario.m"),
-        sigma2=_parse_float(raw["sigma2"], "scenario.sigma2"),
+        n_nodes=s["nodes"], m=s["m"], sigma2=s["sigma2"],
         regime=_REGIME_BY_COMMAND.get(manifest.command, "no_delay"),
-        population=population,
-        delta_bar_range=(_parse_float(raw["delta_low"], "scenario.delta_low"),
-                         _parse_float(raw["delta_high"], "scenario.delta_high")),
-        channel=channel,
-        tau_nz=tau_nz,
-        v_factor=_parse_float(raw["v_factor"], "scenario.v_factor"),
-        epsilon=_parse_float(raw["epsilon"], "scenario.epsilon"),
-        boundary_epsilon=_parse_float(raw["boundary_epsilon"], "scenario.boundary_epsilon"),
-        oracle_alpha=_parse_bool(raw["oracle_alpha"], "scenario.oracle_alpha"),
-        compensate_delay=_parse_bool(raw["compensate_delay"], "scenario.compensate_delay"),
-        seed=manifest.seed,
-    )
+        population=SkewPopulation(s["alpha_low"], s["alpha_up"]),
+        delta_bar_range=(s["delta_low"], s["delta_high"]), channel=channel,
+        tau_nz=s["tau_nz"], v_factor=s["v_factor"], epsilon=s["epsilon"],
+        boundary_epsilon=s["boundary_epsilon"], oracle_alpha=s["oracle_alpha"],
+        compensate_delay=s["compensate_delay"], seed=manifest.seed)
 
 
 # -- CSV emission ---------------------------------------------------------
@@ -295,8 +280,7 @@ def _cmd_waveform(manifest: RunManifest) -> None:
     events, center = no_delay_phase_events(state)
     crossing = find_zero_crossing(events, state.pulse, search_center=center,
                                   gate=state.channel.gate)
-    points = _parse_int(manifest.sections["scenario"]["grid_points"],
-                        "scenario.grid_points")
+    points = manifest.values["scenario"]["grid_points"]
     if points < 2:
         raise ConfigurationError("scenario.grid_points must be at least 2")
     grid = center + np.linspace(-state.pulse.tau_nz, state.pulse.tau_nz, points)
@@ -313,7 +297,7 @@ def _cmd_waveform(manifest: RunManifest) -> None:
 
 def _cmd_phases(manifest: RunManifest) -> None:
     state = NetworkState(build_scenario(manifest))
-    count = _parse_int(manifest.sections["scenario"]["phases"], "scenario.phases")
+    count = manifest.values["scenario"]["phases"]
     if count < 1:
         raise ConfigurationError("scenario.phases must be at least 1")
     reports = run_phases(state, count)
@@ -346,19 +330,15 @@ def _cmd_phases(manifest: RunManifest) -> None:
 
 
 def _cmd_pco(manifest: RunManifest) -> None:
-    raw = manifest.sections["pco"]
-    trials = _parse_int(raw["trials"], "pco.trials")
+    p = manifest.values["pco"]
+    trials = p["trials"]
     if trials < 1:
         raise ConfigurationError("pco.trials must be at least 1")
-    n = _parse_int(raw["oscillators"], "pco.oscillators")
-    curvature = _parse_float(raw["curvature"], "pco.curvature")
-    epsilon = _parse_float(raw["epsilon"], "pco.epsilon")
-    max_cycles = _parse_int(raw["max_cycles"], "pco.max_cycles")
 
     def run(seed: int):
-        phases = random_phases(n, substream(seed, DOMAIN_INIT))
-        return pco_run_to_sync(PcoConfig(initial_phases=phases, epsilons=epsilon,
-                                         curvature=curvature, max_cycles=max_cycles))
+        phases = random_phases(p["oscillators"], substream(seed, DOMAIN_INIT))
+        return pco_run_to_sync(PcoConfig(initial_phases=phases, epsilons=p["epsilon"],
+                                         curvature=p["curvature"], max_cycles=p["max_cycles"]))
 
     out = manifest.out_dir
     if trials > 1:
@@ -378,13 +358,9 @@ def _cmd_pco(manifest: RunManifest) -> None:
 
 
 def _cmd_multihop(manifest: RunManifest) -> None:
-    raw = manifest.sections["multihop"]
-    config = HopChainConfig(hops=_parse_int(raw["hops"], "multihop.hops"),
-                            m=_parse_int(raw["m"], "multihop.m"),
-                            sigma2=_parse_float(raw["sigma2"], "multihop.sigma2"),
-                            seed=manifest.seed)
-    trials = _parse_int(raw["trials"], "multihop.trials")
-    report = run_cascade(config, trials)
+    h = manifest.values["multihop"]
+    config = HopChainConfig(hops=h["hops"], m=h["m"], sigma2=h["sigma2"], seed=manifest.seed)
+    report = run_cascade(config, h["trials"])
     out = manifest.out_dir
     write_csv(os.path.join(out, "multihop.csv"),
               ["hop", "alpha_hat_mean", "empirical_variance", "predicted_variance"],
@@ -398,10 +374,9 @@ def _cmd_multihop(manifest: RunManifest) -> None:
 
 def _cmd_channel_sample(manifest: RunManifest) -> None:
     config = build_scenario(manifest)
-    raw = manifest.sections["scenario"]
-    receiver = NodePosition(_parse_float(raw["receiver_x"], "scenario.receiver_x"),
-                            _parse_float(raw["receiver_y"], "scenario.receiver_y"))
-    count = _parse_int(raw["samples"], "scenario.samples")
+    s = manifest.values["scenario"]
+    receiver = NodePosition(s["receiver_x"], s["receiver_y"])
+    count = s["samples"]
     if count < 1:
         raise ConfigurationError("scenario.samples must be at least 1")
     rng = substream(manifest.seed, DOMAIN_SAMPLE)
@@ -429,14 +404,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", nargs="?", choices=COMMANDS,
                         help="experiment to run (may come from the config file)")
     parser.add_argument("--config", help="INI config file or a saved manifest")
-    parser.add_argument("--seed", type=int, help="master seed")
-    parser.add_argument("--out", help="output directory")
-    parser.add_argument("--nodes", type=int, help="node / oscillator count")
-    parser.add_argument("--m", type=int, help="observation window length")
-    parser.add_argument("--sigma2", type=float, help="clock readout jitter variance")
-    parser.add_argument("--phases", type=int, help="synchronization phases to run")
-    parser.add_argument("--trials", type=int, help="Monte-Carlo trials / samples")
-    parser.add_argument("--hops", type=int, help="relay chain length")
+    for flag, (kind, text, _) in _FLAGS.items():
+        parser.add_argument(f"--{flag}", type=kind, help=text)
     return parser
 
 
@@ -452,7 +421,7 @@ def run_command(argv: list[str]) -> int:
         _make_out_dir(manifest.out_dir)
         _RUNNERS[manifest.command](manifest)
         with open(os.path.join(manifest.out_dir, "manifest.cfg"), "w",
-                  encoding="ascii") as fh:
+                  encoding="utf-8", errors="surrogateescape") as fh:
             fh.write(manifest.render())
     except (ConfigurationError, DomainError) as exc:
         print(f"chronomesh: error: {exc}", file=sys.stderr)

@@ -116,6 +116,8 @@ class ScenarioConfig:
             raise ConfigurationError("epsilon and boundary_epsilon must be finite")
         if self.regime == "delay" and not np.isfinite(self.channel.max_range):
             raise ConfigurationError("delay regime needs a finite channel range")
+        if self.seed < 0:
+            raise ConfigurationError("seed must be non-negative")
 
     @property
     def region(self) -> Region:
@@ -166,9 +168,9 @@ class Schedule:
 class NetworkState:
     """Mutable state of a scenario between phases, one array row per node.
 
-    Every regime keeps ``positions`` (n, 2), ``alphas``, ``deltas``, the
-    boolean ``interior`` and the (n, m) ``windows``; only the delay regime
-    adds ``eps_i``, each node's assumed crossing offset (None otherwise).
+    Every regime keeps ``positions`` (n, 2), ``alphas``, ``deltas`` and the
+    (n, m) ``windows``; only the delay regime adds the boolean ``interior``
+    and ``eps_i``, each node's assumed crossing offset (both None otherwise).
     """
 
     def __init__(self, config: ScenarioConfig):
@@ -189,15 +191,11 @@ class NetworkState:
         self.alphas[0] = 1.0
         self.deltas[0] = 0.0
 
-        edge = region.edge_distance(self.positions[:, 0], self.positions[:, 1])
-        if np.isfinite(channel.max_range):
-            self.interior = edge >= channel.max_range
-        else:
-            self.interior = np.ones(n, dtype=bool)
-        del edge
-
-        self.eps_i = (np.where(self.interior, config.epsilon, config.boundary_epsilon)
-                      if config.regime == "delay" else None)
+        self.interior = self.eps_i = None
+        if config.regime == "delay":      # ScenarioConfig keeps its range finite
+            self.interior = (region.edge_distance(self.positions[:, 0], self.positions[:, 1])
+                             >= channel.max_range)
+            self.eps_i = np.where(self.interior, config.epsilon, config.boundary_epsilon)
 
         tau_nz = config.tau_nz
         if tau_nz is None:

@@ -57,6 +57,8 @@ class HopChainConfig:
             raise ConfigurationError("window length m must be at least 2")
         if not 0.0 <= self.sigma2 < math.inf:
             raise ConfigurationError("sigma2 must be nonnegative and finite")
+        if self.seed < 0:
+            raise ConfigurationError("seed must be non-negative")
 
 
 def predicted_chain_variances(config: HopChainConfig) -> np.ndarray:

@@ -45,14 +45,50 @@ def test_repeat_run_is_byte_identical(tmp_path):
         read_bytes(os.path.join(out_b, "phases.csv"))
 
 
-def test_manifest_rerun_reproduces_outputs(tmp_path):
-    out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")
-    assert cli.run_command(["evenodd", "--nodes", "100", "--phases", "2",
-                            "--seed", "4", "--out", out_a]) == 0
-    manifest = os.path.join(out_a, "manifest.cfg")
-    assert cli.run_command(["--config", manifest, "--out", out_b]) == 0
-    assert read_bytes(os.path.join(out_a, "phases.csv")) == \
-        read_bytes(os.path.join(out_b, "phases.csv"))
+RERUN_CASES = {
+    "waveform": ["waveform", "--nodes", "200", "--seed", "2"],
+    "steady": ["steady", "--nodes", "100", "--phases", "2", "--seed", "3"],
+    "evenodd": ["evenodd", "--nodes", "100", "--phases", "2", "--seed", "4"],
+    "delay": ["delay", "--nodes", "400", "--phases", "2", "--seed", "5"],
+    "pco": ["pco", "--trials", "20", "--seed", "9"],
+    "multihop": ["multihop", "--hops", "7", "--m", "4", "--sigma2", "0.5",
+                 "--trials", "300", "--seed", "6"],
+    "channel-sample": ["channel-sample", "--trials", "50", "--seed", "8"],
+}
+
+
+def manifest_lines(path):
+    """Manifest lines apart from the two that name where the run read and wrote."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    return [line for line in lines if not line.startswith(("source = ", "out = "))]
+
+
+@pytest.mark.parametrize("command", sorted(RERUN_CASES))
+def test_manifest_rerun_reproduces_outputs(tmp_path, command):
+    out_a, out_b = tmp_path / "a", tmp_path / "b"
+    assert cli.run_command(RERUN_CASES[command] + ["--out", str(out_a)]) == 0
+    assert cli.run_command(["--config", str(out_a / "manifest.cfg"),
+                            "--out", str(out_b)]) == 0
+    names = sorted(p.name for p in out_a.iterdir())
+    assert names == sorted(p.name for p in out_b.iterdir())
+    assert len(names) >= 2
+    for name in names:
+        if name != "manifest.cfg":
+            assert read_bytes(out_a / name) == read_bytes(out_b / name), name
+    assert manifest_lines(out_a / "manifest.cfg") == manifest_lines(out_b / "manifest.cfg")
+
+
+@pytest.mark.parametrize("name", ["é", os.fsdecode(b"\xff")], ids=["utf8", "undecodable"])
+def test_non_ascii_paths_rerun_from_their_manifest(tmp_path, name):
+    out_a, out_b = tmp_path / name / "a", tmp_path / name / "b"
+    assert cli.run_command(["steady", "--nodes", "50", "--out", str(out_a)]) == 0
+    manifest = out_a / "manifest.cfg"
+    text = manifest.read_text(encoding="utf-8", errors="surrogateescape")
+    assert f"out = {out_a}" in text.splitlines()
+    assert cli.run_command(["--config", str(manifest), "--out", str(out_b)]) == 0
+    assert read_bytes(out_a / "phases.csv") == read_bytes(out_b / "phases.csv")
+    rerun = (out_b / "manifest.cfg").read_text(encoding="utf-8", errors="surrogateescape")
+    assert f"source = {manifest}" in rerun.splitlines()
 
 
 def test_manifest_with_a_percent_sign_reruns(tmp_path):
@@ -85,17 +121,6 @@ def test_full_line_comments_in_a_config_are_skipped(tmp_path):
     assert cli.run_command(["--config", str(cfg), "--out", str(out)]) == 0
     manifest = (out / "manifest.cfg").read_text(encoding="ascii").splitlines()
     assert "nodes = 60" in manifest and "seed = 0" in manifest
-
-
-def test_multihop_manifest_rerun_reproduces_outputs(tmp_path):
-    out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")
-    assert cli.run_command(["multihop", "--hops", "7", "--m", "4", "--sigma2", "0.5",
-                            "--trials", "300", "--seed", "6", "--out", out_a]) == 0
-    manifest = os.path.join(out_a, "manifest.cfg")
-    assert cli.run_command(["--config", manifest, "--out", out_b]) == 0
-    for name in ("multihop.csv", "contrast.txt"):
-        assert read_bytes(os.path.join(out_a, name)) == \
-            read_bytes(os.path.join(out_b, name))
 
 
 def test_flag_overrides_config_file(tmp_path):
@@ -345,6 +370,23 @@ def test_usage_errors_exit_two(tmp_path):
         out = tmp_path / f"{command}-{value}"
         assert cli.run_command([command, "--sigma2", value, "--out", str(out)]) == 2
         assert not list(out.glob("*.csv"))
+    for command in ("steady", "pco", "multihop", "channel-sample"):
+        out = tmp_path / f"{command}-seed"
+        assert cli.run_command([command, "--seed", "-1", "--out", str(out)]) == 2
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("pco", "curvature", "abc"), ("multihop", "sigma2", "nan"), ("scenario", "receiver_x", "zz")])
+def test_unread_sections_are_validated(tmp_path, capsys, section, key, value):
+    # steady reads neither [pco], [multihop] nor the receiver, yet would record them
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"[{section}]\n{key} = {value}\n", encoding="ascii")
+    out = tmp_path / "out"
+    assert cli.run_command(["steady", "--nodes", "50", "--config", str(cfg),
+                            "--out", str(out)]) == 2
+    assert f"{section}.{key}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("leaf", [None, "sub"])

@@ -155,4 +155,6 @@ def test_config_validation():
         with pytest.raises(ConfigurationError):
             HopChainConfig(hops=3, sigma2=sigma2)
     with pytest.raises(ConfigurationError):
+        HopChainConfig(hops=3, seed=-1)
+    with pytest.raises(ConfigurationError):
         run_cascade(HopChainConfig(hops=3), trials=1)
