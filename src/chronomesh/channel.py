@@ -181,16 +181,14 @@ class DelayDistribution:
 
     def __post_init__(self):
         object.__setattr__(self, "pathloss", PathlossDistribution(self.model, self.receiver))
-        model = self.model
-        finite_range = min(model.max_range, self.pathloss.reach)
-        start = float(model.delay(np.array(finite_range)))
-        end = float(model.delay(np.array(finite_range + model.pad)))
+        model, r_eff = self.model, self.pathloss.effective_range
+        start = float(model.delay(np.array(r_eff)))
+        end = float(model.delay(np.array(r_eff + model.pad)))
         if not end > start:
             raise ConfigurationError("delay map must be strictly increasing across the ramp")
         object.__setattr__(self, "ramp_start", start)
         object.__setattr__(self, "ramp_end", end)
-        missing = 1.0 - self.pathloss.area_at_range / self.pathloss.area_total
-        object.__setattr__(self, "slope", missing / (end - start))
+        object.__setattr__(self, "slope", self.pathloss.outage_probability / (end - start))
 
     def r_prime(self, x: np.ndarray | float) -> np.ndarray | float:
         """Distance reached by delay x, clipped to the coverage reach."""

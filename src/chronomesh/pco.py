@@ -1,18 +1,19 @@
 """Pulse-coupled oscillators driven by the firing-time update rule.
 
 Oscillators charge along the concave map f(phi) = log(1 + (e^b - 1) phi) / b
-from phase to state (Mirollo and Strogatz, 1990), with curvature b > 0, and
-fire on reaching full charge. Instead of tracking the state between events,
-each oscillator tracks the time X at which it will next fire: receiving a
-pulse of strength eps at time z pulls that time forward by
+from phase to charge (Mirollo and Strogatz, 1990), with curvature b > 0, and
+fire on reaching full charge. Instead of tracking the charge between events,
+each oscillator keeps only the time X at which it will next fire, so its
+phase at time t is 1 - (X - t). Pulses add up in charge: pulses of total
+strength E arriving together at time z move a waiting oscillator to
 
-    f_inverse(eps + f(z - x_last)) - (z - x_last),
+    X' = z + 1 - f_inverse(f(1 - (X - z)) + E),
 
-where x_last is the oscillator's previous firing time, and firing resets
-X to x_last + 1. A pulse that would push the state past full charge makes
-the receiver fire immediately, joining the sender's instant. Oscillators
-that fire at the same instant have identical dynamics from then on, so
-they are merged into one permanently absorbed group.
+and firing resets X to z + 1. A total that brings the charge to full makes
+the receiver fire at once, joining the senders' instant, and its own pulses
+add to the total. Oscillators that fire at the same instant have identical
+dynamics from then on, so they are merged into one permanently absorbed
+group.
 
 Every oscillator runs at unit rate with no readout jitter here; only the
 initial phases differ. All of the richer clock machinery lives in the
@@ -104,8 +105,7 @@ class PcoConfig:
 @dataclass
 class _Group:
     members: tuple[int, ...]    # sorted node ids, identical dynamics
-    x_last: float               # time of the group's previous fire
-    next_fire: float            # current X value
+    next_fire: float            # X; the phase at time t is 1 - (X - t)
 
 
 @dataclass(frozen=True)
@@ -119,17 +119,16 @@ class PcoState:
 
     def __init__(self, config: PcoConfig):
         self.config = config
-        # phase p means the oscillator last "fired" at -p and will fire at 1-p
-        by_phase: list[_Group] = []
+        # phase p means the oscillator will fire at 1-p
+        self.groups: list[_Group] = []
         order = sorted(range(config.n), key=lambda i: (-config.initial_phases[i], i))
         for i in order:
-            p = config.initial_phases[i]
-            if by_phase and abs(-p - by_phase[-1].x_last) <= _MERGE_TOL:
-                g = by_phase[-1]
+            x = 1.0 - config.initial_phases[i]
+            if self.groups and abs(x - self.groups[-1].next_fire) <= _MERGE_TOL:
+                g = self.groups[-1]
                 g.members = tuple(sorted(g.members + (i,)))
             else:
-                by_phase.append(_Group((i,), -p, 1.0 - p))
-        self.groups = by_phase
+                self.groups.append(_Group((i,), x))
         self.fired_events: list[FireEvent] = []
 
     @property
@@ -140,43 +139,39 @@ class PcoState:
 def pco_step(state: PcoState) -> FireEvent:
     """Advance to the next firing instant and apply the coupling.
 
-    The earliest group fires; its members' pulses are applied one by one
-    (in node-id order) to every other group. A receiver whose state would
-    be pushed to full charge, or whose updated firing time falls at or
-    before the instant, fires immediately and its pulses join the queue.
-    Same-instant firers never couple to each other and are merged.
+    The earliest groups fire, and their members' pulses add up in charge: a
+    waiting group at phase phi holds f(phi) + total. A group whose charge
+    reaches 1, or whose new firing time falls at or before the instant,
+    fires too and adds its own pulses to the total, until no group joins.
+    The rest move to the firing time of their final charge. Same-instant
+    firers never couple to each other and are merged.
     """
     config = state.config
-    f, f_inv = config.f, config.f_inverse
+    f, f_inv, eps = config.f, config.f_inverse, config.epsilons
 
     t_star = min(g.next_fire for g in state.groups)
     firing = [g for g in state.groups if g.next_fire - t_star <= _MERGE_TOL]
-    waiting = [g for g in state.groups if g.next_fire - t_star > _MERGE_TOL]
+    # each waiting group with the charge it holds at t_star before any pulse
+    waiting = [(g, f(1.0 - (g.next_fire - t_star))) for g in state.groups
+               if g.next_fire - t_star > _MERGE_TOL]
 
-    queue = [config.epsilons[i] for g in firing for i in g.members]
-    head = 0
-    while head < len(queue):
-        eps = queue[head]
-        head += 1
-        still_waiting = []
-        for g in waiting:
-            elapsed = t_star - g.x_last
-            charge = eps + f(elapsed)
-            if charge >= 1.0:
-                firing.append(g)
-                queue.extend(config.epsilons[i] for i in g.members)
-                continue
-            g.next_fire -= f_inv(charge) - elapsed
-            if g.next_fire <= t_star:
-                firing.append(g)
-                queue.extend(config.epsilons[i] for i in g.members)
+    total, joined = 0.0, firing
+    while joined:
+        total += sum(eps[i] for g in joined for i in g.members)
+        joined, still_waiting = [], []
+        for g, held in waiting:
+            charge = held + total
+            if charge >= 1.0 or t_star + 1.0 - f_inv(charge) <= t_star:
+                joined.append(g)
             else:
-                still_waiting.append(g)
+                still_waiting.append((g, held))
+        firing += joined
         waiting = still_waiting
+    for g, held in waiting:
+        g.next_fire = t_star + 1.0 - f_inv(held + total)
 
     members = tuple(sorted(i for g in firing for i in g.members))
-    merged = _Group(members, t_star, t_star + 1.0)
-    state.groups = waiting + [merged]
+    state.groups = [g for g, _ in waiting] + [_Group(members, t_star + 1.0)]
     state.groups.sort(key=lambda g: g.members[0])
     event = FireEvent(t_star, members)
     state.fired_events.append(event)

@@ -211,8 +211,8 @@ def test_census_thread_cap_does_not_change_bytes(tmp_path, monkeypatch):
 
 # SHA-256 digests pinning the pco per-trial streams and CSV format: a change
 # to how trials are seeded or written shows up here.
-CENSUS_T300_S3 = "d97ccfa074a92e2f41e113f2c09f3e4dfbb10423d3759e0642c5eaa382381ff9"
-EVENTS_S3 = "cca0e1f5c7b4acfd2b662fcd0733e1fd23fd82afeef9b172d6a1ca2b41e9d56d"
+CENSUS_T300_S3 = "7ab93fe46db0c351bb2fa812b59be60a0e80af1de415feb1c945a8a620f28d1a"
+EVENTS_S3 = "856dcf81b2604a6af26fe6d4638f59b61416dead466d97ece07f914d61524543"
 
 
 def test_pco_census_bytes_are_pinned(tmp_path):
@@ -265,10 +265,10 @@ OUTPUT_PINS = {
     # a flatter charging map than the default curvature 3
     "pco_census_curvature": (
         ["pco", "--trials", "200", "--seed", "3"], "[pco]\ncurvature = 1.5\nepsilon = 0.1\n",
-        {"census.csv": "3d80728ec0b7c05fd6c793e685867aa2106c73a961e6d8a6ab87d9e51039ac2c"}),
+        {"census.csv": "d7a49da4f50374101e1c67c25e0afd1a7bcb169232b9ad83ca0b23b0886561e4"}),
     "pco_events_curvature": (
         ["pco", "--seed", "3"], "[pco]\ncurvature = 1.5\nepsilon = 0.1\n",
-        {"events.csv": "e3c87a445f4fcd854d1d2558a5180b4f7ae131a250f7b98009a866e58b348edd"}),
+        {"events.csv": "921e47b64a47806d877a956c623f4d83461d22df9db2e37bede16d8a5d3f6601"}),
 }
 
 

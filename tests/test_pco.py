@@ -1,9 +1,10 @@
 """Coupled-oscillator tests.
 
-The n=2 case doubles as a correctness oracle: the firing-time update can be
-checked event by event against a direct simulation of the charging state.
-Larger populations are checked through structural invariants and a census
-of random starting points.
+A direct simulation of the charging state doubles as a correctness oracle:
+the firing-time update is checked event by event against it, for two
+oscillators and for seeded populations of three to seven with mixed
+strengths. Populations are also checked through structural invariants and a
+census of random starting points.
 """
 
 import math
@@ -27,36 +28,42 @@ from chronomesh.rng import DOMAIN_SEED_SWEEP, substream
 
 
 def state_variable_fire_times(phases, eps, f, f_inv, n_events):
-    """Direct charging-state simulation for two oscillators.
+    """Direct charging-state simulation for n oscillators.
 
-    Tracks the phases themselves: the leader fires, the other's charge
-    jumps by the pulse strength, full charge means both fire together.
-    Returns the event times.
+    Tracks every oscillator's phase itself. The leaders fire, and their
+    pulses go out one at a time: each adds its strength to the charge every
+    other oscillator already holds, and one that reaches full charge fires
+    at the same instant and sends its own pulses. Returns the event times
+    and the members of each event.
     """
     phi = list(phases)
     t = 0.0
-    times = []
-    merged = False
+    times, members = [], []
     while len(times) < n_events:
-        if merged:
-            t += 1.0 - phi[0]
-            phi[0] = 0.0
-            times.append(t)
-            continue
-        j = 0 if phi[0] >= phi[1] else 1
-        k = 1 - j
-        dt = 1.0 - phi[j]
+        dt = 1.0 - max(phi)
         t += dt
+        phi = [p + dt for p in phi]
+        fired = [i for i in range(len(phi)) if phi[i] >= 1.0 - 1e-12]
+        charge = [f(p) for p in phi]
+        pulses = [eps[i] for i in fired]
+        while pulses:
+            strength = pulses.pop(0)
+            for i in range(len(phi)):
+                if i in fired:
+                    continue
+                charge[i] += strength
+                if charge[i] >= 1.0:
+                    fired.append(i)
+                    pulses.append(eps[i])
         times.append(t)
-        phi[j] = 0.0
-        phi[k] += dt
-        charge = f(phi[k]) + eps[j]
-        if charge >= 1.0:
-            phi = [0.0]
-            merged = True
-        else:
-            phi[k] = f_inv(charge)
-    return times
+        members.append(tuple(sorted(fired)))
+        phi = [0.0 if i in fired else f_inv(charge[i]) for i in range(len(phi))]
+    return times, members
+
+
+def fire_events(config, n_events):
+    state = PcoState(config)
+    return [pco_step(state) for _ in range(n_events)]
 
 
 def test_single_oscillator_period_is_exact():
@@ -93,24 +100,33 @@ def test_two_oscillator_gap_contracts():
         assert later < earlier
 
 
+def assert_matches_oracle(phases, eps, n_events=40):
+    config = PcoConfig(initial_phases=phases, epsilons=eps)
+    events = fire_events(config, n_events)
+    times, members = state_variable_fire_times(phases, eps, config.f, config.f_inverse,
+                                               n_events)
+    assert [e.members for e in events] == members
+    assert np.allclose([e.time for e in events], times, atol=1e-10, rtol=0.0)
+
+
 @pytest.mark.parametrize("phases,eps", [
     ((0.1, 0.6), (0.2, 0.2)),
     ((0.0, 0.37), (0.15, 0.4)),
     ((0.55, 0.8), (0.05, 0.05)),
+    # two pulses at once: the receiver's charge rises by their sum
+    ((0.7, 0.7, 0.1), (0.03, 0.03, 0.03)),
 ])
 def test_update_rule_matches_state_variable_oracle(phases, eps):
-    config = PcoConfig(initial_phases=phases, epsilons=eps)
-    state = PcoState(config)
-    times = []
-    for _ in range(40):
-        event = pco_step(state)
-        times.append(event.time)
-        if state.synchronized:
-            break
-    while len(times) < 40:
-        times.append(pco_step(state).time)
-    oracle = state_variable_fire_times(phases, eps, config.f, config.f_inverse, 40)
-    assert np.allclose(times, oracle, atol=1e-10, rtol=0.0)
+    assert_matches_oracle(phases, eps)
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_update_rule_matches_oracle_with_mixed_strengths(n):
+    for k in range(25):
+        rng = substream(77, DOMAIN_SEED_SWEEP, n, k)
+        phases = random_phases(n, rng)
+        eps = tuple(float(e) for e in rng.uniform(0.02, 0.3, size=n))
+        assert_matches_oracle(phases, eps)
 
 
 def test_equal_phases_synchronize_immediately():
@@ -143,11 +159,20 @@ def test_absorption_is_permanent():
     assert all(b <= a for a, b in zip(counts, counts[1:]))
 
 
+@st.composite
+def populations(draw):
+    """Starting phases with one coupling strength per oscillator."""
+    n = draw(st.integers(min_value=2, max_value=6))
+    phases = draw(st.lists(st.floats(min_value=0.0, max_value=0.95), min_size=n, max_size=n))
+    eps = draw(st.lists(st.floats(min_value=0.05, max_value=0.5), min_size=n, max_size=n))
+    return tuple(phases), tuple(eps)
+
+
 @settings(max_examples=40, deadline=None)
-@given(st.lists(st.floats(min_value=0.0, max_value=0.95), min_size=2, max_size=6),
-       st.floats(min_value=0.05, max_value=0.5))
-def test_group_count_never_increases(phases, eps):
-    config = PcoConfig(initial_phases=tuple(phases), epsilons=eps, max_cycles=300)
+@given(populations())
+def test_group_count_never_increases(population):
+    phases, eps = population
+    config = PcoConfig(initial_phases=phases, epsilons=eps, max_cycles=300)
     state = PcoState(config)
     previous = len(state.groups)
     last_time = -math.inf
