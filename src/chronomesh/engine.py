@@ -38,16 +38,24 @@ for, so the schedule carries on instead of slipping by a phase.
 
 Per-phase randomness comes from ``substream(seed, DOMAIN_PHASE, index)`` and
 is consumed in a fixed order: fire jitter, compensation draws (delay regime),
-per-probe channel draws, observation jitter. Keeping the order fixed makes a
-phase reproducible regardless of how its report is consumed. A held-over
-phase draws no observation jitter.
+per-probe channel draws, observation jitter (none on holdover), so a phase is
+reproducible however its report is consumed.
 
-A phase reports only its receivers' crossings: nothing per node outlives it,
-so a run of many phases holds one or two ``CrossingReport``s per phase.
+Memory: beyond the state's vectors a phase allocates nothing node-sized,
+working ``_NODE_BLOCK`` rows at a time. The phase generator draws and discards
+the fire jitter and compensation draws in blocks, keeping a copy where each
+starts (ziggurat normals use a variable number of words, so they cannot be
+skipped). Each receiver's pass replays both from fresh copies to recompute its
+transmitters' fire times block by block and adds each block, with its channel
+draw, to the closed-form sums; readings and rolls follow per block. Blocks cut
+the same draws and keep every blocked sum's partitions, so no result depends
+on the block size; whole event columns are joined only for the scan fallback,
+``no_delay_phase_events`` and tests.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -59,12 +67,22 @@ from .estimator import fit, predicted_variance
 from .geometry import NodePosition, Region, place_nodes, positions_array
 from .rng import DOMAIN_INIT, DOMAIN_PHASE, DOMAIN_PLACEMENT, DOMAIN_SEED_SWEEP, derive_seed, substream
 from .parallel import run_indexed
-from .waveform import CrossingReport, EventArray, Pulse, default_tau_nz, find_zero_crossing
+from .waveform import (CrossingReport, EventArray, EventStream, Pulse, default_tau_nz,
+                       find_zero_crossing)
 
 REGIMES = ("no_delay", "even_odd", "delay")
 
 # Row selector of every node: indexing with it keeps views, an all-True mask copies.
 _ALL = slice(None)
+# Rows per block of a phase pass: a multiple of twice the angle and fit blocks,
+# so one parity's transmitters in a block fill whole partitions of the sums and
+# fits; large, because each block's gain bisection pays a fixed cost per call.
+_NODE_BLOCK = 1 << 17
+_INIT_BLOCK = 1 << 14      # rows per block of the window initialisation buffer
+
+
+def _node_blocks(n: int, size: int = _NODE_BLOCK):
+    return (slice(start, min(start + size, n)) for start in range(0, n, size))
 
 
 @dataclass(frozen=True)
@@ -272,7 +290,7 @@ class NetworkState:
         """Steady-state windows: exact past instants read with fresh jitter.
 
         The jitter is drawn straight into the window buffer, then each column
-        adds alphas * (instant - deltas), one node vector at a time.
+        adds alphas * (instant - deltas), ``_INIT_BLOCK`` rows at a time.
         """
         cfg = self.config
         m = cfg.m
@@ -280,29 +298,28 @@ class NetworkState:
         rng.standard_normal(out=windows)
         windows *= self.sigma
         windows[0] = 0.0
-        if cfg.regime == "even_odd":
-            # the coming phase's transmitters hold tau0-(2m-1), ..., tau0-1;
-            # its listeners hold tau0-2m, ..., tau0-2, so both are spaced by 2
-            first = np.where(self.schedule.transmit, self.next_center - (2 * m - 1),
-                             self.next_center - 2 * m)
-        reading = np.empty(cfg.n_nodes)
-        for k in range(m):
+        for rows in _node_blocks(cfg.n_nodes, _INIT_BLOCK):
             if cfg.regime == "even_odd":
-                np.add(first, 2.0 * k, out=reading)
-            else:
-                reading.fill(self.next_center - m + k)
-                if cfg.regime == "delay":
-                    reading += self.eps_i
-            reading -= self.deltas
-            reading *= self.alphas
-            windows[:, k] += reading
+                # the coming phase's transmitters hold tau0-(2m-1), ..., tau0-1;
+                # its listeners hold tau0-2m, ..., tau0-2, so both are spaced by 2
+                first = np.where(self.schedule.transmit[rows], self.next_center - (2 * m - 1),
+                                 self.next_center - 2 * m)
+            for k in range(m):
+                if cfg.regime == "even_odd":
+                    instant = first + 2.0 * k
+                else:
+                    instant = float(self.next_center - m + k)
+                    if cfg.regime == "delay":
+                        instant += self.eps_i[rows]
+                windows[rows, k] += (instant - self.deltas[rows]) * self.alphas[rows]
         self.windows = windows
 
-    def _jitter(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Readout jitter, one entry per node; node 0's is exactly zero."""
-        draws = rng.normal(0.0, 1.0, size=size)
+    def _jitter(self, rng: np.random.Generator, rows: slice) -> np.ndarray:
+        """Readout jitter, one entry per node of the block; node 0's is exactly zero."""
+        draws = rng.normal(0.0, 1.0, size=rows.stop - rows.start)
         draws *= self.sigma
-        draws[0] = 0.0
+        if rows.start == 0:
+            draws[0] = 0.0
         return draws
 
     @property
@@ -324,77 +341,95 @@ def _require_regime(state: NetworkState, regime: str):
         raise ConfigurationError("state was built for a different regime")
 
 
-def _roll_windows(windows: np.ndarray, rows: slice | np.ndarray, readings: np.ndarray):
-    # column by column: a 2-D overlapping copy would buffer (rows, m - 1)
-    for k in range(windows.shape[1] - 1):
-        windows[rows, k] = windows[rows, k + 1]
-    windows[rows, -1] = readings
+def _phase_draws(state: NetworkState, rng: np.random.Generator):
+    """Copies of ``rng`` where the fire jitter and compensation draws start; it discards both."""
+    jitter, fix = copy.deepcopy(rng), None
+    for rows in _node_blocks(state.n):
+        state._jitter(rng, rows)
+    if state.fix_receiver is not None:
+        fix = copy.deepcopy(rng)
+        for rows in _node_blocks(state.n):
+            sample_fix(state.channel, state.fix_receiver, rng, rows.stop - rows.start)
+    return jitter, fix
 
 
-def _transmit(state: NetworkState, sched: Schedule, rng: np.random.Generator):
-    """Fire times of the transmitting rows, and their compensation gains if any.
+def _block_events(state: NetworkState, sched: Schedule, law, rows: slice, n_tx: int,
+                  rng: np.random.Generator, jitter, fix_rng) -> EventArray | None:
+    """A node block's events: fire times from ``jitter`` and ``fix_rng``, gains from ``rng``.
 
-    Only phi_hat (and the slope when compensating) outlives the fit; the
-    in-place steps keep the order of (phi + alpha d_fix - jitter) / alphas + deltas.
-    Delay-regime readings sit at integers + eps_i while the target assumes
-    integers + epsilon; the fit is linear in a constant shift, so adding
-    alpha (epsilon - eps_i), with the node's true skew, makes up the difference.
+    None when the block holds no transmitter. Delay-regime readings sit at integers +
+    eps_i while the target assumes integers + epsilon; the fit is linear in a constant
+    shift, so adding alpha (epsilon - eps_i), with the node's true skew, makes up the
+    difference.
     """
     cfg = state.config
-    tx = sched.transmit
-    report = fit(state.windows[tx], cfg.target)
+    size = rows.stop - rows.start
+    tx = sched.transmit if sched.transmit is _ALL else sched.transmit[rows]
+    alphas = state.alphas[rows][tx]
+    report = fit(state.windows[rows][tx], cfg.target)
     fires = report.phi_hat
     if state.eps_i is not None:
-        shift = np.subtract(cfg.epsilon, state.eps_i[tx])
-        shift *= state.alphas[tx]
-        fires += shift
-        del shift
-    if state.fix_receiver is not None:
-        skew = state.alphas[tx] if cfg.oracle_alpha else report.alpha_hat
-    del report
-    fire_jitter = state._jitter(rng, state.n)
-    k_fix = None
-    if state.fix_receiver is not None:
-        fix = sample_fix(state.channel, state.fix_receiver, rng, state.n)
-        fires += skew * fix.d_fix[tx]
+        fires += (cfg.epsilon - state.eps_i[rows][tx]) * alphas
+    k_fix = delays = None
+    if fix_rng is not None:
+        fix = sample_fix(state.channel, state.fix_receiver, fix_rng, size)
+        fires += (alphas if cfg.oracle_alpha else report.alpha_hat) * fix.d_fix[tx]
         k_fix = fix.k_fix[tx]
-    fires -= fire_jitter[tx]
-    del fire_jitter
-    fires /= state.alphas[tx]
-    fires += state.deltas[tx]
-    return fires, k_fix
-
-
-def _receive(state: NetworkState, sched: Schedule, law, fires: np.ndarray,
-             k_fix: np.ndarray | None, rng: np.random.Generator) -> EventArray:
-    """One channel draw through the receiver's law: the events its aggregate sums."""
-    tx = sched.transmit
-    delays = None
+    del report
+    fires = (fires - state._jitter(jitter, rows)[tx]) / alphas + state.deltas[rows][tx]
     if isinstance(law, DelayDistribution):
-        delays, gains = law.sample_pair(rng, state.n)
+        delays, gains = law.sample_pair(rng, size)
         delays = delays[tx]
     else:
-        gains = law.sample(rng, state.n)
-    scales = gains[tx]
-    del gains
-    if k_fix is not None:
-        scales *= k_fix
-    scales /= fires.size * state.config.v_factor
-    return EventArray.build(fires, scales, delays)
+        gains = law.sample(rng, size)
+    scales = gains[tx] if k_fix is None else gains[tx] * k_fix
+    return EventArray.build(fires, scales / (n_tx * cfg.v_factor), delays) if fires.size else None
+
+
+def _receiver_events(state: NetworkState, sched: Schedule, law, draws,
+                     rng: np.random.Generator) -> EventStream:
+    """A receiver's events, a node block at a time; each pass restarts ``rng`` and ``draws``."""
+    start = rng.bit_generator.state
+    n_tx = state.n if sched.transmit is _ALL else int(np.count_nonzero(sched.transmit))
+
+    def blocks():
+        rng.bit_generator.state = start
+        replay = copy.deepcopy(draws)
+        # filter holds no block once it is handed on, so a pass holds one at a time
+        return filter(None, (_block_events(state, sched, law, rows, n_tx, rng, *replay)
+                             for rows in _node_blocks(state.n)))
+    return EventStream(blocks)
+
+
+def _roll_block(state: NetworkState, sched: Schedule, rows: slice, crossing: CrossingReport,
+                tau0: float, rng: np.random.Generator):
+    """Roll a node block's listeners' readings, or on holdover their predictions, into windows."""
+    listen = sched.listen if sched.listen is _ALL else sched.listen[rows]
+    windows = state.windows[rows]
+    if crossing.ok:
+        instants = crossing.location if sched.follow is None else np.where(
+            sched.follow[rows], crossing.location, tau0 + state.eps_i[rows])
+        readings = ((instants - state.deltas[rows]) * state.alphas[rows]
+                    + state._jitter(rng, rows))[listen]
+    else:
+        readings = fit(windows[listen], state.config.m).phi_hat
+    # column by column: an overlapping 2-D copy goes through a buffer, several times slower
+    for k in range(windows.shape[1] - 1):
+        windows[listen, k] = windows[listen, k + 1]
+    windows[listen, -1] = readings
 
 
 def no_delay_phase_events(state: NetworkState) -> tuple[EventArray, float]:
     """Events of the coming no-delay phase and the instant they aim at.
 
-    Built by the kernel's own steps, so a dumped waveform is exactly the
-    aggregate whose crossing the phase would use.
+    Joined from the kernel's own block pass, so a dumped waveform is exactly
+    the aggregate whose crossing the phase would use.
     """
     _require_regime(state, "no_delay")
     rng = substream(state.config.seed, DOMAIN_PHASE, state.phase_count)
     sched = state.schedule
-    fires, k_fix = _transmit(state, sched, rng)
-    _, law, _ = sched.receivers[0]
-    return _receive(state, sched, law, fires, k_fix, rng), float(state.next_center)
+    events = _receiver_events(state, sched, sched.receivers[0][1], _phase_draws(state, rng), rng)
+    return events.whole, float(state.next_center)
 
 
 def run_phase(state: NetworkState) -> PhaseReport:
@@ -405,32 +440,18 @@ def run_phase(state: NetworkState) -> PhaseReport:
                                  "even_odd needs both parities present")
     rng = substream(state.config.seed, DOMAIN_PHASE, state.phase_count)
     tau0 = float(state.next_center)
-
-    fires, k_fix = _transmit(state, sched, rng)
+    replay = _phase_draws(state, rng)
 
     crossings: dict[int, CrossingReport] = {}
     for node, law, offset in sched.receivers:
-        events = _receive(state, sched, law, fires, k_fix, rng)
+        events = _receiver_events(state, sched, law, replay, rng)
         crossings[node] = find_zero_crossing(events, state.pulse, search_center=tau0 + offset,
                                              gate=state.channel.gate)
-        del events
-    del fires, k_fix
 
     primary = sched.receivers[0][0]
     crossing = crossings[primary]
-    if crossing.ok:
-        loc = crossing.location
-        obs_jitter = state._jitter(rng, state.n)
-        instants = loc if sched.follow is None else np.where(sched.follow, loc, tau0 + state.eps_i)
-        # in place, in the order of alphas * (instants - deltas) + jitter
-        readings = np.subtract(instants, state.deltas)
-        readings *= state.alphas
-        readings += obs_jitter
-        _roll_windows(state.windows, sched.listen, readings[sched.listen])
-    else:
-        # holdover: roll in the reading each listener predicted for this instant
-        held = fit(state.windows[sched.listen], state.config.m).phi_hat
-        _roll_windows(state.windows, sched.listen, held)
+    for rows in _node_blocks(state.n):
+        _roll_block(state, sched, rows, crossing, tau0, rng)
 
     phase_index = state.phase_count
     state.phase_count += 1

@@ -25,7 +25,9 @@ simulator itself needs numpy alone.
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,7 +70,8 @@ class EventArray:
     """Column layout of transmit events for vectorized evaluation.
 
     delay is None when propagation is instantaneous; arrival is then the
-    fire column itself, not a copy.
+    fire column itself, not a copy. An ``EventStream`` stands in for one
+    whose columns are made a block at a time.
     """
 
     fire: np.ndarray
@@ -96,6 +99,28 @@ class EventArray:
     @property
     def count(self) -> int:
         return self.fire.size
+
+
+class EventStream:
+    """Events made a block at a time by a source that replays them on every call.
+
+    Every block but the last holds a multiple of ``_ANGLE_BLOCK`` events, so block
+    sums keep a whole array's order. Reading a column joins the whole array, once.
+    """
+
+    def __init__(self, source: Callable[[], Iterable[EventArray]]):
+        self.blocks = source
+
+    @functools.cached_property
+    def whole(self) -> EventArray:
+        parts = [(p.fire, p.scale, p.delay) for p in self.blocks()]
+        return EventArray(*(None if c[0] is None else np.concatenate(c) for c in zip(*parts)))
+
+    fire = property(lambda self: self.whole.fire)
+    scale = property(lambda self: self.whole.scale)
+    delay = property(lambda self: self.whole.delay)
+    arrival = property(lambda self: self.whole.arrival)
+    count = property(lambda self: self.whole.count)
 
 
 class AggregateEvaluator:
@@ -172,9 +197,11 @@ class CrossingReport:
         return self.location is not None
 
 
-def find_zero_crossing(events: EventArray, pulse: Pulse, search_center: float,
+def find_zero_crossing(events: EventArray | EventStream, pulse: Pulse, search_center: float,
                        gate: float = 0.0) -> CrossingReport:
     """Locate the first downward zero crossing near the search centre.
+
+    An ``EventStream`` is read in one pass of blocks; only the scan joins it.
 
     Closed form, when the scales are non-negative and the arrivals span less
     than tau_nz / 2: every arrival is then in support on [a_min, a_max],
@@ -208,36 +235,38 @@ def find_zero_crossing(events: EventArray, pulse: Pulse, search_center: float,
                           gated=False, no_crossing=False)
 
 
-def _single_support_sums(events: EventArray, tau: float, center: float):
+def _single_support_sums(events: EventArray | EventStream, tau: float, center: float):
     """S and C of the arrivals about ``center``, with their least and greatest.
 
     None when the closed form does not apply: a negative or nan scale, or
     arrivals spanning tau / 2 or more (nan arrivals included). Arrivals are
-    formed a block at a time, so nothing event-sized is allocated.
+    formed ``_ANGLE_BLOCK`` at a time, so nothing event-sized is allocated.
     """
     sin_sum = cos_sum = 0.0
     lo, hi = math.inf, -math.inf
-    for start in range(0, events.count, _ANGLE_BLOCK):
-        block = slice(start, start + _ANGLE_BLOCK)
-        weight = events.scale[block]
-        if not weight.min() >= 0.0:
-            return None
-        if events.delay is None:
-            angle = np.subtract(events.fire[block], center)
-        else:
-            angle = np.add(events.fire[block], events.delay[block])
-            angle -= center
-        lo, hi = np.minimum(lo, angle.min()), np.maximum(hi, angle.max())  # nan sticks
-        if not hi - lo < 0.5 * tau:
-            return None
-        angle *= np.pi
-        angle /= tau
-        trig = np.sin(angle)
-        trig *= weight
-        sin_sum += float(trig.sum())
-        np.cos(angle, out=trig)
-        trig *= weight
-        cos_sum += float(trig.sum())
+    for part in events.blocks() if isinstance(events, EventStream) else (events,):
+        for start in range(0, part.count, _ANGLE_BLOCK):
+            block = slice(start, start + _ANGLE_BLOCK)
+            weight = part.scale[block]
+            if not weight.min() >= 0.0:
+                return None
+            if part.delay is None:
+                angle = np.subtract(part.fire[block], center)
+            else:
+                angle = np.add(part.fire[block], part.delay[block])
+                angle -= center
+            lo, hi = np.minimum(lo, angle.min()), np.maximum(hi, angle.max())  # nan sticks
+            if not hi - lo < 0.5 * tau:
+                return None
+            angle *= np.pi
+            angle /= tau
+            trig = np.sin(angle)
+            trig *= weight
+            sin_sum += float(trig.sum())
+            np.cos(angle, out=trig)
+            trig *= weight
+            cos_sum += float(trig.sum())
+        del part, weight    # the next block is made without this one
     return sin_sum, cos_sum, float(lo), float(hi)
 
 

@@ -21,6 +21,7 @@ from chronomesh.waveform import (
     AggregateEvaluator,
     CrossingReport,
     EventArray,
+    EventStream,
     LimitSpec,
     Pulse,
     default_tau_nz,
@@ -363,6 +364,34 @@ class TestClosedFormCrossing:
         events = EventArray.build([0.0, np.nan, 0.01])
         find_zero_crossing(events, Pulse(1.0), 0.0)
         assert scans == [3]
+
+    @pytest.mark.parametrize("with_delay", [False, True], ids=["no_delay", "delay"])
+    def test_stream_cut_at_angle_blocks_matches_its_whole_array(self, scans, with_delay):
+        # blocks cut at multiples of the angle block keep every sum's order, so
+        # both the closed form and the scan give the whole array's report exactly
+        rng = np.random.default_rng(73)
+        size = 3 * _ANGLE_BLOCK + 17
+        delay = rng.uniform(0.0, 0.02, size) if with_delay else None
+        events = EventArray.build(4.0 + rng.normal(0.0, 0.01, size),
+                                  rng.uniform(0.0, 1.0, size) / size, delay)
+        cuts = [0, 2 * _ANGLE_BLOCK, 3 * _ANGLE_BLOCK, size]
+        passes = []
+
+        def blocks():
+            passes.append(1)
+            return (EventArray.build(events.fire[a:b], events.scale[a:b],
+                                     None if delay is None else delay[a:b])
+                    for a, b in zip(cuts, cuts[1:]))
+
+        for pulse, joined in ((Pulse(1.0), False), (Pulse(0.05), True)):
+            stream = EventStream(blocks)
+            passes.clear()
+            scans.clear()
+            report = find_zero_crossing(stream, pulse, 4.0)
+            # the scan joins the whole columns in one more pass
+            assert (scans, len(passes)) == (([size], 2) if joined else ([], 1))
+            assert report == find_zero_crossing(events, pulse, 4.0)
+            assert np.array_equal(stream.arrival, events.arrival)
 
 
 class TestLimitWaveform:
