@@ -226,17 +226,9 @@ class DelayDistribution:
         return delays, self.model.gain(self.model.invert_delay(delays))
 
 
-@dataclass(frozen=True)
-class FixSample:
-    """Transmit-side compensation: a negated interior delay and its gain."""
-
-    d_fix: np.ndarray   # <= 0, subtracted from the pulse argument
-    k_fix: np.ndarray   # gain implied by the compensated distance
-
-
-def sample_fix(model: ChannelModel, receiver: NodePosition, rng: np.random.Generator,
-               size: int) -> FixSample:
-    """Draw the transmit-side compensation pair (d_fix <= 0, k_fix).
+def sample_fix(law: DelayDistribution, rng: np.random.Generator,
+               size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Draw the transmit-side compensation pair (d_fix <= 0, k_fix) from ``law``.
 
     d_fix is a negated draw from the delay law of an interior receiver, one
     whose disk of radius R stays inside the region, which makes the law
@@ -244,11 +236,12 @@ def sample_fix(model: ChannelModel, receiver: NodePosition, rng: np.random.Gener
     reception, evaluated at the reflected delay, so compensation and channel
     stay consistent.
     """
+    model, receiver = law.model, law.receiver
     if not np.isfinite(model.max_range):
         raise DomainError("no interior receivers exist when the gain cutoff is infinite")
     if model.region.edge_distance(receiver.x, receiver.y) < model.max_range:
         raise DomainError(
             f"receiver ({receiver.x}, {receiver.y}) is within max_range of an edge; "
             "the compensation law is defined from interior receivers only")
-    delays, gains = DelayDistribution(model, receiver).sample_pair(rng, size)
-    return FixSample(-delays, gains)
+    delays, gains = law.sample_pair(rng, size)
+    return -delays, gains

@@ -93,7 +93,6 @@ _SETTINGS = {
         "boundary_epsilon": ("0.0", _FLOAT),
         "oracle_alpha": ("false", _BOOL),
         "compensate_delay": ("true", _BOOL),
-        "v_factor": ("1.0", _FLOAT),
         "tau_nz": ("auto", _typed("auto or a finite number",
                                   lambda raw: None if raw == "auto" else float(raw),
                                   lambda tau: tau is None or math.isfinite(tau))),
@@ -246,7 +245,7 @@ def build_scenario(manifest: RunManifest) -> ScenarioConfig:
         regime=_REGIME_BY_COMMAND.get(manifest.command, "no_delay"),
         population=SkewPopulation(s["alpha_low"], s["alpha_up"]),
         delta_bar_range=(s["delta_low"], s["delta_high"]), channel=channel,
-        tau_nz=s["tau_nz"], v_factor=s["v_factor"], epsilon=s["epsilon"],
+        tau_nz=s["tau_nz"], epsilon=s["epsilon"],
         boundary_epsilon=s["boundary_epsilon"], oracle_alpha=s["oracle_alpha"],
         compensate_delay=s["compensate_delay"], seed=manifest.seed)
 

@@ -36,26 +36,24 @@ phase is flagged ``failed`` and each listener holds over: it rolls in its own
 one-step extrapolation of its window, the reading of the instant it listened
 for, so the schedule carries on instead of slipping by a phase.
 
-Per-phase randomness comes from ``substream(seed, DOMAIN_PHASE, index)`` and
-is consumed in a fixed order: fire jitter, compensation draws (delay regime),
-per-probe channel draws, observation jitter (none on holdover), so a phase is
-reproducible however its report is consumed.
+Each kind of per-phase draw has its own stream,
+``substream(seed, DOMAIN_PHASE, phase, kind[, node])``: fire jitter,
+compensation draws (delay regime), each receiver's channel draws (indexed by
+its node id) and observation jitter (none on holdover). Each stream is drawn
+in node order, so a phase is reproducible however its report is consumed, and
+no receiver's draws move another receiver's or the readings.
 
 Memory: beyond the state's vectors a phase allocates nothing node-sized,
-working ``_NODE_BLOCK`` rows at a time. The phase generator draws and discards
-the fire jitter and compensation draws in blocks, keeping a copy where each
-starts (ziggurat normals use a variable number of words, so they cannot be
-skipped). Each receiver's pass replays both from fresh copies to recompute its
-transmitters' fire times block by block and adds each block, with its channel
-draw, to the closed-form sums; readings and rolls follow per block. Blocks cut
-the same draws and keep every blocked sum's partitions, so no result depends
-on the block size; whole event columns are joined only for the scan fallback,
-``no_delay_phase_events`` and tests.
+working ``_NODE_BLOCK`` rows at a time. Each receiver's pass opens its streams
+afresh, recomputes its transmitters' fire times block by block and adds each
+block, with its channel draw, to the closed-form sums; readings and rolls
+follow per block. Blocks cut the same draws and keep every blocked sum's
+partitions, so no result depends on the block size; whole event columns are
+joined only for the scan fallback, ``no_delay_phase_events`` and tests.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -79,6 +77,8 @@ _ALL = slice(None)
 # fits; large, because each block's gain bisection pays a fixed cost per call.
 _NODE_BLOCK = 1 << 17
 _INIT_BLOCK = 1 << 14      # rows per block of the window initialisation buffer
+# Kinds of phase draw, each with its own substream(seed, DOMAIN_PHASE, phase, kind[, node]).
+_FIRE, _FIX, _CHANNEL, _READ = range(4)
 
 
 def _node_blocks(n: int, size: int = _NODE_BLOCK):
@@ -92,10 +92,8 @@ class ScenarioConfig:
     ``sigma2`` is the clock-readout jitter variance. ``epsilon`` is the
     offset from integer instants that interior nodes assume their crossings
     sit at (delay regime); ``boundary_epsilon`` is the same assumption for
-    edge nodes, which see a thinner transmitter population. ``v_factor``
-    rescales amplitudes by 1/v to model a mismatch between the believed and
-    actual node count; the crossing location is invariant to it. The
-    channel carries the deployment region; ``region`` reads it from there.
+    edge nodes, which see a thinner transmitter population. The channel
+    carries the deployment region; ``region`` reads it from there.
     """
 
     n_nodes: int
@@ -106,7 +104,6 @@ class ScenarioConfig:
     delta_bar_range: tuple[float, float] = (-0.5, 0.5)
     channel: ChannelModel = ChannelModel(Region(), 0.25)
     tau_nz: float | None = None
-    v_factor: float = 1.0
     epsilon: float = 0.0
     boundary_epsilon: float = 0.0
     oracle_alpha: bool = False
@@ -126,8 +123,6 @@ class ScenarioConfig:
         lo, hi = self.delta_bar_range
         if not -np.inf < lo <= hi < np.inf:
             raise ConfigurationError("delta_bar_range must be finite and ordered")
-        if not self.v_factor > 0.0:
-            raise ConfigurationError("v_factor must be positive")
         if self.tau_nz is not None and not 0.0 < self.tau_nz < np.inf:
             raise ConfigurationError("tau_nz must be positive and finite")
         if not np.isfinite(self.epsilon) or not np.isfinite(self.boundary_epsilon):
@@ -226,7 +221,7 @@ class NetworkState:
 
         self.probes: list[int] = []
         self.rx_gain_dist: PathlossDistribution | None = None
-        self.fix_receiver: NodePosition | None = None  # delay: compensation law's receiver
+        self.fix_law: DelayDistribution | None = None  # delay: the compensation law
         if config.regime == "delay":
             self.schedules = self._delay_schedules()
         else:
@@ -283,7 +278,7 @@ class NetworkState:
              float(self.eps_i[node]))
             for node in self.probes)
         if cfg.compensate_delay:
-            self.fix_receiver = NodePosition(*self.positions[self.probes[0]])
+            self.fix_law = receivers[0][1]
         return (Schedule(_ALL, _ALL, self.interior, receivers),)
 
     def _init_windows(self, rng: np.random.Generator):
@@ -341,21 +336,9 @@ def _require_regime(state: NetworkState, regime: str):
         raise ConfigurationError("state was built for a different regime")
 
 
-def _phase_draws(state: NetworkState, rng: np.random.Generator):
-    """Copies of ``rng`` where the fire jitter and compensation draws start; it discards both."""
-    jitter, fix = copy.deepcopy(rng), None
-    for rows in _node_blocks(state.n):
-        state._jitter(rng, rows)
-    if state.fix_receiver is not None:
-        fix = copy.deepcopy(rng)
-        for rows in _node_blocks(state.n):
-            sample_fix(state.channel, state.fix_receiver, rng, rows.stop - rows.start)
-    return jitter, fix
-
-
 def _block_events(state: NetworkState, sched: Schedule, law, rows: slice, n_tx: int,
-                  rng: np.random.Generator, jitter, fix_rng) -> EventArray | None:
-    """A node block's events: fire times from ``jitter`` and ``fix_rng``, gains from ``rng``.
+                  jitter, fix_rng, rng: np.random.Generator) -> EventArray | None:
+    """A node block's events: fire times from ``jitter`` and ``fix_rng``, channel from ``rng``.
 
     None when the block holds no transmitter. Delay-regime readings sit at integers +
     eps_i while the target assumes integers + epsilon; the fit is linear in a constant
@@ -372,9 +355,9 @@ def _block_events(state: NetworkState, sched: Schedule, law, rows: slice, n_tx: 
         fires += (cfg.epsilon - state.eps_i[rows][tx]) * alphas
     k_fix = delays = None
     if fix_rng is not None:
-        fix = sample_fix(state.channel, state.fix_receiver, fix_rng, size)
-        fires += (alphas if cfg.oracle_alpha else report.alpha_hat) * fix.d_fix[tx]
-        k_fix = fix.k_fix[tx]
+        d_fix, k_fix = sample_fix(state.fix_law, fix_rng, size)
+        fires += (alphas if cfg.oracle_alpha else report.alpha_hat) * d_fix[tx]
+        k_fix = k_fix[tx]
     del report
     fires = (fires - state._jitter(jitter, rows)[tx]) / alphas + state.deltas[rows][tx]
     if isinstance(law, DelayDistribution):
@@ -383,20 +366,19 @@ def _block_events(state: NetworkState, sched: Schedule, law, rows: slice, n_tx: 
     else:
         gains = law.sample(rng, size)
     scales = gains[tx] if k_fix is None else gains[tx] * k_fix
-    return EventArray.build(fires, scales / (n_tx * cfg.v_factor), delays) if fires.size else None
+    return EventArray.build(fires, scales / n_tx, delays) if fires.size else None
 
 
-def _receiver_events(state: NetworkState, sched: Schedule, law, draws,
-                     rng: np.random.Generator) -> EventStream:
-    """A receiver's events, a node block at a time; each pass restarts ``rng`` and ``draws``."""
-    start = rng.bit_generator.state
+def _receiver_events(state: NetworkState, sched: Schedule, node: int, law) -> EventStream:
+    """A receiver's events, a node block at a time; each pass opens the phase's streams afresh."""
     n_tx = state.n if sched.transmit is _ALL else int(np.count_nonzero(sched.transmit))
+    path = (state.config.seed, DOMAIN_PHASE, state.phase_count)
 
     def blocks():
-        rng.bit_generator.state = start
-        replay = copy.deepcopy(draws)
+        jitter, rng = substream(*path, _FIRE), substream(*path, _CHANNEL, node)
+        fix_rng = None if state.fix_law is None else substream(*path, _FIX)
         # filter holds no block once it is handed on, so a pass holds one at a time
-        return filter(None, (_block_events(state, sched, law, rows, n_tx, rng, *replay)
+        return filter(None, (_block_events(state, sched, law, rows, n_tx, jitter, fix_rng, rng)
                              for rows in _node_blocks(state.n)))
     return EventStream(blocks)
 
@@ -413,7 +395,7 @@ def _roll_block(state: NetworkState, sched: Schedule, rows: slice, crossing: Cro
                     + state._jitter(rng, rows))[listen]
     else:
         readings = fit(windows[listen], state.config.m).phi_hat
-    # column by column: an overlapping 2-D copy goes through a buffer, several times slower
+    # column by column: an overlapping 2-D assignment goes through a buffer, several times slower
     for k in range(windows.shape[1] - 1):
         windows[listen, k] = windows[listen, k + 1]
     windows[listen, -1] = readings
@@ -426,10 +408,9 @@ def no_delay_phase_events(state: NetworkState) -> tuple[EventArray, float]:
     the aggregate whose crossing the phase would use.
     """
     _require_regime(state, "no_delay")
-    rng = substream(state.config.seed, DOMAIN_PHASE, state.phase_count)
     sched = state.schedule
-    events = _receiver_events(state, sched, sched.receivers[0][1], _phase_draws(state, rng), rng)
-    return events.whole, float(state.next_center)
+    node, law, _ = sched.receivers[0]
+    return _receiver_events(state, sched, node, law).whole, float(state.next_center)
 
 
 def run_phase(state: NetworkState) -> PhaseReport:
@@ -438,18 +419,16 @@ def run_phase(state: NetworkState) -> PhaseReport:
     if not sched.receivers:
         raise ConfigurationError("a phase needs a transmitter and a listener; "
                                  "even_odd needs both parities present")
-    rng = substream(state.config.seed, DOMAIN_PHASE, state.phase_count)
     tau0 = float(state.next_center)
-    replay = _phase_draws(state, rng)
-
     crossings: dict[int, CrossingReport] = {}
     for node, law, offset in sched.receivers:
-        events = _receiver_events(state, sched, law, replay, rng)
+        events = _receiver_events(state, sched, node, law)
         crossings[node] = find_zero_crossing(events, state.pulse, search_center=tau0 + offset,
                                              gate=state.channel.gate)
 
     primary = sched.receivers[0][0]
     crossing = crossings[primary]
+    rng = substream(state.config.seed, DOMAIN_PHASE, state.phase_count, _READ)
     for rows in _node_blocks(state.n):
         _roll_block(state, sched, rows, crossing, tau0, rng)
 

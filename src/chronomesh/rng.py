@@ -3,8 +3,9 @@
 Every run hangs off one master seed. Independent generators are derived from
 (seed, domain, *indices) paths through numpy's SeedSequence, so a unit of
 work (a phase, a trial block, an oscillator census seed) owns its stream no
-matter in which order the units run. Draw order inside a unit is part of its
-contract: change it and you change the outputs.
+matter in which order the units run. A unit that makes several kinds of draws
+gives each kind its own stream, one index further down, so draw order matters
+only within one kind: change it and you change the outputs.
 """
 
 from __future__ import annotations

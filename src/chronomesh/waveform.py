@@ -1,6 +1,6 @@
 """Aggregate received waveforms and their zero crossings.
 
-Every transmitter contributes a scaled, shifted copy of one odd pulse, the
+Every transmitter contributes a scaled, shifted instance of one odd pulse, the
 half-sine p(t) = -sin(pi t / tau_nz) on the support (-tau_nz, tau_nz) and 0
 outside it: positive before the crossing at t = 0, negative after it, with
 peak 1. Receivers estimate the common transmit instant as the first
@@ -70,7 +70,7 @@ class EventArray:
     """Column layout of transmit events for vectorized evaluation.
 
     delay is None when propagation is instantaneous; arrival is then the
-    fire column itself, not a copy. An ``EventStream`` stands in for one
+    fire column itself, with no second array. An ``EventStream`` stands in for one
     whose columns are made a block at a time.
     """
 

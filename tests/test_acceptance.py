@@ -169,10 +169,10 @@ def test_criterion_6_delay_compensation_symmetry():
     receiver = NodePosition(0.5, 0.5)
     rng = np.random.default_rng(99)
     count = 1_000_000
-    fix = sample_fix(model, receiver, rng, count)
+    d_fix, k_fix = sample_fix(DelayDistribution(model, receiver), rng, count)
     delays, gains = DelayDistribution(model, receiver).sample_pair(rng, count)
-    total = fix.d_fix + delays
-    weight = fix.k_fix * gains
+    total = d_fix + delays
+    weight = k_fix * gains
     edges = np.linspace(-0.3, 0.3, 22)
     hist, _ = np.histogram(total, bins=edges, weights=weight)
     hist = hist / hist.sum()

@@ -177,9 +177,10 @@ class TestCoupling:
 class TestFixCompensation:
     def test_fix_samples_negative_with_consistent_gain(self):
         model = center_model()
-        fix = sample_fix(model, CENTER, np.random.default_rng(41), size=50_000)
-        assert np.all(fix.d_fix <= 0.0)
-        assert np.array_equal(fix.k_fix, model.gain(model.invert_delay(-fix.d_fix)))
+        d_fix, k_fix = sample_fix(DelayDistribution(model, CENTER), np.random.default_rng(41),
+                                  size=50_000)
+        assert np.all(d_fix <= 0.0)
+        assert np.array_equal(k_fix, model.gain(model.invert_delay(-d_fix)))
 
     def test_fix_plus_delay_is_symmetric_about_zero(self):
         # The compensation offset is a reflected interior delay, so the sum
@@ -187,9 +188,9 @@ class TestFixCompensation:
         model = center_model()
         rng = np.random.default_rng(43)
         n = 1_000_000
-        fix = sample_fix(model, CENTER, rng, size=n)
+        d_fix, _ = sample_fix(DelayDistribution(model, CENTER), rng, size=n)
         delays = DelayDistribution(model, CENTER).sample(rng, size=n)
-        total = fix.d_fix + delays
+        total = d_fix + delays
         hi = np.max(np.abs(total))
         grid = np.linspace(-hi, hi, 2001)
         g = empirical_cdf(total, grid)
@@ -201,9 +202,11 @@ class TestFixCompensation:
     def test_interior_guard(self):
         model = center_model()
         with pytest.raises(DomainError):
-            sample_fix(model, NodePosition(0.1, 0.5), np.random.default_rng(1), 1)
+            sample_fix(DelayDistribution(model, NodePosition(0.1, 0.5)),
+                       np.random.default_rng(1), 1)
         with pytest.raises(DomainError):
-            sample_fix(ChannelModel(Region(1.0, 1.0), np.inf), CENTER, np.random.default_rng(1), 1)
+            sample_fix(DelayDistribution(ChannelModel(Region(1.0, 1.0), np.inf), CENTER),
+                       np.random.default_rng(1), 1)
 
 
 class TestModelValidation:

@@ -236,17 +236,17 @@ def test_pco_event_log_bytes_are_pinned(tmp_path):
 OUTPUT_PINS = {
     "steady": (
         ["steady", "--nodes", "2000", "--phases", "3", "--seed", "7"], None,
-        {"phases.csv": "b994d6550a7252438495e98e1251617b09d0f4c9f894eb165917ef1d427308f8"}),
+        {"phases.csv": "484b27c2f7bb58efaca7bc5badc9b5def1da8b5aeafe6a8cb89a761c0286f2d7"}),
     "evenodd": (
         ["evenodd", "--nodes", "2000", "--phases", "3", "--seed", "4"], None,
-        {"phases.csv": "9ee5f3bdbfa55ed0ec73c066eb99c18b7d0ccc069015e3bf4d65c44ff63f6ed6"}),
+        {"phases.csv": "0d5ccd9df1e43397dbd95884edca723585dea53d3f75286889c558e0e1dda690"}),
     "delay": (
         ["delay", "--nodes", "2000", "--phases", "2", "--seed", "5"], None,
-        {"phases.csv": "c44b21f4d543075db1279766384f217bc9ab8965831a4aae26edbf9a16d4d38b"}),
+        {"phases.csv": "6fac7babeba03630dd6be3d8945d0ea4efcc1347925ded890252c82adf83ea6c"}),
     "waveform": (
         ["waveform", "--nodes", "400", "--sigma2", "0.003", "--seed", "2"], None,
-        {"waveform.csv": "b147ef86905f97c2080f1b683ee9ac9dae5b8b1d51282a427f7a1a4eea695217",
-         "crossing.csv": "38e53c2dcfbb124ce52eb418ef9becd8f06a7f502fddddf477c87fb6ea57eeed"}),
+        {"waveform.csv": "0fd7e61e6e0b3f53024277cf818f9de53c45e9fe1837eeccc15b647a7a5299d2",
+         "crossing.csv": "59cbed3452cf3c12b5d22781096ba2a2686c793708e2b8b87b66bd58681d7c3b"}),
     "samples": (
         ["channel-sample", "--trials", "400", "--seed", "8"], None,
         {"samples.csv": "796d1865bd891e7d94aaaface644e68ea6d51a6b19f2d33305643d6364defb10"}),

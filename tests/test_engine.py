@@ -28,7 +28,7 @@ from chronomesh.engine import (
 )
 from chronomesh.errors import ConfigurationError
 from chronomesh.estimator import fit
-from chronomesh.geometry import Region
+from chronomesh.geometry import NodePosition, Region
 from chronomesh.rng import DOMAIN_PHASE, substream
 from chronomesh.waveform import EventArray, find_zero_crossing
 from test_waveform import assert_matches_scan, scan_crossing
@@ -64,32 +64,35 @@ def built_fires(monkeypatch):
 def whole_vector_events(state):
     """(receiver, events, search offset) of the coming phase, built from whole node vectors.
 
-    One pass over all nodes in the phase's draw order and with the kernel's
-    floating-point steps: the reference a phase worked in node blocks must match.
+    Each kind of draw is taken whole from its own phase stream, with the
+    kernel's floating-point steps: the reference a phase worked in node blocks
+    must match.
     """
     cfg, sched = state.config, state.schedule
-    rng = substream(cfg.seed, DOMAIN_PHASE, state.phase_count)
+    path = (cfg.seed, DOMAIN_PHASE, state.phase_count)
     tx = sched.transmit
     report = fit(state.windows[tx], cfg.target)
     fires = report.phi_hat
     if state.eps_i is not None:
         fires += (cfg.epsilon - state.eps_i[tx]) * state.alphas[tx]
-    jitter = rng.normal(0.0, 1.0, size=state.n) * state.sigma
+    jitter = substream(*path, engine._FIRE).normal(0.0, 1.0, size=state.n) * state.sigma
     jitter[0] = 0.0
     k_fix = 1.0
-    if state.fix_receiver is not None:
-        fix = sample_fix(state.channel, state.fix_receiver, rng, state.n)
-        fires += (state.alphas[tx] if cfg.oracle_alpha else report.alpha_hat) * fix.d_fix[tx]
-        k_fix = fix.k_fix[tx]
+    if cfg.regime == "delay" and cfg.compensate_delay:
+        law = DelayDistribution(state.channel, NodePosition(*state.positions[state.probes[0]]))
+        d_fix, k_fix = sample_fix(law, substream(*path, engine._FIX), state.n)
+        fires += (state.alphas[tx] if cfg.oracle_alpha else report.alpha_hat) * d_fix[tx]
+        k_fix = k_fix[tx]
     fires = (fires - jitter[tx]) / state.alphas[tx] + state.deltas[tx]
     out = []
     for node, law, offset in sched.receivers:
+        rng = substream(*path, engine._CHANNEL, node)
         if isinstance(law, DelayDistribution):
             delays, gains = law.sample_pair(rng, state.n)
             delays = delays[tx]
         else:
             delays, gains = None, law.sample(rng, state.n)
-        scales = gains[tx] * k_fix / (fires.size * cfg.v_factor)
+        scales = gains[tx] * k_fix / fires.size
         out.append((node, EventArray.build(fires, scales, delays), offset))
     return out
 
@@ -207,15 +210,6 @@ def test_windows_advance_with_observations(regime):
     assert 0.0 < abs(spread[jittered]).max() < 6 * np.sqrt(1e-4)
 
 
-def test_v_factor_leaves_crossing_alone():
-    locs = []
-    for v in (1.0, 7.0):
-        cfg = ScenarioConfig(n_nodes=2000, sigma2=1e-4, seed=9, v_factor=v)
-        st = NetworkState(cfg)
-        locs.append(run_phase(st).crossing)
-    assert locs[0] == pytest.approx(locs[1], abs=1e-8)
-
-
 def test_same_seed_reproduces_bitwise():
     cfg = ScenarioConfig(n_nodes=500, sigma2=1e-4, seed=14)
     runs = []
@@ -232,13 +226,12 @@ def test_same_seed_reproduces_bitwise():
 # First three primary crossings of a 2000-node network, seed 3. Exact
 # equality pins every RNG stream and the order of every floating-point
 # operation on the build and phase paths, so a change made for memory or
-# speed alone must leave these values untouched. Taken with the closed-form
-# crossing; the earlier pins, found by grid scan and bisection, differ from
-# these by at most 1.6e-10.
+# speed alone must leave these values untouched. Retaken when each kind of
+# phase draw got its own stream, which changes every draw of a phase.
 PINNED_CROSSINGS = {
-    "no_delay": (3.0014524323806495, 4.002622021013744, 5.002183904848987),
-    "even_odd": (6.001542274878006, 7.0036212818123245, 8.001283840234246),
-    "delay": (2.9865867418297394, 3.981672974884989, 4.997905178315389),
+    "no_delay": (2.9978108381427457, 3.998832001527059, 4.999614338047681),
+    "even_odd": (6.000155930850068, 6.999762163083022, 8.000819621461302),
+    "delay": (2.9768331175333187, 3.9992721667540265, 4.992193656115875),
 }
 
 
@@ -249,17 +242,17 @@ def test_crossings_are_bit_identical_to_pinned_values(regime):
 
 
 # Two full 1 << 17-node blocks and a partial one, seed 3: the first two
-# primary crossings and the SHA-256 of the windows after them, taken when a
-# phase still built every node vector whole. A seam error in any block draw,
-# fit, sum or window roll changes them.
+# primary crossings and the SHA-256 of the windows after them. A seam error in
+# any block draw, fit, sum or window roll changes them. Retaken with the
+# per-kind phase streams, once the whole-vector oracle matched them.
 MULTI_BLOCK_N = 2 * (1 << 17) + 2001
 MULTI_BLOCK_PINS = {
-    "no_delay": ((2.999891470006171, 4.0000317066559905),
-                 "96b1b90249c80ab5ff1ed2f1fe0ec8a993acdde0c54a37715b9f0bb2657d7621"),
-    "even_odd": ((5.999871466130019, 7.0001144409511635),
-                 "96dbfca04e59d03bca9ee69eb7427c37de1c01141759a3718bf5bd716fba64b0"),
-    "delay": ((3.0003656362217055, 4.000244465241132),
-              "e91d260cff939a707619f18f34df68d6964feee7031fc79d30a9f45557a15688"),
+    "no_delay": ((3.0000942817451777, 4.000041202404456),
+                 "1369762ae530d3e4d86305af243ebb797abc14cf775d1bb83740ca49c89f0edb"),
+    "even_odd": ((5.999874826725395, 6.999961786947125),
+                 "85b330cff70d60f3473be1b40f91dcae1aaf05c9d21711598122a0a9ad6a5010"),
+    "delay": ((3.0002721652151307, 3.9996816090725376),
+              "a997fb9504fd4d3f4bf37fb95feb8663ec7cba7bd78031104465eef21d787db3"),
 }
 
 
@@ -477,7 +470,10 @@ def test_phase_reports_hold_no_node_vectors():
 # -- even/odd phases -----------------------------------------------------
 
 def test_even_odd_noiseless_exact(built_fires):
-    st = NetworkState(quiet_config(n_nodes=10, regime="even_odd"))
+    # unit gains: with the default range the reporting listener hears none of
+    # its five transmitters with probability 0.804^5 = 0.335
+    st = NetworkState(quiet_config(n_nodes=10, regime="even_odd",
+                                   channel=ChannelModel(Region(), np.inf)))
     listen = st.schedule.listen
     rep, transmit, fires = even_odd_phase(st, built_fires)
     active = st.parity == 0
@@ -529,6 +525,22 @@ def test_delay_with_negligible_delays_matches_no_delay():
     assert rep.crossing == pytest.approx(rep.center, abs=1e-6)
     for node, _, offset in st.schedule.receivers:
         assert abs(rep.crossings[node].location - (rep.center + offset)) < 1e-6
+
+
+def test_delay_probes_draw_independently_of_each_other():
+    # Each receiver's channel draws and the readings have their own streams,
+    # so dropping the boundary probe leaves the interior probe's crossing and
+    # every window bit for bit as they were.
+    cfg = ScenarioConfig(n_nodes=3000, sigma2=1e-4, regime="delay", seed=7)
+    both, alone = NetworkState(cfg), NetworkState(cfg)
+    (sched,) = alone.schedules
+    alone.schedules = (replace(sched, receivers=sched.receivers[:1]),)
+    probe = both.probes[0]
+    assert len(both.probes) == 2 and both.interior[probe]
+    full, single = run_phase(both), run_phase(alone)
+    assert list(single.crossings) == [probe]
+    assert single.crossings[probe] == full.crossings[probe]
+    assert np.array_equal(alone.windows, both.windows)
 
 
 def test_delay_compensated_crossing_stays_put():
@@ -639,10 +651,8 @@ def test_config_validation():
     with pytest.raises(ConfigurationError):
         ScenarioConfig(n_nodes=5, delta_bar_range=(0.5, -0.5))
     with pytest.raises(ConfigurationError):
-        ScenarioConfig(n_nodes=5, v_factor=0.0)
-    with pytest.raises(ConfigurationError):
         ScenarioConfig(n_nodes=5, regime="delay", channel=ChannelModel(Region(), np.inf))
-    for field_values in ({"sigma2": np.nan}, {"sigma2": np.inf}, {"v_factor": np.nan},
+    for field_values in ({"sigma2": np.nan}, {"sigma2": np.inf},
                          {"tau_nz": np.nan}, {"epsilon": np.nan},
                          {"boundary_epsilon": np.nan},
                          {"delta_bar_range": (np.nan, 0.5)},
