@@ -10,38 +10,8 @@ multi-hop cascade used as the scaling contrast.
 
 __version__ = "0.1.0"
 
-from .channel import ChannelModel
-from .clock import SkewPopulation
-from .engine import NetworkState, PhaseReport, ScenarioConfig, estimate_epsilon, run_phase, run_phases
+from .engine import NetworkState, PhaseReport, ScenarioConfig, run_phase, run_phases
 from .errors import ConfigurationError, DomainError, NumericsError
-from .estimator import fit
-from .geometry import NodePosition, Region
-from .multihop import HopChainConfig, hop_count_estimate, run_cascade
-from .pco import PcoConfig, log_charging_map, pco_run_to_sync
-from .waveform import Pulse, find_zero_crossing
 
-__all__ = [
-    "ChannelModel",
-    "ConfigurationError",
-    "DomainError",
-    "HopChainConfig",
-    "NetworkState",
-    "NodePosition",
-    "NumericsError",
-    "PcoConfig",
-    "PhaseReport",
-    "Pulse",
-    "Region",
-    "ScenarioConfig",
-    "SkewPopulation",
-    "estimate_epsilon",
-    "find_zero_crossing",
-    "fit",
-    "hop_count_estimate",
-    "log_charging_map",
-    "pco_run_to_sync",
-    "run_cascade",
-    "run_phase",
-    "run_phases",
-    "__version__",
-]
+__all__ = ["ConfigurationError", "DomainError", "NetworkState", "NumericsError", "PhaseReport",
+           "ScenarioConfig", "run_phase", "run_phases", "__version__"]

@@ -17,9 +17,9 @@ window step each fit predicts at (``ScenarioConfig.target``).
   the crossing does not depend on who listens.
 - ``even_odd``: nodes are split by parity; each phase one half fires while
   the other half listens, so a node never has to hear through its own
-  transmission. Windows hold every second instant, so the next own instant
-  is half a window step past the last reading; the steady-state picture is
-  the same.
+  transmission. Each half is a stride-2 slice of the node rows. Windows hold
+  every second instant, so the next own instant is half a window step past
+  the last reading; the steady-state picture is the same.
 - ``delay``: propagation takes time. Transmitters subtract a random
   compensation delay drawn from the interior reception law, amplitudes carry
   the coupled gains of both legs, and the aggregate differs per receiver.
@@ -44,12 +44,14 @@ in node order, so a phase is reproducible however its report is consumed, and
 no receiver's draws move another receiver's or the readings.
 
 Memory: beyond the state's vectors a phase allocates nothing node-sized,
-working ``_NODE_BLOCK`` rows at a time. Each receiver's pass opens its streams
-afresh, recomputes its transmitters' fire times block by block and adds each
-block, with its channel draw, to the closed-form sums; readings and rolls
-follow per block. Blocks cut the same draws and keep every blocked sum's
-partitions, so no result depends on the block size; whole event columns are
-joined only for the scan fallback, ``no_delay_phase_events`` and tests.
+working ``_NODE_BLOCK`` rows at a time. Every block starts at an even row, so
+a role's slice of a block selects the block's share of that role. Each
+receiver's pass opens its streams afresh, recomputes its transmitters' fire
+times block by block and adds each block, with its channel draw, to the
+closed-form sums; readings and rolls follow per block. Blocks cut the same
+draws and keep every blocked sum's partitions, so no result depends on the
+block size; whole event columns are joined only for the scan fallback,
+``no_delay_phase_events`` and tests.
 """
 
 from __future__ import annotations
@@ -70,11 +72,11 @@ from .waveform import (CrossingReport, EventArray, EventStream, Pulse, default_t
 
 REGIMES = ("no_delay", "even_odd", "delay")
 
-# Row selector of every node: indexing with it keeps views, an all-True mask copies.
-_ALL = slice(None)
 # Rows per block of a phase pass: a multiple of twice the angle and fit blocks,
 # so one parity's transmitters in a block fill whole partitions of the sums and
 # fits; large, because each block's gain bisection pays a fixed cost per call.
+# It and _INIT_BLOCK are even, so every block starts at an even row and an
+# even_odd role's stride-2 slice of a block keeps the parity it has network-wide.
 _NODE_BLOCK = 1 << 17
 _INIT_BLOCK = 1 << 14      # rows per block of the window initialisation buffer
 # Kinds of phase draw, each with its own substream(seed, DOMAIN_PHASE, phase, kind[, node]).
@@ -170,10 +172,14 @@ class PhaseReport:
 
 @dataclass(frozen=True)
 class Schedule:
-    """Roles in one phase; rows are selected by ``_ALL`` or by a mask."""
+    """Roles in one phase, each a slice of the node rows.
 
-    transmit: slice | np.ndarray
-    listen: slice | np.ndarray
+    ``slice(None)`` is every node; even_odd's ``slice(p, None, 2)`` is parity p.
+    Blocks start at even rows, so a role slices a block as it slices the network.
+    """
+
+    transmit: slice
+    listen: slice
     follow: np.ndarray | None    # listeners reading the crossing; the rest their assumed instant
     receivers: tuple             # (node id, channel law, search offset), primary first
 
@@ -241,20 +247,17 @@ class NetworkState:
         # node that reports it.
         self.rx_gain_dist = PathlossDistribution(self.channel, NodePosition(*self.positions[0]))
         if self.config.regime == "no_delay":
-            return (Schedule(_ALL, _ALL, None, ((0, self.rx_gain_dist, 0.0),)),)
+            return (Schedule(slice(None), slice(None), None, ((0, self.rx_gain_dist, 0.0),)),)
         # even_odd: in the phase of an instant of parity p, parity p fires
-        # and the first listener reports the crossing
+        # and the first listener, node 1 - p, reports the crossing
         schedules = []
         for p in (0, 1):
-            active = self.parity == p
-            listeners = np.flatnonzero(~active)
             receivers = ()
-            if 0 < listeners.size < self.config.n_nodes:
-                node = int(listeners[0])
-                law = self.rx_gain_dist if node == 0 else PathlossDistribution(
-                    self.channel, NodePosition(*self.positions[node]))
-                receivers = ((node, law, 0.0),)
-            schedules.append(Schedule(active, ~active, None, receivers))
+            if self.n > 1:
+                law = self.rx_gain_dist if p == 1 else PathlossDistribution(
+                    self.channel, NodePosition(*self.positions[1]))
+                receivers = ((1 - p, law, 0.0),)
+            schedules.append(Schedule(slice(p, None, 2), slice(1 - p, None, 2), None, receivers))
         return tuple(schedules)
 
     def _delay_schedules(self) -> tuple[Schedule, ...]:
@@ -279,7 +282,7 @@ class NetworkState:
             for node in self.probes)
         if cfg.compensate_delay:
             self.fix_law = receivers[0][1]
-        return (Schedule(_ALL, _ALL, self.interior, receivers),)
+        return (Schedule(slice(None), slice(None), self.interior, receivers),)
 
     def _init_windows(self, rng: np.random.Generator):
         """Steady-state windows: exact past instants read with fresh jitter.
@@ -297,8 +300,8 @@ class NetworkState:
             if cfg.regime == "even_odd":
                 # the coming phase's transmitters hold tau0-(2m-1), ..., tau0-1;
                 # its listeners hold tau0-2m, ..., tau0-2, so both are spaced by 2
-                first = np.where(self.schedule.transmit[rows], self.next_center - (2 * m - 1),
-                                 self.next_center - 2 * m)
+                first = np.full(rows.stop - rows.start, float(self.next_center - 2 * m))
+                first[self.schedule.transmit] += 1.0
             for k in range(m):
                 if cfg.regime == "even_odd":
                     instant = first + 2.0 * k
@@ -322,10 +325,6 @@ class NetworkState:
         return self.config.n_nodes
 
     @property
-    def parity(self) -> np.ndarray:
-        return np.arange(self.n) % 2
-
-    @property
     def schedule(self) -> Schedule:
         """Roles for the coming phase."""
         return self.schedules[self.next_center % len(self.schedules)]
@@ -347,7 +346,7 @@ def _block_events(state: NetworkState, sched: Schedule, law, rows: slice, n_tx: 
     """
     cfg = state.config
     size = rows.stop - rows.start
-    tx = sched.transmit if sched.transmit is _ALL else sched.transmit[rows]
+    tx = sched.transmit
     alphas = state.alphas[rows][tx]
     report = fit(state.windows[rows][tx], cfg.target)
     fires = report.phi_hat
@@ -371,7 +370,7 @@ def _block_events(state: NetworkState, sched: Schedule, law, rows: slice, n_tx: 
 
 def _receiver_events(state: NetworkState, sched: Schedule, node: int, law) -> EventStream:
     """A receiver's events, a node block at a time; each pass opens the phase's streams afresh."""
-    n_tx = state.n if sched.transmit is _ALL else int(np.count_nonzero(sched.transmit))
+    n_tx = len(range(state.n)[sched.transmit])
     path = (state.config.seed, DOMAIN_PHASE, state.phase_count)
 
     def blocks():
@@ -386,7 +385,7 @@ def _receiver_events(state: NetworkState, sched: Schedule, node: int, law) -> Ev
 def _roll_block(state: NetworkState, sched: Schedule, rows: slice, crossing: CrossingReport,
                 tau0: float, rng: np.random.Generator):
     """Roll a node block's listeners' readings, or on holdover their predictions, into windows."""
-    listen = sched.listen if sched.listen is _ALL else sched.listen[rows]
+    listen = sched.listen
     windows = state.windows[rows]
     if crossing.ok:
         instants = crossing.location if sched.follow is None else np.where(

@@ -74,11 +74,9 @@ def predicted_chain_variances(config: HopChainConfig) -> np.ndarray:
     m = config.m
     d_const = (m - 1) * m * (m + 1)
     base = 12.0 * config.sigma2 / d_const
-    out = np.empty(config.hops - 1)
-    out[0] = base
-    for i in range(3, config.hops + 1):
-        out[i - 2] = out[i - 3] + base * 2.0
-    return out
+    steps = np.full(config.hops - 1, base * 2.0)
+    steps[0] = base
+    return np.cumsum(steps)
 
 
 @dataclass(frozen=True)

@@ -98,7 +98,7 @@ def whole_vector_events(state):
 
 
 def even_odd_phase(state, built_fires):
-    """Run one even_odd phase; return its transmit mask and fires by node (nan if silent)."""
+    """Run one even_odd phase; return its transmit rows and fires by node (nan if silent)."""
     transmit = state.schedule.transmit
     built_fires.clear()
     rep = run_phase(state)
@@ -196,7 +196,7 @@ def test_windows_advance_with_observations(regime):
     st = NetworkState(cfg)
     before = st.windows.copy()
     # even_odd: the parity of the instant fires, the other parity listens
-    listen = st.parity != st.next_center % 2 if regime == "even_odd" else np.ones(50, bool)
+    listen = np.arange(50) % 2 != st.next_center % 2 if regime == "even_odd" else np.ones(50, bool)
     rep = run_phase(st)
     assert np.array_equal(st.windows[listen, :-1], before[listen, 1:])
     assert np.array_equal(st.windows[~listen], before[~listen])
@@ -291,7 +291,8 @@ def test_multi_block_gated_phase_rolls_in_the_holdover_fit(regime, seed):
     gated_channel = ChannelModel(Region(), max_range=0.25, gate=1.0)
     st = NetworkState(ScenarioConfig(n_nodes=MULTI_BLOCK_N, sigma2=1e-4, seed=seed,
                                      regime=regime, channel=gated_channel))
-    listen = st.parity != st.next_center % 2 if regime == "even_odd" else np.ones(st.n, bool)
+    listen = (np.arange(st.n) % 2 != st.next_center % 2 if regime == "even_odd"
+              else np.ones(st.n, bool))
     before = st.windows.copy()
     rep = run_phase(st)
     assert rep.failed and rep.crossings[rep.primary].gated
@@ -441,12 +442,14 @@ def test_fit_and_crossing_work_in_blocks():
     assert traced_peak(lambda: find_zero_crossing(events, st.pulse, center)) <= 0.3 * vector
 
 
-def test_no_delay_build_stays_within_a_few_node_vectors():
+@pytest.mark.parametrize("regime", ["no_delay", "even_odd"])
+def test_no_delay_build_stays_within_a_few_node_vectors(regime):
     # positions (2), skews, offsets and windows (3) are kept; the jitter is
     # drawn into the windows and the columns are added through a small block
     # buffer, so the build's working space is a fraction of a node vector.
+    # even_odd's roles are row slices, so it keeps no mask beside them.
     n = 200_000
-    config = ScenarioConfig(n_nodes=n, regime="no_delay", seed=0)
+    config = ScenarioConfig(n_nodes=n, regime=regime, seed=0)
     NetworkState(replace(config, n_nodes=10))  # pays the first build's lazy imports
     assert traced_peak(lambda: NetworkState(config)) <= 7.5 * 8 * n
 
@@ -474,11 +477,12 @@ def test_even_odd_noiseless_exact(built_fires):
     # its five transmitters with probability 0.804^5 = 0.335
     st = NetworkState(quiet_config(n_nodes=10, regime="even_odd",
                                    channel=ChannelModel(Region(), np.inf)))
+    rows = np.arange(st.n)
     listen = st.schedule.listen
     rep, transmit, fires = even_odd_phase(st, built_fires)
-    active = st.parity == 0
-    assert np.array_equal(transmit, active)
-    assert np.array_equal(listen, ~active)
+    active = rows % 2 == 0
+    assert np.array_equal(rows[transmit], rows[active])
+    assert np.array_equal(rows[listen], rows[~active])
     assert np.allclose(fires[active], 6.0, atol=1e-10)
     assert np.all(np.isnan(fires[~active]))
     assert rep.crossing == pytest.approx(6.0, abs=1e-9)
