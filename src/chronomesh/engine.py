@@ -43,15 +43,17 @@ its node id) and observation jitter (none on holdover). Each stream is drawn
 in node order, so a phase is reproducible however its report is consumed, and
 no receiver's draws move another receiver's or the readings.
 
-Memory: beyond the state's vectors a phase allocates nothing node-sized,
-working ``_NODE_BLOCK`` rows at a time. Every block starts at an even row, so
-a role's slice of a block selects the block's share of that role. Each
-receiver's pass opens its streams afresh, recomputes its transmitters' fire
-times block by block and adds each block, with its channel draw, to the
-closed-form sums; readings and rolls follow per block. Blocks cut the same
-draws and keep every blocked sum's partitions, so no result depends on the
-block size; whole event columns are joined only for the scan fallback,
-``no_delay_phase_events`` and tests.
+Memory: the state keeps only what phases read (see ``NetworkState``). The
+placement goes once the receivers' laws are built, because each phase draws
+every channel from its receiver's law. Beyond the state's vectors a phase
+allocates nothing node-sized, working ``_NODE_BLOCK`` rows at a time. Every
+block starts at an even row, so a role's slice of a block selects the block's
+share of that role. Each receiver's pass opens its streams afresh, recomputes
+its transmitters' fire times block by block and adds each block, with its
+channel draw, to the closed-form sums; readings and rolls follow per block.
+Blocks cut the same draws and keep every blocked sum's partitions, so no
+result depends on the block size; whole event columns are joined only for the
+scan fallback, ``no_delay_phase_events`` and tests.
 """
 
 from __future__ import annotations
@@ -184,12 +186,23 @@ class Schedule:
     receivers: tuple             # (node id, channel law, search offset), primary first
 
 
+def _nearest(placed: np.ndarray, rows: np.ndarray, point: tuple[float, float]) -> int:
+    """The first of the ``rows`` (a boolean mask) nearest ``point``."""
+    off = placed - np.array(point)
+    dist2 = np.einsum("ij,ij->i", off, off)
+    dist2[~rows] = np.inf
+    return int(np.argmin(dist2))
+
+
 class NetworkState:
     """Mutable state of a scenario between phases, one array row per node.
 
-    Every regime keeps ``positions`` (n, 2), ``alphas``, ``deltas`` and the
-    (n, m) ``windows``; only the delay regime adds the boolean ``interior``
-    and ``eps_i``, each node's assumed crossing offset (both None otherwise).
+    Every regime keeps ``alphas``, ``deltas`` and the (n, m) ``windows``, m + 2
+    node vectors (five at the default m = 3); only the delay regime adds the
+    boolean ``interior`` and ``eps_i``, each node's assumed crossing offset
+    (both None otherwise). The placement is dropped once the network is built:
+    ``positions`` maps each receiver's node id to its (x, y), node 0 in
+    no_delay, nodes 0 and 1 in even_odd and the probes in delay.
     """
 
     def __init__(self, config: ScenarioConfig):
@@ -198,8 +211,20 @@ class NetworkState:
         region = config.region
         channel = self.channel = config.channel
 
-        rng_place = substream(config.seed, DOMAIN_PLACEMENT)
-        self.positions = positions_array(place_nodes(region, n, rng_place))
+        # The placement is released before the init stream allocates the node
+        # vectors, so the two never coexist (``ru_maxrss`` keeps the build peak).
+        placed = positions_array(place_nodes(region, n, substream(config.seed, DOMAIN_PLACEMENT)))
+        self.interior = self.eps_i = None
+        self.probes: list[int] = []
+        self.rx_gain_dist: PathlossDistribution | None = None
+        self.fix_law: DelayDistribution | None = None  # delay: the compensation law
+        if config.regime == "delay":
+            self.schedules = self._delay_schedules(placed)
+        else:
+            self.schedules = self._shared_schedules(placed)
+        self.positions = {node: tuple(placed[node].tolist())
+                          for sched in self.schedules for node, _, _ in sched.receivers}
+        del placed
 
         rng_init = substream(config.seed, DOMAIN_INIT)
         self.alphas = config.population.sample(n, rng_init)
@@ -210,12 +235,6 @@ class NetworkState:
         self.alphas[0] = 1.0
         self.deltas[0] = 0.0
 
-        self.interior = self.eps_i = None
-        if config.regime == "delay":      # ScenarioConfig keeps its range finite
-            self.interior = (region.edge_distance(self.positions[:, 0], self.positions[:, 1])
-                             >= channel.max_range)
-            self.eps_i = np.where(self.interior, config.epsilon, config.boundary_epsilon)
-
         tau_nz = config.tau_nz
         if tau_nz is None:
             tau_nz = default_tau_nz(np.sqrt(config.fire_variance), config.population.alpha_low)
@@ -224,14 +243,6 @@ class NetworkState:
                 span = channel.delay(channel.max_range + channel.pad)
                 tau_nz = max(tau_nz, 10.0 * span)
         self.pulse = Pulse(tau_nz)
-
-        self.probes: list[int] = []
-        self.rx_gain_dist: PathlossDistribution | None = None
-        self.fix_law: DelayDistribution | None = None  # delay: the compensation law
-        if config.regime == "delay":
-            self.schedules = self._delay_schedules()
-        else:
-            self.schedules = self._shared_schedules()
 
         self.phase_count = 0
         if config.regime == "even_odd":
@@ -242,10 +253,10 @@ class NetworkState:
 
     # -- construction helpers -------------------------------------------
 
-    def _shared_schedules(self) -> tuple[Schedule, ...]:
+    def _shared_schedules(self, placed: np.ndarray) -> tuple[Schedule, ...]:
         # One aggregate serves every listener, drawn with the gain law of the
         # node that reports it.
-        self.rx_gain_dist = PathlossDistribution(self.channel, NodePosition(*self.positions[0]))
+        self.rx_gain_dist = PathlossDistribution(self.channel, NodePosition(*placed[0]))
         if self.config.regime == "no_delay":
             return (Schedule(slice(None), slice(None), None, ((0, self.rx_gain_dist, 0.0),)),)
         # even_odd: in the phase of an instant of parity p, parity p fires
@@ -255,29 +266,27 @@ class NetworkState:
             receivers = ()
             if self.n > 1:
                 law = self.rx_gain_dist if p == 1 else PathlossDistribution(
-                    self.channel, NodePosition(*self.positions[1]))
+                    self.channel, NodePosition(*placed[1]))
                 receivers = ((1 - p, law, 0.0),)
             schedules.append(Schedule(slice(p, None, 2), slice(1 - p, None, 2), None, receivers))
         return tuple(schedules)
 
-    def _delay_schedules(self) -> tuple[Schedule, ...]:
+    def _delay_schedules(self, placed: np.ndarray) -> tuple[Schedule, ...]:
         cfg = self.config
         region = cfg.region
+        # ScenarioConfig keeps the delay regime's range finite
+        self.interior = region.edge_distance(placed[:, 0], placed[:, 1]) >= self.channel.max_range
+        self.eps_i = np.where(self.interior, cfg.epsilon, cfg.boundary_epsilon)
         if not np.any(self.interior):
             raise ConfigurationError(
                 "delay regime needs at least one interior node; "
                 "shrink the channel range or enlarge the region")
-        centered = self.positions - np.array([region.width / 2, region.height / 2])
-        dist2 = np.einsum("ij,ij->i", centered, centered)
-        dist2 = np.where(self.interior, dist2, np.inf)
-        self.probes = [int(np.argmin(dist2))]
-        boundary = np.nonzero(~self.interior)[0]
-        if boundary.size:
+        self.probes = [_nearest(placed, self.interior, (region.width / 2, region.height / 2))]
+        if not np.all(self.interior):
             # prefer a mid-edge boundary node; corners see the thinnest population
-            off = self.positions[boundary] - np.array([0.0, region.height / 2])
-            self.probes.append(int(boundary[np.argmin(np.einsum("ij,ij->i", off, off))]))
+            self.probes.append(_nearest(placed, ~self.interior, (0.0, region.height / 2)))
         receivers = tuple(
-            (node, DelayDistribution(self.channel, NodePosition(*self.positions[node])),
+            (node, DelayDistribution(self.channel, NodePosition(*placed[node])),
              float(self.eps_i[node]))
             for node in self.probes)
         if cfg.compensate_delay:

@@ -28,8 +28,8 @@ from chronomesh.engine import (
 )
 from chronomesh.errors import ConfigurationError
 from chronomesh.estimator import fit
-from chronomesh.geometry import NodePosition, Region
-from chronomesh.rng import DOMAIN_PHASE, substream
+from chronomesh.geometry import NodePosition, Region, place_nodes
+from chronomesh.rng import DOMAIN_PHASE, DOMAIN_PLACEMENT, substream
 from chronomesh.waveform import EventArray, find_zero_crossing
 from test_waveform import assert_matches_scan, scan_crossing
 
@@ -392,8 +392,9 @@ def test_no_delay_memory_stays_within_a_few_node_vectors():
     st = NetworkState(ScenarioConfig(n_nodes=n, regime="no_delay", seed=0))
     x0, y0 = st.positions[0]
     assert st.rx_gain_dist.effective_range > st.config.region.edge_distance(x0, y0)
+    # skews, offsets and windows (3) are kept; the placement is not
     held = sum(v.nbytes for v in vars(st).values() if isinstance(v, np.ndarray))
-    assert held <= 7.0 * vector
+    assert held <= 5.0 * vector
     tracemalloc.start()
     try:
         entry = tracemalloc.get_traced_memory()[0]
@@ -444,14 +445,45 @@ def test_fit_and_crossing_work_in_blocks():
 
 @pytest.mark.parametrize("regime", ["no_delay", "even_odd"])
 def test_no_delay_build_stays_within_a_few_node_vectors(regime):
-    # positions (2), skews, offsets and windows (3) are kept; the jitter is
-    # drawn into the windows and the columns are added through a small block
-    # buffer, so the build's working space is a fraction of a node vector.
-    # even_odd's roles are row slices, so it keeps no mask beside them.
+    # skews, offsets and windows (3) are kept; the placement (2) is released
+    # before they are drawn, the jitter is drawn into the windows and the
+    # columns are added through a small block buffer, so the build's working
+    # space is a fraction of a node vector. even_odd's roles are row slices,
+    # so it keeps no mask beside them.
     n = 200_000
     config = ScenarioConfig(n_nodes=n, regime=regime, seed=0)
     NetworkState(replace(config, n_nodes=10))  # pays the first build's lazy imports
-    assert traced_peak(lambda: NetworkState(config)) <= 7.5 * 8 * n
+    assert traced_peak(lambda: NetworkState(config)) <= 5.5 * 8 * n
+
+
+def test_delay_build_stays_within_a_few_node_vectors():
+    # The placement (2), the interior mask and offsets (1.125) and one probe
+    # search's offsets and squared distances (3) peak together; the state then
+    # keeps skews, offsets and windows (5) beside the mask and offsets.
+    n = 200_000
+    config = ScenarioConfig(n_nodes=n, regime="delay", seed=0)
+    NetworkState(replace(config, n_nodes=10))
+    built = []
+    assert traced_peak(lambda: built.append(NetworkState(config))) <= 7.0 * 8 * n
+    held = sum(v.nbytes for v in vars(built[0]).values() if isinstance(v, np.ndarray))
+    assert held <= 6.2 * 8 * n
+
+
+@pytest.mark.parametrize("regime", ["no_delay", "even_odd", "delay"])
+def test_state_keeps_only_the_receivers_positions(regime):
+    config = ScenarioConfig(n_nodes=500, regime=regime, seed=3)
+    st = NetworkState(config)
+    placed = place_nodes(config.region, config.n_nodes, substream(config.seed, DOMAIN_PLACEMENT))
+    laws = {node: law for sched in st.schedules for node, law, _ in sched.receivers}
+    assert set(st.positions) == set(laws) == {"no_delay": {0}, "even_odd": {0, 1},
+                                              "delay": set(st.probes)}[regime]
+    for node, xy in st.positions.items():
+        assert xy == tuple(placed[node]) == (laws[node].receiver.x, laws[node].receiver.y)
+    # no n-sized array beyond the node vectors a phase reads
+    kept = {name for name, v in vars(st).items()
+            if isinstance(v, np.ndarray) and v.shape[0] == config.n_nodes}
+    assert kept == {"alphas", "deltas", "windows"} | (
+        {"interior", "eps_i"} if regime == "delay" else set())
 
 
 def test_phase_reports_hold_no_node_vectors():
