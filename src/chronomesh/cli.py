@@ -82,8 +82,6 @@ _SETTINGS = {
         "phases": ("1", _INT),
         "alpha_low": ("0.98", _FLOAT),
         "alpha_up": ("1.02", _FLOAT),
-        "delta_low": ("-0.5", _FLOAT),
-        "delta_high": ("0.5", _FLOAT),
         "gain": ("linear", _typed("linear or unit",
                                   {"linear": "linear", "unit": "unit"}.__getitem__)),
         "range": ("0.25", _FLOAT),
@@ -244,8 +242,7 @@ def build_scenario(manifest: RunManifest) -> ScenarioConfig:
         n_nodes=s["nodes"], m=s["m"], sigma2=s["sigma2"],
         regime=_REGIME_BY_COMMAND.get(manifest.command, "no_delay"),
         population=SkewPopulation(s["alpha_low"], s["alpha_up"]),
-        delta_bar_range=(s["delta_low"], s["delta_high"]), channel=channel,
-        tau_nz=s["tau_nz"], epsilon=s["epsilon"],
+        channel=channel, tau_nz=s["tau_nz"], epsilon=s["epsilon"],
         boundary_epsilon=s["boundary_epsilon"], oracle_alpha=s["oracle_alpha"],
         compensate_delay=s["compensate_delay"], seed=manifest.seed)
 
@@ -301,12 +298,13 @@ def _cmd_phases(manifest: RunManifest) -> None:
         raise ConfigurationError("scenario.phases must be at least 1")
     reports = run_phases(state, count)
     if manifest.command == "delay":
+        assumed_offsets = {node: offset for node, _, offset in state.schedule.receivers}
         rows = []
         for rep in reports:
             for node in sorted(rep.crossings):
                 cr = rep.crossings[node]
                 role = "interior" if state.interior[node] else "boundary"
-                assumed = state.eps_i[node]
+                assumed = assumed_offsets[node]
                 location = cr.location if cr.ok else math.nan
                 offset = location - (rep.center + assumed) if cr.ok else math.nan
                 rows.append((rep.phase_index, rep.center, node, role, assumed,

@@ -2,9 +2,10 @@
 
 A node's clock reads alpha * (t - delta_bar) + jitter, where the jitter is
 redrawn on every read. The reference node defines true time (alpha = 1,
-delta_bar = 0, no jitter). The engine keeps these per-node parameters as
-arrays; this module draws the skews across the network, uniformly on a
-bounded interval or as a point mass.
+delta_bar = 0, no jitter). A node's fit of its readings reproduces straight
+lines, so its offset delta_bar cancels from every time it fires and none is
+stored; the engine keeps the skews and the jitters. This module draws the
+skews across the network, uniformly on a bounded interval or as a point mass.
 """
 
 from __future__ import annotations

@@ -1,7 +1,8 @@
 """Network-scale synchronization phases.
 
 A scenario holds N nodes on a rectangular region. Each node keeps a window of
-m past readings of the shared firing instants, taken through its own clock.
+m past readings of the shared firing instants, taken through its own clock and
+kept as the instants its group heard plus its own jitter (see ``NetworkState``).
 One kernel, ``run_phase``, runs a phase of every regime: each transmitting
 node extrapolates its window to the next firing instant and fires a pulse
 there; each receiver draws its channel, forms the aggregate waveform and
@@ -29,7 +30,7 @@ window step each fit predicts at (``ScenarioConfig.target``).
   position independent inside), while boundary windows are refreshed at
   their assumed offset, which is exactly the steady-state premise the probes
   test. Every fit predicts at step m - epsilon; a boundary node then moves
-  its prediction by alpha (epsilon - eps_i) for its own offset.
+  its prediction by epsilon - boundary_epsilon for its own offset.
 
 When the primary receiver finds no crossing (gated or no sign change), the
 phase is flagged ``failed`` and each listener holds over: it rolls in its own
@@ -43,9 +44,10 @@ its node id) and observation jitter (none on holdover). Each stream is drawn
 in node order, so a phase is reproducible however its report is consumed, and
 no receiver's draws move another receiver's or the readings.
 
-Memory: the state keeps only what phases read (see ``NetworkState``). The
-placement goes once the receivers' laws are built, because each phase draws
-every channel from its receiver's law. Beyond the state's vectors a phase
+Memory: the state keeps only what phases read, 2.5 node vectors at m = 3
+(see ``NetworkState``). The placement goes once the receivers' laws are
+built, because each phase draws every channel from its receiver's law.
+Beyond the state's vectors a phase
 allocates nothing node-sized, working ``_NODE_BLOCK`` rows at a time. Every
 block starts at an even row, so a role's slice of a block selects the block's
 share of that role. Each receiver's pass opens its streams afresh, recomputes
@@ -65,7 +67,7 @@ import numpy as np
 from .channel import ChannelModel, DelayDistribution, PathlossDistribution, sample_fix
 from .clock import SkewPopulation
 from .errors import ConfigurationError
-from .estimator import fit, predicted_variance
+from .estimator import fit, predicted_variance, prediction_weights
 from .geometry import NodePosition, Region, place_nodes, positions_array
 from .rng import DOMAIN_INIT, DOMAIN_PHASE, DOMAIN_PLACEMENT, DOMAIN_SEED_SWEEP, derive_seed, substream
 from .parallel import run_indexed
@@ -105,7 +107,6 @@ class ScenarioConfig:
     sigma2: float = 1e-4
     regime: str = "no_delay"
     population: SkewPopulation = field(default_factory=SkewPopulation)
-    delta_bar_range: tuple[float, float] = (-0.5, 0.5)
     channel: ChannelModel = ChannelModel(Region(), 0.25)
     tau_nz: float | None = None
     epsilon: float = 0.0
@@ -124,9 +125,6 @@ class ScenarioConfig:
             raise ConfigurationError("sigma2 must be nonnegative and finite")
         if self.regime not in REGIMES:
             raise ConfigurationError(f"unknown regime {self.regime!r}")
-        lo, hi = self.delta_bar_range
-        if not -np.inf < lo <= hi < np.inf:
-            raise ConfigurationError("delta_bar_range must be finite and ordered")
         if self.tau_nz is not None and not 0.0 < self.tau_nz < np.inf:
             raise ConfigurationError("tau_nz must be positive and finite")
         if not np.isfinite(self.epsilon) or not np.isfinite(self.boundary_epsilon):
@@ -182,7 +180,6 @@ class Schedule:
 
     transmit: slice
     listen: slice
-    follow: np.ndarray | None    # listeners reading the crossing; the rest their assumed instant
     receivers: tuple             # (node id, channel law, search offset), primary first
 
 
@@ -195,12 +192,18 @@ def _nearest(placed: np.ndarray, rows: np.ndarray, point: tuple[float, float]) -
 
 
 class NetworkState:
-    """Mutable state of a scenario between phases, one array row per node.
+    """Mutable state of a scenario between phases.
 
-    Every regime keeps ``alphas``, ``deltas`` and the (n, m) ``windows``, m + 2
-    node vectors (five at the default m = 3); only the delay regime adds the
-    boolean ``interior`` and ``eps_i``, each node's assumed crossing offset
-    (both None otherwise). The placement is dropped once the network is built:
+    Node i's window holds readings alpha_i (c_k - delta_i) + j_ik of the
+    instants c_k it heard. ``fit`` is linear and reproduces lines, so the
+    window's fit is alpha_i (c_hat - delta_i) + fit(J_i): the offset delta_i
+    cancels from every fire time. So the state keeps ``alphas``, the (n, m)
+    float32 ``residuals`` J (the jitters; node 0's are zero) and ``history``,
+    the instants heard by each group of nodes that listen together, one row
+    each: one in no_delay, row p for parity p in even_odd, and in delay row 0
+    for interior nodes (the crossing) and row 1 for boundary nodes (their
+    assumed instant, integer + boundary_epsilon); only delay adds the boolean
+    ``interior`` (None otherwise). The placement is dropped once built:
     ``positions`` maps each receiver's node id to its (x, y), node 0 in
     no_delay, nodes 0 and 1 in even_odd and the probes in delay.
     """
@@ -214,7 +217,7 @@ class NetworkState:
         # The placement is released before the init stream allocates the node
         # vectors, so the two never coexist (``ru_maxrss`` keeps the build peak).
         placed = positions_array(place_nodes(region, n, substream(config.seed, DOMAIN_PLACEMENT)))
-        self.interior = self.eps_i = None
+        self.interior = None
         self.probes: list[int] = []
         self.rx_gain_dist: PathlossDistribution | None = None
         self.fix_law: DelayDistribution | None = None  # delay: the compensation law
@@ -228,12 +231,11 @@ class NetworkState:
 
         rng_init = substream(config.seed, DOMAIN_INIT)
         self.alphas = config.population.sample(n, rng_init)
-        lo, hi = config.delta_bar_range
-        self.deltas = rng_init.uniform(lo, hi, size=n)
+        # offsets cancel from every fire time; skipping their draws keeps the jitter's
+        rng_init.bit_generator.advance(n)
         self.sigma = float(np.sqrt(config.sigma2))
-        # node 0 is the reference: exact clock, zero offset, zero jitter
+        # node 0 is the reference: exact clock, zero jitter
         self.alphas[0] = 1.0
-        self.deltas[0] = 0.0
 
         tau_nz = config.tau_nz
         if tau_nz is None:
@@ -258,7 +260,7 @@ class NetworkState:
         # node that reports it.
         self.rx_gain_dist = PathlossDistribution(self.channel, NodePosition(*placed[0]))
         if self.config.regime == "no_delay":
-            return (Schedule(slice(None), slice(None), None, ((0, self.rx_gain_dist, 0.0),)),)
+            return (Schedule(slice(None), slice(None), ((0, self.rx_gain_dist, 0.0),)),)
         # even_odd: in the phase of an instant of parity p, parity p fires
         # and the first listener, node 1 - p, reports the crossing
         schedules = []
@@ -268,7 +270,7 @@ class NetworkState:
                 law = self.rx_gain_dist if p == 1 else PathlossDistribution(
                     self.channel, NodePosition(*placed[1]))
                 receivers = ((1 - p, law, 0.0),)
-            schedules.append(Schedule(slice(p, None, 2), slice(1 - p, None, 2), None, receivers))
+            schedules.append(Schedule(slice(p, None, 2), slice(1 - p, None, 2), receivers))
         return tuple(schedules)
 
     def _delay_schedules(self, placed: np.ndarray) -> tuple[Schedule, ...]:
@@ -276,7 +278,6 @@ class NetworkState:
         region = cfg.region
         # ScenarioConfig keeps the delay regime's range finite
         self.interior = region.edge_distance(placed[:, 0], placed[:, 1]) >= self.channel.max_range
-        self.eps_i = np.where(self.interior, cfg.epsilon, cfg.boundary_epsilon)
         if not np.any(self.interior):
             raise ConfigurationError(
                 "delay regime needs at least one interior node; "
@@ -287,39 +288,29 @@ class NetworkState:
             self.probes.append(_nearest(placed, ~self.interior, (0.0, region.height / 2)))
         receivers = tuple(
             (node, DelayDistribution(self.channel, NodePosition(*placed[node])),
-             float(self.eps_i[node]))
+             cfg.epsilon if self.interior[node] else cfg.boundary_epsilon)
             for node in self.probes)
         if cfg.compensate_delay:
             self.fix_law = receivers[0][1]
-        return (Schedule(slice(None), slice(None), self.interior, receivers),)
+        return (Schedule(slice(None), slice(None), receivers),)
 
     def _init_windows(self, rng: np.random.Generator):
-        """Steady-state windows: exact past instants read with fresh jitter.
-
-        The jitter is drawn straight into the window buffer, then each column
-        adds alphas * (instant - deltas), ``_INIT_BLOCK`` rows at a time.
-        """
+        """Steady-state windows: exact past instants and fresh float32 jitter, drawn in blocks."""
         cfg = self.config
         m = cfg.m
-        windows = np.empty((cfg.n_nodes, m))
-        rng.standard_normal(out=windows)
-        windows *= self.sigma
-        windows[0] = 0.0
+        residuals = np.empty((cfg.n_nodes, m), dtype=np.float32)
         for rows in _node_blocks(cfg.n_nodes, _INIT_BLOCK):
-            if cfg.regime == "even_odd":
-                # the coming phase's transmitters hold tau0-(2m-1), ..., tau0-1;
-                # its listeners hold tau0-2m, ..., tau0-2, so both are spaced by 2
-                first = np.full(rows.stop - rows.start, float(self.next_center - 2 * m))
-                first[self.schedule.transmit] += 1.0
-            for k in range(m):
-                if cfg.regime == "even_odd":
-                    instant = first + 2.0 * k
-                else:
-                    instant = float(self.next_center - m + k)
-                    if cfg.regime == "delay":
-                        instant += self.eps_i[rows]
-                windows[rows, k] += (instant - self.deltas[rows]) * self.alphas[rows]
-        self.windows = windows
+            residuals[rows] = rng.standard_normal((rows.stop - rows.start, m)) * self.sigma
+        residuals[0] = 0.0
+        self.residuals = residuals
+        steps = np.arange(m, dtype=float)
+        if cfg.regime == "even_odd":
+            # the coming phase's transmitters, parity 0, heard tau0-(2m-1), ..., tau0-1;
+            # its listeners tau0-2m, ..., tau0-2, so both are spaced by 2
+            self.history = (self.next_center - 2 * m + 2.0 * steps) + np.array([[1.0], [0.0]])
+        else:
+            offsets = [[cfg.epsilon], [cfg.boundary_epsilon]] if cfg.regime == "delay" else 0.0
+            self.history = (self.next_center - m + steps) + np.array(offsets, ndmin=2)
 
     def _jitter(self, rng: np.random.Generator, rows: slice) -> np.ndarray:
         """Readout jitter, one entry per node of the block; node 0's is exactly zero."""
@@ -344,30 +335,42 @@ def _require_regime(state: NetworkState, regime: str):
         raise ConfigurationError("state was built for a different regime")
 
 
+def _by_history(state: NetworkState, values: np.ndarray, rows: slice, role: slice):
+    """Each node's entry of per-history ``values``, for a role's share of a block: in delay
+    row 0 inside and row 1 at the edge; otherwise the role's one row, which is p for
+    even_odd's parity-p role ``slice(p, None, 2)`` and 0 in no_delay."""
+    if state.interior is None:
+        return values[role.start or 0]
+    return np.where(state.interior[rows][role], values[0], values[1])
+
+
 def _block_events(state: NetworkState, sched: Schedule, law, rows: slice, n_tx: int,
-                  jitter, fix_rng, rng: np.random.Generator) -> EventArray | None:
+                  heard, jitter, fix_rng, rng: np.random.Generator) -> EventArray | None:
     """A node block's events: fire times from ``jitter`` and ``fix_rng``, channel from ``rng``.
 
-    None when the block holds no transmitter. Delay-regime readings sit at integers +
-    eps_i while the target assumes integers + epsilon; the fit is linear in a constant
-    shift, so adding alpha (epsilon - eps_i), with the node's true skew, makes up the
-    difference.
+    None when the block holds no transmitter. A node's window is alpha (history - delta)
+    + J, so its fit, taken back to reference time, is its history's prediction plus
+    fit(J) / alpha, and its slope is alpha times its history's plus J's; ``heard`` holds
+    each history's (prediction, slope).
     """
     cfg = state.config
     size = rows.stop - rows.start
     tx = sched.transmit
+    centres, slopes = heard
     alphas = state.alphas[rows][tx]
-    report = fit(state.windows[rows][tx], cfg.target)
+    report = fit(state.residuals[rows][tx], cfg.target)
     fires = report.phi_hat
-    if state.eps_i is not None:
-        fires += (cfg.epsilon - state.eps_i[rows][tx]) * alphas
     k_fix = delays = None
     if fix_rng is not None:
         d_fix, k_fix = sample_fix(state.fix_law, fix_rng, size)
-        fires += (alphas if cfg.oracle_alpha else report.alpha_hat) * d_fix[tx]
+        alpha_hat = alphas if cfg.oracle_alpha else (
+            alphas * _by_history(state, slopes, rows, tx) + report.alpha_hat)
+        fires += alpha_hat * d_fix[tx]
         k_fix = k_fix[tx]
     del report
-    fires = (fires - state._jitter(jitter, rows)[tx]) / alphas + state.deltas[rows][tx]
+    fires -= state._jitter(jitter, rows)[tx]
+    fires /= alphas
+    fires += _by_history(state, centres, rows, tx)
     if isinstance(law, DelayDistribution):
         delays, gains = law.sample_pair(rng, size)
         delays = delays[tx]
@@ -379,34 +382,37 @@ def _block_events(state: NetworkState, sched: Schedule, law, rows: slice, n_tx: 
 
 def _receiver_events(state: NetworkState, sched: Schedule, node: int, law) -> EventStream:
     """A receiver's events, a node block at a time; each pass opens the phase's streams afresh."""
+    cfg = state.config
     n_tx = len(range(state.n)[sched.transmit])
-    path = (state.config.seed, DOMAIN_PHASE, state.phase_count)
+    path = (cfg.seed, DOMAIN_PHASE, state.phase_count)
+    # every node of a group shares its history, so one weighted sum predicts for all of them
+    heard = tuple(state.history @ w for w in prediction_weights(cfg.m, cfg.target))
+    if state.interior is not None:   # the fit is linear: move the boundary to the target's frame
+        heard[0][1] += cfg.epsilon - cfg.boundary_epsilon
 
     def blocks():
         jitter, rng = substream(*path, _FIRE), substream(*path, _CHANNEL, node)
         fix_rng = None if state.fix_law is None else substream(*path, _FIX)
         # filter holds no block once it is handed on, so a pass holds one at a time
-        return filter(None, (_block_events(state, sched, law, rows, n_tx, jitter, fix_rng, rng)
+        return filter(None, (_block_events(state, sched, law, rows, n_tx, heard, jitter,
+                                           fix_rng, rng)
                              for rows in _node_blocks(state.n)))
     return EventStream(blocks)
 
 
 def _roll_block(state: NetworkState, sched: Schedule, rows: slice, crossing: CrossingReport,
-                tau0: float, rng: np.random.Generator):
-    """Roll a node block's listeners' readings, or on holdover their predictions, into windows."""
+                rng: np.random.Generator):
+    """Roll a node block's listeners' fresh jitter, or on holdover their jitter fits, into J."""
     listen = sched.listen
-    windows = state.windows[rows]
+    residuals = state.residuals[rows]
     if crossing.ok:
-        instants = crossing.location if sched.follow is None else np.where(
-            sched.follow[rows], crossing.location, tau0 + state.eps_i[rows])
-        readings = ((instants - state.deltas[rows]) * state.alphas[rows]
-                    + state._jitter(rng, rows))[listen]
+        readings = state._jitter(rng, rows)[listen]
     else:
-        readings = fit(windows[listen], state.config.m).phi_hat
+        readings = fit(residuals[listen], state.config.m).phi_hat
     # column by column: an overlapping 2-D assignment goes through a buffer, several times slower
-    for k in range(windows.shape[1] - 1):
-        windows[listen, k] = windows[listen, k + 1]
-    windows[listen, -1] = readings
+    for k in range(residuals.shape[1] - 1):
+        residuals[listen, k] = residuals[listen, k + 1]
+    residuals[listen, -1] = readings
 
 
 def no_delay_phase_events(state: NetworkState) -> tuple[EventArray, float]:
@@ -438,7 +444,15 @@ def run_phase(state: NetworkState) -> PhaseReport:
     crossing = crossings[primary]
     rng = substream(state.config.seed, DOMAIN_PHASE, state.phase_count, _READ)
     for rows in _node_blocks(state.n):
-        _roll_block(state, sched, rows, crossing, tau0, rng)
+        _roll_block(state, sched, rows, crossing, rng)
+    # each listening history rolls in the instant it heard, or on holdover its own prediction
+    if state.interior is None:
+        listening, heard = [sched.listen.start or 0], [crossing.location]
+    else:
+        listening, heard = [0, 1], [crossing.location, tau0 + state.config.boundary_epsilon]
+    if not crossing.ok:
+        heard = state.history[listening] @ prediction_weights(state.config.m, state.config.m)[0]
+    state.history[listening] = np.column_stack((state.history[listening, 1:], heard))
 
     phase_index = state.phase_count
     state.phase_count += 1

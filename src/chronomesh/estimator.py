@@ -50,11 +50,12 @@ def fit(window: np.ndarray, target: float) -> EstimateReport:
     """Least-squares line through the window(s), predicted at step ``target``.
 
     The window axis is the last; leading axes are independent windows. Rows
-    go through the textbook normal equations in blocks of ``_FIT_BLOCK``, so
-    only the two outputs are window-count sized; every element sees the same
+    go through the textbook normal equations in float64, in blocks of
+    ``_FIT_BLOCK`` (float32 windows are cast a block at a time), so only the
+    two outputs are window-count sized; every element sees the same
     operations in the same order as a whole-array evaluation.
     """
-    values = np.asarray(window, dtype=float)
+    values = np.asarray(window)
     m = values.shape[-1]
     _check_window_length(m)
     if values.ndim == 1:
@@ -71,6 +72,7 @@ def fit(window: np.ndarray, target: float) -> EstimateReport:
 
 
 def _fit_rows(values: np.ndarray, target: float):
+    values = np.asarray(values, dtype=float)
     m = values.shape[-1]
     x = np.arange(m, dtype=float)
     sum_x = x.sum()
@@ -78,9 +80,16 @@ def _fit_rows(values: np.ndarray, target: float):
     det = m * sum_xx - sum_x * sum_x
     sum_y = values.sum(axis=-1)
     sum_xy = values @ x
+    del values       # a cast block is freed before the sums' temporaries
     slope = (m * sum_xy - sum_x * sum_y) / det
     intercept = (sum_xx * sum_y - sum_x * sum_xy) / det
     return intercept + target * slope, slope
+
+
+def prediction_weights(m: int, target: float) -> tuple[np.ndarray, np.ndarray]:
+    """Weights (w_phi, w_slope) with fit(y, target) = (w_phi @ y, w_slope @ y): unit windows' fits."""
+    _check_window_length(m)
+    return _fit_rows(np.eye(m), target)
 
 
 def predicted_variance(m: int, target: float, sigma2: float = 1.0) -> float:

@@ -17,6 +17,7 @@ import numpy as np
 from .errors import DomainError
 
 ArrayLike = "np.ndarray | float"
+_PLACE_BLOCK = 1 << 14     # coordinates drawn per block by place_nodes
 
 
 @dataclass(frozen=True)
@@ -126,13 +127,16 @@ def place_nodes(region: Region, n: int, rng: np.random.Generator) -> np.ndarray:
     """Drop n nodes independently and uniformly over the region.
 
     Returns an (n, 2) float array of (x, y) rows. Draw order is fixed: all x
-    coordinates first, then all y coordinates.
+    coordinates first, then all y coordinates, each drawn in blocks.
     """
     if n <= 0:
         raise DomainError(f"node count must be positive, got {n}")
-    xs = rng.uniform(0.0, region.width, size=n)
-    ys = rng.uniform(0.0, region.height, size=n)
-    return np.column_stack((xs, ys))
+    placed = np.empty((n, 2))
+    for column, side in enumerate((region.width, region.height)):
+        for start in range(0, n, _PLACE_BLOCK):
+            block = placed[start:start + _PLACE_BLOCK, column]
+            block[:] = rng.uniform(0.0, side, size=block.size)
+    return placed
 
 
 def positions_array(positions: np.ndarray) -> np.ndarray:

@@ -17,10 +17,8 @@ on a coarse grid polished by bisection.
 The infinite-density limit of the aggregate is a deterministic waveform:
 the pulse smoothed by the transmit-error law and averaged over the skew
 population. It is odd about the target instant, which is why the crossing
-estimator is consistent; limit_waveform evaluates it by quadrature so the
-Monte-Carlo aggregates can be checked against it. That quadrature oracle
-(acceptance criterion 3) and the tests are the only users of scipy; the
-simulator itself needs numpy alone.
+estimator is consistent; the tests evaluate it by quadrature and check the
+Monte-Carlo aggregates against it. The simulator needs numpy alone.
 """
 
 from __future__ import annotations
@@ -32,8 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clock import SkewPopulation
-from .errors import DomainError, NumericsError
+from .errors import DomainError
 
 _REFINE_TOL = 1e-12
 _ANGLE_BLOCK = 1 << 14
@@ -300,76 +297,3 @@ def _scan_crossing(events: EventArray, pulse: Pulse, search_center: float,
             hi = mid
     return CrossingReport(location=float(0.5 * (lo + hi)), max_amplitude=peak,
                           gated=False, no_crossing=False)
-
-
-@dataclass(frozen=True)
-class LimitSpec:
-    """Parameters of the infinite-density limit waveform.
-
-    sigma_bar2 is the variance of the transmit error expressed in the node
-    timescale; a node with skew s therefore fires with error variance
-    sigma_bar2 / s^2 in reference time. mean_gain is the expected received
-    gain, a pure amplitude factor.
-    """
-
-    pulse: Pulse
-    tau0: float
-    sigma_bar2: float
-    population: SkewPopulation
-    mean_gain: float = 1.0
-
-
-def _smoothed_pulse(pulse: Pulse, x: float, sd: float, tol: float) -> tuple[float, float]:
-    # E p(x - T) for T ~ N(0, sd^2): convolution against the Gaussian kernel.
-    # scipy is imported here, not at module level, so that simulating never
-    # loads it (about 50 MB of resident memory).
-    from scipy.integrate import quad
-
-    if sd <= 0.0:
-        return float(pulse.evaluate(x)), 0.0
-    norm = 1.0 / (sd * np.sqrt(2.0 * np.pi))
-
-    def integrand(u: float) -> float:
-        z = (x - u) / sd
-        return pulse.evaluate(u) * norm * np.exp(-0.5 * z * z)
-
-    value, err = quad(integrand, -pulse.tau_nz, pulse.tau_nz,
-                      points=[0.0], limit=200, epsabs=tol, epsrel=1e-10)
-    return value, err
-
-
-def limit_waveform(spec: LimitSpec, t, tol: float = 1e-9) -> np.ndarray | float:
-    """Limit waveform value(s) at t, exact to roughly 10 * tol.
-
-    Raises NumericsError when the quadrature error estimates exceed the
-    target, carrying the offending t and error estimate.
-    """
-    if spec.sigma_bar2 < 0.0:
-        raise DomainError("sigma_bar2 must be non-negative")
-    from scipy.integrate import quad  # see _smoothed_pulse
-
-    t_arr = np.asarray(t, dtype=float)
-    scalar = t_arr.ndim == 0
-    t_arr = np.atleast_1d(t_arr)
-    pop = spec.population
-    sigma_bar = float(np.sqrt(spec.sigma_bar2))
-
-    out = np.empty(t_arr.size)
-    for idx, ti in enumerate(t_arr):
-        x = float(ti - spec.tau0)
-        if pop.alpha_low == pop.alpha_up:
-            value, err = _smoothed_pulse(spec.pulse, x, sigma_bar / pop.alpha_low, tol / 10.0)
-        else:
-            width = pop.alpha_up - pop.alpha_low
-
-            def skew_weighted(s: float) -> float:
-                inner, _ = _smoothed_pulse(spec.pulse, x, sigma_bar / s, tol / 100.0)
-                return 1.0 / width * inner
-
-            value, err = quad(skew_weighted, pop.alpha_low, pop.alpha_up,
-                              limit=100, epsabs=tol, epsrel=1e-9)
-        if err > 10.0 * tol:
-            raise NumericsError("limit waveform quadrature did not converge",
-                                {"t": float(ti), "error_estimate": float(err)})
-        out[idx] = spec.mean_gain * value
-    return float(out[0]) if scalar else out

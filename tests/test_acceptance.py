@@ -28,7 +28,8 @@ from chronomesh.geometry import NodePosition, Region
 from chronomesh.multihop import HopChainConfig, run_cascade
 from chronomesh.pco import PcoConfig, log_charging_map, pco_run_to_sync, random_phases
 from chronomesh.rng import DOMAIN_SEED_SWEEP, substream
-from chronomesh.waveform import LimitSpec, Pulse, evaluate_aggregate, limit_waveform
+from chronomesh.waveform import Pulse, evaluate_aggregate
+from limit_oracle import LimitSpec, limit_waveform
 from test_estimator import alpha_variance
 
 

@@ -236,17 +236,17 @@ def test_pco_event_log_bytes_are_pinned(tmp_path):
 OUTPUT_PINS = {
     "steady": (
         ["steady", "--nodes", "2000", "--phases", "3", "--seed", "7"], None,
-        {"phases.csv": "484b27c2f7bb58efaca7bc5badc9b5def1da8b5aeafe6a8cb89a761c0286f2d7"}),
+        {"phases.csv": "e55e7c849fae9d0bca29c087400a7c8a07b4d233de4508343b2cd86f934bced6"}),
     "evenodd": (
         ["evenodd", "--nodes", "2000", "--phases", "3", "--seed", "4"], None,
-        {"phases.csv": "0d5ccd9df1e43397dbd95884edca723585dea53d3f75286889c558e0e1dda690"}),
+        {"phases.csv": "c3399f78f84fea2302ccc2affca3c3b0284daf0baa760bdf67d2b5af3fb00eac"}),
     "delay": (
         ["delay", "--nodes", "2000", "--phases", "2", "--seed", "5"], None,
-        {"phases.csv": "6fac7babeba03630dd6be3d8945d0ea4efcc1347925ded890252c82adf83ea6c"}),
+        {"phases.csv": "019a8d41acebf0552761ad99e591e2948d65841ad1fda75f57c1716f84a4995b"}),
     "waveform": (
         ["waveform", "--nodes", "400", "--sigma2", "0.003", "--seed", "2"], None,
-        {"waveform.csv": "0fd7e61e6e0b3f53024277cf818f9de53c45e9fe1837eeccc15b647a7a5299d2",
-         "crossing.csv": "59cbed3452cf3c12b5d22781096ba2a2686c793708e2b8b87b66bd58681d7c3b"}),
+        {"waveform.csv": "0a3e29208303e0c882cda2fa9e71d22982268d6b60db636249854fc5d1be7550",
+         "crossing.csv": "c31795d008408d39f251d178217b03136427976c488e56af956c3f1150fb62ee"}),
     "samples": (
         ["channel-sample", "--trials", "400", "--seed", "8"], None,
         {"samples.csv": "796d1865bd891e7d94aaaface644e68ea6d51a6b19f2d33305643d6364defb10"}),
@@ -376,6 +376,21 @@ def test_usage_errors_exit_two(tmp_path):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("key", ["delta_low", "delta_high"])
+def test_removed_offset_settings_exit_two(tmp_path, capsys, key):
+    # clock offsets cancel from every fire time, so the settings that drew
+    # them are gone; a config or an old manifest naming one is refused
+    assert cli.run_command(["steady", "--nodes", "50", "--out", str(tmp_path / "a")]) == 0
+    manifest = (tmp_path / "a" / "manifest.cfg").read_text(encoding="ascii")
+    old = tmp_path / "old.cfg"
+    old.write_text(manifest.replace("[scenario]\n", f"[scenario]\n{key} = 0.5\n"),
+                   encoding="ascii")
+    out = tmp_path / "b"
+    assert cli.run_command(["--config", str(old), "--out", str(out)]) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("section, key, value", [
     ("pco", "curvature", "abc"), ("multihop", "sigma2", "nan"), ("scenario", "receiver_x", "zz")])
 def test_unread_sections_are_validated(tmp_path, capsys, section, key, value):
@@ -415,7 +430,7 @@ def test_config_value_errors_exit_two(tmp_path, capsys):
     assert cli.run_command(["--config", str(cfg), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "scenario.nodes" in err
-    for key, value in (("tau_nz", "nan"), ("delta_low", "-inf"), ("gate", "inf")):
+    for key, value in (("tau_nz", "nan"), ("alpha_low", "-inf"), ("gate", "inf")):
         cfg.write_text(f"[run]\ncommand = steady\n\n[scenario]\n{key} = {value}\n",
                        encoding="ascii")
         assert cli.run_command(["--config", str(cfg), "--out", str(tmp_path)]) == 2

@@ -11,25 +11,26 @@ from chronomesh.errors import ConfigurationError, DomainError
 
 
 def test_reference_clock_reads_true_time():
-    # node 0 has unit skew, zero offset and no jitter: it reads the crossing itself
+    # node 0 has unit skew and no jitter: its window is the history it heard
     st = NetworkState(ScenarioConfig(n_nodes=2000, sigma2=1e-4, seed=3))
     report = run_phase(st)
     assert report.crossing is not None
-    assert st.windows[0, -1] == report.crossing
+    assert st.history[0, -1] == report.crossing
+    assert st.alphas[0] == 1.0 and not st.residuals[0].any()
 
 
 def test_jitter_variance_and_freshness():
     sigma2, n = 0.04, 20_000
     st = NetworkState(ScenarioConfig(n_nodes=n, sigma2=sigma2, seed=17))
-    alphas, deltas = st.alphas[1:], st.deltas[1:]
     report = run_phase(st)
     assert report.crossing is not None
-    noise = st.windows[1:, -1] - alphas * (report.crossing - deltas)
+    # a reading is alpha (crossing - delta) + noise; the state keeps the noise
+    noise = st.residuals[1:, -1].astype(float)
     assert noise.var() == pytest.approx(sigma2, rel=0.05)
     assert abs(noise.mean()) < 4 * np.sqrt(sigma2 / n)
     # Fresh draws per read: the jitter of the reading taken one instant
     # earlier is uncorrelated with this one.
-    earlier = st.windows[1:, -2] - alphas * (report.center - 1.0 - deltas)
+    earlier = st.residuals[1:, -2].astype(float)
     assert abs(np.corrcoef(earlier, noise)[0, 1]) < 0.03
 
 

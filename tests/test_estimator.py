@@ -131,6 +131,32 @@ class TestExactFits:
         assert np.array_equal(fit(windows, epsilon_design(0.0).step(5)).phi_hat,
                               textbook_fit(windows, STANDARD)[0])
 
+    @pytest.mark.parametrize("m, target", [(2, 2.0), (3, 3.0), (3, 2.5), (5, 4.7)])
+    def test_clock_offsets_cancel(self, m, target):
+        # A window alpha (c - delta) + J fits to alpha (c_hat - delta) + fit(J)
+        # with slope alpha slope(c) + slope(J): the fit is linear and keeps
+        # straight lines, so a node's offset only shifts its own line.
+        rng = np.random.default_rng(m)
+        n = 1000
+        alphas = rng.uniform(0.9, 1.1, size=n)
+        deltas = rng.uniform(-50.0, 50.0, size=n)
+        jitter = rng.normal(0.0, 0.01, size=(n, m))
+        instants = 40.0 + np.cumsum(rng.uniform(0.9, 1.1, size=m))
+        whole = fit(alphas[:, None] * (instants - deltas[:, None]) + jitter, target)
+        shared, own = fit(instants, target), fit(jitter, target)
+        assert np.allclose(whole.phi_hat, alphas * (shared.phi_hat - deltas) + own.phi_hat,
+                           rtol=0.0, atol=1e-11)
+        assert np.allclose(whole.alpha_hat, alphas * shared.alpha_hat + own.alpha_hat,
+                           rtol=0.0, atol=1e-12)
+
+    def test_float32_windows_fit_as_their_float64_values(self):
+        # float32 rows are cast a block at a time, which moves no bit
+        rng = np.random.default_rng(11)
+        windows = rng.normal(0.0, 0.01, size=(2 * _FIT_BLOCK + 77, 3)).astype(np.float32)
+        single, double = fit(windows, 3.0), fit(windows.astype(float), 3.0)
+        assert np.array_equal(single.phi_hat, double.phi_hat)
+        assert np.array_equal(single.alpha_hat, double.alpha_hat)
+
     def test_short_window_rejected(self):
         with pytest.raises(DomainError):
             fit(np.array([1.0]), 1.0)

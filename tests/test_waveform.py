@@ -22,13 +22,12 @@ from chronomesh.waveform import (
     CrossingReport,
     EventArray,
     EventStream,
-    LimitSpec,
     Pulse,
     default_tau_nz,
     evaluate_aggregate,
     find_zero_crossing,
-    limit_waveform,
 )
+from limit_oracle import LimitSpec, limit_waveform
 
 
 def dense_aggregate(events: EventArray, pulse: Pulse, t) -> np.ndarray:
@@ -456,7 +455,7 @@ class TestLimitWaveform:
 
 
 def test_simulator_imports_leave_scipy_unloaded():
-    # Only limit_waveform needs scipy; it imports it on first use.
+    # The simulator needs numpy alone; only the tests' quadrature oracle uses scipy.
     src = str(Path(chronomesh.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
