@@ -44,10 +44,11 @@ its node id) and observation jitter (none on holdover). Each stream is drawn
 in node order, so a phase is reproducible however its report is consumed, and
 no receiver's draws move another receiver's or the readings.
 
-Memory: the state keeps only what phases read, 2.5 node vectors at m = 3
-(see ``NetworkState``). The placement goes once the receivers' laws are
-built, because each phase draws every channel from its receiver's law.
-Beyond the state's vectors a phase
+Memory: the state keeps nothing a stream can redraw, 1.5 node vectors at
+m = 3 (see ``NetworkState``). The placement is never held whole: the build
+reads the rows its receivers need, or streams it a block at a time in delay,
+and each phase draws every channel from its receiver's law. Skews are redrawn
+a block at a time from their own stream. Beyond the state's vectors a phase
 allocates nothing node-sized, working ``_NODE_BLOCK`` rows at a time. Every
 block starts at an even row, so a role's slice of a block selects the block's
 share of that role. Each receiver's pass opens its streams afresh, recomputes
@@ -79,10 +80,10 @@ REGIMES = ("no_delay", "even_odd", "delay")
 # Rows per block of a phase pass: a multiple of twice the angle and fit blocks,
 # so one parity's transmitters in a block fill whole partitions of the sums and
 # fits; large, because each block's gain bisection pays a fixed cost per call.
-# It and _INIT_BLOCK are even, so every block starts at an even row and an
+# It and _BUILD_BLOCK are even, so every block starts at an even row and an
 # even_odd role's stride-2 slice of a block keeps the parity it has network-wide.
 _NODE_BLOCK = 1 << 17
-_INIT_BLOCK = 1 << 14      # rows per block of the window initialisation buffer
+_BUILD_BLOCK = 1 << 14     # rows per block of the delay placement pass and the jitter buffer
 # Kinds of phase draw, each with its own substream(seed, DOMAIN_PHASE, phase, kind[, node]).
 _FIRE, _FIX, _CHANNEL, _READ = range(4)
 
@@ -183,12 +184,14 @@ class Schedule:
     receivers: tuple             # (node id, channel law, search offset), primary first
 
 
-def _nearest(placed: np.ndarray, rows: np.ndarray, point: tuple[float, float]) -> int:
-    """The first of the ``rows`` (a boolean mask) nearest ``point``."""
+def _nearest(placed: np.ndarray, rows: np.ndarray, point: tuple[float, float]):
+    """Squared distance and index of the first of the ``rows`` (a boolean mask) nearest
+    ``point``; inf when the mask is empty."""
     off = placed - np.array(point)
     dist2 = np.einsum("ij,ij->i", off, off)
     dist2[~rows] = np.inf
-    return int(np.argmin(dist2))
+    i = int(np.argmin(dist2))
+    return float(dist2[i]), i
 
 
 class NetworkState:
@@ -197,45 +200,42 @@ class NetworkState:
     Node i's window holds readings alpha_i (c_k - delta_i) + j_ik of the
     instants c_k it heard. ``fit`` is linear and reproduces lines, so the
     window's fit is alpha_i (c_hat - delta_i) + fit(J_i): the offset delta_i
-    cancels from every fire time. So the state keeps ``alphas``, the (n, m)
-    float32 ``residuals`` J (the jitters; node 0's are zero) and ``history``,
-    the instants heard by each group of nodes that listen together, one row
+    cancels from every fire time. So the state keeps the (n, m) float32
+    ``residuals`` J (the jitters; node 0's are zero) and ``history``, the
+    instants heard by each group of nodes that listen together, one row
     each: one in no_delay, row p for parity p in even_odd, and in delay row 0
     for interior nodes (the crossing) and row 1 for boundary nodes (their
     assumed instant, integer + boundary_epsilon); only delay adds the boolean
-    ``interior`` (None otherwise). The placement is dropped once built:
-    ``positions`` maps each receiver's node id to its (x, y), node 0 in
-    no_delay, nodes 0 and 1 in even_odd and the probes in delay.
+    ``interior`` (None otherwise). The skews alpha_i are the init stream's
+    first draws, so ``skews`` redraws them a block at a time. The placement
+    is never held whole: ``positions`` maps each receiver's node id to its
+    (x, y), node 0 in no_delay, nodes 0 and 1 in even_odd and the probes in
+    delay, each read from the placement stream.
     """
 
     def __init__(self, config: ScenarioConfig):
         self.config = config
         n = config.n_nodes
-        region = config.region
         channel = self.channel = config.channel
 
-        # The placement is released before the init stream allocates the node
-        # vectors, so the two never coexist (``ru_maxrss`` keeps the build peak).
-        placed = positions_array(place_nodes(region, n, substream(config.seed, DOMAIN_PLACEMENT)))
         self.interior = None
         self.probes: list[int] = []
         self.rx_gain_dist: PathlossDistribution | None = None
         self.fix_law: DelayDistribution | None = None  # delay: the compensation law
         if config.regime == "delay":
-            self.schedules = self._delay_schedules(placed)
+            self.schedules = self._delay_schedules()
         else:
-            self.schedules = self._shared_schedules(placed)
-        self.positions = {node: tuple(placed[node].tolist())
-                          for sched in self.schedules for node, _, _ in sched.receivers}
-        del placed
+            self.schedules = self._shared_schedules()
+        self.positions = {node: (law.receiver.x, law.receiver.y)
+                          for sched in self.schedules for node, law, _ in sched.receivers}
 
         rng_init = substream(config.seed, DOMAIN_INIT)
-        self.alphas = config.population.sample(n, rng_init)
-        # offsets cancel from every fire time; skipping their draws keeps the jitter's
-        rng_init.bit_generator.advance(n)
+        # The init stream draws n skews (one word each, none for a point mass),
+        # then n offsets, then the jitter. Skews are redrawn per block and
+        # offsets cancel from every fire time, so both are skipped.
+        population = config.population
+        rng_init.bit_generator.advance(n if population.alpha_low == population.alpha_up else 2 * n)
         self.sigma = float(np.sqrt(config.sigma2))
-        # node 0 is the reference: exact clock, zero jitter
-        self.alphas[0] = 1.0
 
         tau_nz = config.tau_nz
         if tau_nz is None:
@@ -255,10 +255,17 @@ class NetworkState:
 
     # -- construction helpers -------------------------------------------
 
-    def _shared_schedules(self, placed: np.ndarray) -> tuple[Schedule, ...]:
+    def _placed(self, rows: slice) -> np.ndarray:
+        """Rows ``rows`` of the placement, drawn alone from a fresh placement stream."""
+        cfg = self.config
+        return positions_array(place_nodes(cfg.region, cfg.n_nodes,
+                                           substream(cfg.seed, DOMAIN_PLACEMENT), rows))
+
+    def _shared_schedules(self) -> tuple[Schedule, ...]:
         # One aggregate serves every listener, drawn with the gain law of the
         # node that reports it.
-        self.rx_gain_dist = PathlossDistribution(self.channel, NodePosition(*placed[0]))
+        placed = [NodePosition(*xy) for xy in self._placed(slice(0, 2)).tolist()]
+        self.rx_gain_dist = PathlossDistribution(self.channel, placed[0])
         if self.config.regime == "no_delay":
             return (Schedule(slice(None), slice(None), ((0, self.rx_gain_dist, 0.0),)),)
         # even_odd: in the phase of an instant of parity p, parity p fires
@@ -267,29 +274,39 @@ class NetworkState:
         for p in (0, 1):
             receivers = ()
             if self.n > 1:
-                law = self.rx_gain_dist if p == 1 else PathlossDistribution(
-                    self.channel, NodePosition(*placed[1]))
+                law = self.rx_gain_dist if p == 1 else PathlossDistribution(self.channel, placed[1])
                 receivers = ((1 - p, law, 0.0),)
             schedules.append(Schedule(slice(p, None, 2), slice(1 - p, None, 2), receivers))
         return tuple(schedules)
 
-    def _delay_schedules(self, placed: np.ndarray) -> tuple[Schedule, ...]:
+    def _delay_schedules(self) -> tuple[Schedule, ...]:
         cfg = self.config
         region = cfg.region
-        # ScenarioConfig keeps the delay regime's range finite
-        self.interior = region.edge_distance(placed[:, 0], placed[:, 1]) >= self.channel.max_range
-        if not np.any(self.interior):
+        # One pass over the placement, a block at a time: the interior mask and,
+        # per target, the squared distance, node and position of the first
+        # nearest candidate so far (the interior probe, then a mid-edge
+        # boundary node; corners see the thinnest population).
+        targets = ((region.width / 2, region.height / 2), (0.0, region.height / 2))
+        nearest = [(np.inf, None, None)] * len(targets)
+        self.interior = np.empty(self.n, dtype=bool)
+        for rows in _node_blocks(self.n, _BUILD_BLOCK):
+            placed = self._placed(rows)
+            # ScenarioConfig keeps the delay regime's range finite
+            inside = region.edge_distance(placed[:, 0], placed[:, 1]) >= self.channel.max_range
+            self.interior[rows] = inside
+            for k, candidates in enumerate((inside, ~inside)):
+                dist2, i = _nearest(placed, candidates, targets[k])
+                if dist2 < nearest[k][0]:
+                    nearest[k] = (dist2, rows.start + i, NodePosition(*placed[i].tolist()))
+        if nearest[0][1] is None:
             raise ConfigurationError(
                 "delay regime needs at least one interior node; "
                 "shrink the channel range or enlarge the region")
-        self.probes = [_nearest(placed, self.interior, (region.width / 2, region.height / 2))]
-        if not np.all(self.interior):
-            # prefer a mid-edge boundary node; corners see the thinnest population
-            self.probes.append(_nearest(placed, ~self.interior, (0.0, region.height / 2)))
         receivers = tuple(
-            (node, DelayDistribution(self.channel, NodePosition(*placed[node])),
+            (node, DelayDistribution(self.channel, position),
              cfg.epsilon if self.interior[node] else cfg.boundary_epsilon)
-            for node in self.probes)
+            for _, node, position in nearest if node is not None)
+        self.probes = [node for node, _, _ in receivers]
         if cfg.compensate_delay:
             self.fix_law = receivers[0][1]
         return (Schedule(slice(None), slice(None), receivers),)
@@ -299,7 +316,7 @@ class NetworkState:
         cfg = self.config
         m = cfg.m
         residuals = np.empty((cfg.n_nodes, m), dtype=np.float32)
-        for rows in _node_blocks(cfg.n_nodes, _INIT_BLOCK):
+        for rows in _node_blocks(cfg.n_nodes, _BUILD_BLOCK):
             residuals[rows] = rng.standard_normal((rows.stop - rows.start, m)) * self.sigma
         residuals[0] = 0.0
         self.residuals = residuals
@@ -311,6 +328,20 @@ class NetworkState:
         else:
             offsets = [[cfg.epsilon], [cfg.boundary_epsilon]] if cfg.regime == "delay" else 0.0
             self.history = (self.next_center - m + steps) + np.array(offsets, ndmin=2)
+
+    def skews(self, rows: slice) -> np.ndarray:
+        """Clock skews of the nodes ``rows`` (a contiguous slice); node 0's is exactly 1.
+
+        The skews are the init stream's first draws, one word a node (none for a
+        point mass), so a block's are redrawn alone by advancing a fresh init
+        stream to its first row.
+        """
+        rng = substream(self.config.seed, DOMAIN_INIT)
+        rng.bit_generator.advance(rows.start)
+        skews = self.config.population.sample(rows.stop - rows.start, rng)
+        if rows.start == 0:
+            skews[0] = 1.0
+        return skews
 
     def _jitter(self, rng: np.random.Generator, rows: slice) -> np.ndarray:
         """Readout jitter, one entry per node of the block; node 0's is exactly zero."""
@@ -357,9 +388,9 @@ def _block_events(state: NetworkState, sched: Schedule, law, rows: slice, n_tx: 
     size = rows.stop - rows.start
     tx = sched.transmit
     centres, slopes = heard
-    alphas = state.alphas[rows][tx]
     report = fit(state.residuals[rows][tx], cfg.target)
     fires = report.phi_hat
+    alphas = state.skews(rows)[tx]
     k_fix = delays = None
     if fix_rng is not None:
         d_fix, k_fix = sample_fix(state.fix_law, fix_rng, size)
@@ -370,6 +401,7 @@ def _block_events(state: NetworkState, sched: Schedule, law, rows: slice, n_tx: 
     del report
     fires -= state._jitter(jitter, rows)[tx]
     fires /= alphas
+    del alphas                   # before the gain draws, which set the phase's peak
     fires += _by_history(state, centres, rows, tx)
     if isinstance(law, DelayDistribution):
         delays, gains = law.sample_pair(rng, size)

@@ -123,19 +123,30 @@ def disk_intersection_area(region: Region, center: NodePosition | tuple[float, f
     return float(area[0]) if scalar else area
 
 
-def place_nodes(region: Region, n: int, rng: np.random.Generator) -> np.ndarray:
+def place_nodes(region: Region, n: int, rng: np.random.Generator,
+                rows: slice | None = None) -> np.ndarray:
     """Drop n nodes independently and uniformly over the region.
 
     Returns an (n, 2) float array of (x, y) rows. Draw order is fixed: all x
-    coordinates first, then all y coordinates, each drawn in blocks.
+    coordinates first, then all y coordinates, each drawn in blocks, one word
+    of ``rng`` per coordinate. ``rows``, a contiguous slice, returns just
+    those rows of the same placement: a fresh ``rng`` is advanced past the
+    other rows' words instead of drawing them.
     """
     if n <= 0:
         raise DomainError(f"node count must be positive, got {n}")
-    placed = np.empty((n, 2))
+    rows = range(n)[rows or slice(None)]
+    if rows.step != 1:
+        raise DomainError("placement rows must be a contiguous slice")
+    placed = np.empty((len(rows), 2))
+    skip = rows.start
     for column, side in enumerate((region.width, region.height)):
-        for start in range(0, n, _PLACE_BLOCK):
+        if skip:
+            rng.bit_generator.advance(skip)
+        for start in range(0, len(rows), _PLACE_BLOCK):
             block = placed[start:start + _PLACE_BLOCK, column]
             block[:] = rng.uniform(0.0, side, size=block.size)
+        skip = n - len(rows)
     return placed
 
 

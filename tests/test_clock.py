@@ -16,7 +16,7 @@ def test_reference_clock_reads_true_time():
     report = run_phase(st)
     assert report.crossing is not None
     assert st.history[0, -1] == report.crossing
-    assert st.alphas[0] == 1.0 and not st.residuals[0].any()
+    assert st.skews(slice(0, 1))[0] == 1.0 and not st.residuals[0].any()
 
 
 def test_jitter_variance_and_freshness():

@@ -111,7 +111,7 @@ def whole_vector_events(state):
         inside = state.interior[tx]
         centre = np.where(inside, centres[0], centres[1])
         slope = np.where(inside, slopes[0], slopes[1])
-    alphas = state.alphas[tx]
+    alphas = state.skews(slice(0, state.n))[tx]
     report = fit(state.residuals[tx], cfg.target)
     fires = report.phi_hat
     k_fix = 1.0
@@ -228,18 +228,21 @@ def test_init_residuals_are_fresh_readout_jitter():
     assert abs(np.mean(body)) < 4.0 * np.sqrt(0.04 / body.size)
 
 
-def test_init_draws_skip_the_offsets():
-    # The init stream draws the skews, then n offsets that cancel and are
-    # skipped, then the (n, m) jitter: the jitter keeps the draws it had
-    # when offsets were stored.
-    cfg = ScenarioConfig(n_nodes=40_001, m=3, sigma2=1e-4, seed=5)
+@pytest.mark.parametrize("population", [SkewPopulation(), SkewPopulation(1.0, 1.0)])
+def test_init_draws_skip_the_offsets(population):
+    # The init stream draws the skews (2n words with the offsets after them,
+    # n for a point mass, which draws nothing), then the (n, m) jitter. The
+    # build skips the skews, which blocks redraw, and the offsets, which
+    # cancel: the jitter and skews keep the draws they had when both were stored.
+    cfg = ScenarioConfig(n_nodes=40_001, m=3, sigma2=1e-4, seed=5, population=population)
     st = NetworkState(cfg)
     rng = substream(cfg.seed, DOMAIN_INIT)
     alphas = cfg.population.sample(cfg.n_nodes, rng)
     rng.uniform(-0.5, 0.5, size=cfg.n_nodes)
     jitter = (rng.standard_normal((cfg.n_nodes, cfg.m)) * st.sigma).astype(np.float32)
     jitter[0] = 0.0
-    assert np.array_equal(st.alphas[1:], alphas[1:]) and st.alphas[0] == 1.0
+    skews = st.skews(slice(0, st.n))
+    assert np.array_equal(skews[1:], alphas[1:]) and skews[0] == 1.0
     assert np.array_equal(st.residuals, jitter)
 
 
@@ -287,7 +290,7 @@ def test_fire_time_variance_matches_design():
     st = NetworkState(cfg)
     fires = next_fires(st)
     rep = run_phase(st)
-    scaled = (fires - rep.center) * st.alphas
+    scaled = (fires - rep.center) * st.skews(slice(0, st.n))
     assert np.var(scaled[1:]) == pytest.approx(cfg.fire_variance, rel=0.03)
     # m = 3: sigma2 * (1 + 2(2m+1)/(m(m-1))) = sigma2 * 10/3
     assert cfg.fire_variance == pytest.approx(1e-2 * 10.0 / 3.0, rel=1e-12)
@@ -570,9 +573,9 @@ def test_no_delay_memory_stays_within_a_few_node_vectors():
     st = NetworkState(ScenarioConfig(n_nodes=n, regime="no_delay", seed=0))
     x0, y0 = st.positions[0]
     assert st.rx_gain_dist.effective_range > st.config.region.edge_distance(x0, y0)
-    # skews (1) and the float32 jitter windows (1.5) are kept; the placement is not
+    # the float32 jitter windows (1.5) are kept; the skews and the placement are not
     held = sum(v.nbytes for v in vars(st).values() if isinstance(v, np.ndarray))
-    assert held <= 2.6 * vector
+    assert held <= 1.6 * vector
     tracemalloc.start()
     try:
         entry = tracemalloc.get_traced_memory()[0]
@@ -585,6 +588,7 @@ def test_no_delay_memory_stays_within_a_few_node_vectors():
     # the phase works in 1 << 17-node blocks; fires, gain draws and the
     # coverage bisection's workspace peak at about 3.0 of these at this n,
     # which holds only while fit casts the float32 jitter a block at a time
+    # and a block's redrawn skews are released before its gains are drawn
     assert peak - entry <= 3.3 * vector
 
 
@@ -626,29 +630,29 @@ def test_fit_and_crossing_work_in_blocks():
 
 @pytest.mark.parametrize("regime", ["no_delay", "even_odd"])
 def test_no_delay_build_stays_within_a_few_node_vectors(regime):
-    # skews (1) and the float32 jitter windows (1.5) are kept; the placement
-    # (2, drawn straight into one buffer) is released before they are drawn,
-    # and the jitter is drawn a small block at a time, so the build's working
-    # space is a fraction of a node vector. even_odd's roles are row slices,
-    # so it keeps no mask beside them.
+    # Only the float32 jitter windows (1.5) are kept. The build reads the
+    # placement rows of nodes 0 and 1 alone, draws no skews, and draws the
+    # jitter a small block at a time, so its working space is a fraction of
+    # a node vector (1.75 in all). even_odd's roles are row slices, so it
+    # keeps no mask beside them.
     n = 200_000
     config = ScenarioConfig(n_nodes=n, regime=regime, seed=0)
     NetworkState(replace(config, n_nodes=10))  # pays the first build's lazy imports
-    assert traced_peak(lambda: NetworkState(config)) <= 3.3 * 8 * n
+    assert traced_peak(lambda: NetworkState(config)) <= 1.9 * 8 * n
 
 
 def test_delay_build_stays_within_a_few_node_vectors():
-    # The placement (2) with the temporaries of its edge distances or of one
-    # probe search's offsets and squared distances (3) peaks near 6.0 vectors;
-    # the state then keeps skews and float32 jitter windows (2.5) beside the
-    # interior mask (0.125).
+    # The placement is streamed a small block at a time into the interior
+    # mask (0.125) and both probe searches, so the build peaks near 1.9
+    # vectors; the state then keeps the float32 jitter windows (1.5) beside
+    # the mask.
     n = 200_000
     config = ScenarioConfig(n_nodes=n, regime="delay", seed=0)
     NetworkState(replace(config, n_nodes=10))
     built = []
-    assert traced_peak(lambda: built.append(NetworkState(config))) <= 6.3 * 8 * n
+    assert traced_peak(lambda: built.append(NetworkState(config))) <= 2.1 * 8 * n
     held = sum(v.nbytes for v in vars(built[0]).values() if isinstance(v, np.ndarray))
-    assert held <= 2.8 * 8 * n
+    assert held <= 1.7 * 8 * n
 
 
 @pytest.mark.parametrize("regime", ["no_delay", "even_odd", "delay"])
@@ -664,8 +668,67 @@ def test_state_keeps_only_the_receivers_positions(regime):
     # no n-sized array beyond the node vectors a phase reads
     kept = {name for name, v in vars(st).items()
             if isinstance(v, np.ndarray) and v.shape[0] == config.n_nodes}
-    assert kept == {"alphas", "residuals"} | ({"interior"} if regime == "delay" else set())
+    assert kept == {"residuals"} | ({"interior"} if regime == "delay" else set())
     assert st.residuals.dtype == np.float32
+
+
+# Seeds per node count that give the delay regime an interior node: at n = 2,
+# seed 9 puts node 0 at the edge and node 1 inside.
+ORACLE_SEEDS = {1: 1, 2: 9, 2 * engine._NODE_BLOCK + 3: 3}
+
+
+@pytest.mark.parametrize("n", sorted(ORACLE_SEEDS))
+@pytest.mark.parametrize("regime", ["no_delay", "even_odd", "delay"])
+def test_build_matches_the_whole_placement_and_skews(regime, n):
+    # The build reads placement rows alone and redraws skews per block; both
+    # must be what whole-vector draws from the same streams give.
+    config = ScenarioConfig(n_nodes=n, regime=regime, seed=ORACLE_SEEDS[n])
+    st = NetworkState(config)
+    placed = place_nodes(config.region, n, substream(config.seed, DOMAIN_PLACEMENT))
+    skews = config.population.sample(n, substream(config.seed, DOMAIN_INIT))
+    skews[0] = 1.0
+    for rows in engine._node_blocks(n):
+        assert np.array_equal(st.skews(rows), skews[rows])
+    receivers = {"no_delay": [0], "even_odd": [1, 0] if n > 1 else [], "delay": []}[regime]
+    if regime == "delay":
+        region = config.region
+        interior = region.edge_distance(placed[:, 0], placed[:, 1]) >= config.channel.max_range
+        assert np.array_equal(st.interior, interior)
+
+        def first_nearest(rows, point):
+            off = placed - np.array(point)
+            dist2 = np.einsum("ij,ij->i", off, off)
+            dist2[~rows] = np.inf
+            return int(np.argmin(dist2))
+
+        receivers = [first_nearest(interior, (region.width / 2, region.height / 2))]
+        if not interior.all():
+            receivers.append(first_nearest(~interior, (0.0, region.height / 2)))
+        assert st.probes == receivers
+    else:
+        assert st.interior is None and st.probes == []
+    got = [node for sched in st.schedules for node, _, _ in sched.receivers]
+    assert got == receivers
+    laws = {node: law for sched in st.schedules for node, law, _ in sched.receivers}
+    assert set(st.positions) == set(receivers)
+    for node, xy in st.positions.items():
+        assert xy == tuple(placed[node]) == (laws[node].receiver.x, laws[node].receiver.y)
+
+
+def test_delay_probe_search_keeps_the_first_of_tied_nodes(monkeypatch):
+    # Ties across and within the blocks of the placement pass go to the first
+    # node, as a search over the whole placement picks it.
+    block = engine._BUILD_BLOCK
+    n = 3 * block
+    placed = np.random.default_rng(0).uniform(0.0, 1.0, size=(n, 2))
+    centre, mid_edge = [block + 5, block + 9, 2 * block], [7, 2 * block + 3]
+    placed[centre] = (0.5, 0.5)
+    placed[mid_edge] = (0.0, 0.5)
+    monkeypatch.setattr(engine, "place_nodes",
+                        lambda region, count, rng, rows: placed[rows].copy())
+    st = NetworkState(ScenarioConfig(n_nodes=n, regime="delay", seed=0))
+    assert st.probes == [block + 5, 7]
+    assert st.positions == {block + 5: (0.5, 0.5), 7: (0.0, 0.5)}
 
 
 def test_phase_reports_hold_no_node_vectors():
@@ -720,7 +783,7 @@ def test_even_odd_fire_variance(built_fires):
     rep, _, fires = even_odd_phase(st, built_fires)
     active = np.isfinite(fires)
     active[0] = False
-    scaled = (fires[active] - rep.center) * st.alphas[active]
+    scaled = (fires[active] - rep.center) * st.skews(slice(0, st.n))[active]
     # m = 3 alternating design: sigma2 * (1 + 35/24)
     assert cfg.fire_variance == pytest.approx(1e-2 * (1 + 35 / 24), rel=1e-12)
     assert np.var(scaled) == pytest.approx(cfg.fire_variance, rel=0.03)
@@ -798,7 +861,7 @@ def test_delay_boundary_nodes_fire_on_the_instant(built_fires):
     cfg = ScenarioConfig(n_nodes=3000, sigma2=0.0, regime="delay", seed=7,
                          epsilon=0.03, boundary_epsilon=0.05, compensate_delay=False)
     st = NetworkState(cfg)
-    assert np.any(~st.interior) and np.ptp(st.alphas) > 0.01
+    assert np.any(~st.interior) and np.ptp(st.skews(slice(0, st.n))) > 0.01
     center = st.next_center
     run_phase(st)
     for fires in built_fires:

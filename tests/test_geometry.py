@@ -125,6 +125,20 @@ def test_place_nodes_draw_order_and_array_contract():
     np.testing.assert_array_equal(positions[:, 1], replay.uniform(0.0, 0.5, n))
 
 
+def test_place_nodes_rows_are_the_whole_placements_rows():
+    # a row range advances a fresh stream past the other rows' words, across
+    # the draw blocks too
+    region = Region(2.0, 0.5)
+    n = 40_003
+    whole = place_nodes(region, n, np.random.default_rng(7))
+    for rows in (slice(0, 1), slice(0, 2), slice(16_380, 33_000), slice(n - 3, n),
+                 slice(5, None)):
+        np.testing.assert_array_equal(
+            place_nodes(region, n, np.random.default_rng(7), rows), whole[rows])
+    with pytest.raises(DomainError):
+        place_nodes(region, n, np.random.default_rng(7), slice(0, 10, 2))
+
+
 def test_place_nodes_zero_count_rejected():
     with pytest.raises(DomainError):
         place_nodes(Region(), 0, np.random.default_rng(1))
