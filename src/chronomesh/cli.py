@@ -303,7 +303,7 @@ def _cmd_phases(manifest: RunManifest) -> None:
         for rep in reports:
             for node in sorted(rep.crossings):
                 cr = rep.crossings[node]
-                role = "interior" if state.interior[node] else "boundary"
+                role = "interior" if node == state.probes[0] else "boundary"
                 assumed = assumed_offsets[node]
                 location = cr.location if cr.ok else math.nan
                 offset = location - (rep.center + assumed) if cr.ok else math.nan

@@ -4,9 +4,10 @@ A node's clock reads alpha * (t - delta_bar) + jitter, where the jitter is
 redrawn on every read. The reference node defines true time (alpha = 1,
 delta_bar = 0, no jitter). A node's fit of its readings reproduces straight
 lines, so its offset delta_bar cancels from every time it fires and none is
-stored; the engine keeps the jitters and redraws the skews from their stream
-a block at a time. This module draws the skews across the network, uniformly
-on a bounded interval (one generator word a node) or as a point mass (none).
+stored; the engine keeps neither jitters nor skews, but redraws both from
+their streams a block at a time. This module draws the skews across the
+network, uniformly on a bounded interval (one generator word a node) or as a
+point mass (none).
 """
 
 from __future__ import annotations

@@ -44,19 +44,23 @@ its node id) and observation jitter (none on holdover). Each stream is drawn
 in node order, so a phase is reproducible however its report is consumed, and
 no receiver's draws move another receiver's or the readings.
 
-Memory: the state keeps nothing a stream can redraw, 1.5 node vectors at
-m = 3 (see ``NetworkState``). The placement is never held whole: the build
-reads the rows its receivers need, or streams it a block at a time in delay,
-and each phase draws every channel from its receiver's law. Skews are redrawn
-a block at a time from their own stream. Beyond the state's vectors a phase
-allocates nothing node-sized, working ``_NODE_BLOCK`` rows at a time. Every
-block starts at an even row, so a role's slice of a block selects the block's
-share of that role. Each receiver's pass opens its streams afresh, recomputes
-its transmitters' fire times block by block and adds each block, with its
-channel draw, to the closed-form sums; readings and rolls follow per block.
-Blocks cut the same draws and keep every blocked sum's partitions, so no
-result depends on the block size; whole event columns are joined only for the
-scan fallback, ``no_delay_phase_events`` and tests.
+Memory: the state holds no node vector (see ``NetworkState``). A window's
+jitter is redrawn a block at a time from the streams that drew it, the skews
+from theirs, and delay's interior mask from the placement, which is never
+held whole: the build reads the rows its receivers need, or streams it a
+block at a time in delay, and each phase draws every channel from its
+receiver's law. Only a holdover stores jitter columns, at most m per group;
+beyond such a column a phase allocates nothing node-sized, working
+``_NODE_BLOCK`` rows at a time, and redraws windows into two block buffers
+the state keeps. Every
+block starts at an even row, so a role's slice of a block selects the
+block's share of that role. Each receiver's pass opens its streams afresh,
+recomputes its transmitters' fire times block by block and adds each block,
+with its channel draw, to the closed-form sums. A good phase's roll only
+names its readout stream as the newest column. Blocks cut the same draws
+and keep every blocked sum's partitions, so no result depends on the block
+size; whole event columns are joined only for the scan fallback,
+``no_delay_phase_events`` and tests.
 """
 
 from __future__ import annotations
@@ -83,9 +87,10 @@ REGIMES = ("no_delay", "even_odd", "delay")
 # It and _BUILD_BLOCK are even, so every block starts at an even row and an
 # even_odd role's stride-2 slice of a block keeps the parity it has network-wide.
 _NODE_BLOCK = 1 << 17
-_BUILD_BLOCK = 1 << 14     # rows per block of the delay placement pass and the jitter buffer
+_BUILD_BLOCK = 1 << 14     # rows per block of the delay build's placement pass
 # Kinds of phase draw, each with its own substream(seed, DOMAIN_PHASE, phase, kind[, node]).
 _FIRE, _FIX, _CHANNEL, _READ = range(4)
+_INIT = -1                 # NetworkState.residuals' cursor key for the init stream's jitter
 
 
 def _node_blocks(n: int, size: int = _NODE_BLOCK):
@@ -184,6 +189,12 @@ class Schedule:
     receivers: tuple             # (node id, channel law, search offset), primary first
 
 
+def _within(role: slice, start: int) -> slice:
+    """``role``'s share of a block of rows that starts at row ``start``, as a slice of the block."""
+    step = role.step or 1
+    return slice(((role.start or 0) - start) % step, None, step)
+
+
 def _nearest(placed: np.ndarray, rows: np.ndarray, point: tuple[float, float]):
     """Squared distance and index of the first of the ``rows`` (a boolean mask) nearest
     ``point``; inf when the mask is empty."""
@@ -200,25 +211,29 @@ class NetworkState:
     Node i's window holds readings alpha_i (c_k - delta_i) + j_ik of the
     instants c_k it heard. ``fit`` is linear and reproduces lines, so the
     window's fit is alpha_i (c_hat - delta_i) + fit(J_i): the offset delta_i
-    cancels from every fire time. So the state keeps the (n, m) float32
-    ``residuals`` J (the jitters; node 0's are zero) and ``history``, the
+    cancels from every fire time. So the state keeps ``history``, the
     instants heard by each group of nodes that listen together, one row
     each: one in no_delay, row p for parity p in even_odd, and in delay row 0
     for interior nodes (the crossing) and row 1 for boundary nodes (their
-    assumed instant, integer + boundary_epsilon); only delay adds the boolean
-    ``interior`` (None otherwise). The skews alpha_i are the init stream's
-    first draws, so ``skews`` redraws them a block at a time. The placement
-    is never held whole: ``positions`` maps each receiver's node id to its
-    (x, y), node 0 in no_delay, nodes 0 and 1 in even_odd and the probes in
+    assumed instant, integer + boundary_epsilon). It holds no node vector:
+    every window's jitter J is the stream that drew it, so ``columns`` keeps,
+    per listening group (``groups``, each a slice of the node rows: one in
+    no_delay and delay, one per parity in even_odd), the source of each of
+    its m window columns, and
+    ``residuals`` redraws a block's float32 J from them (node 0's are zero).
+    Only a holdover stores a column, its listeners' jitter fits, until m good
+    phases push it out. The skews alpha_i are the init stream's first draws,
+    so ``skews`` redraws them a block at a time, and ``interior`` redraws a
+    block's delay interior mask from its placement rows. The placement is
+    never held whole: ``positions`` maps each receiver's node id to its (x,
+    y), node 0 in no_delay, nodes 0 and 1 in even_odd and the probes in
     delay, each read from the placement stream.
     """
 
     def __init__(self, config: ScenarioConfig):
         self.config = config
-        n = config.n_nodes
         channel = self.channel = config.channel
 
-        self.interior = None
         self.probes: list[int] = []
         self.rx_gain_dist: PathlossDistribution | None = None
         self.fix_law: DelayDistribution | None = None  # delay: the compensation law
@@ -229,12 +244,6 @@ class NetworkState:
         self.positions = {node: (law.receiver.x, law.receiver.y)
                           for sched in self.schedules for node, law, _ in sched.receivers}
 
-        rng_init = substream(config.seed, DOMAIN_INIT)
-        # The init stream draws n skews (one word each, none for a point mass),
-        # then n offsets, then the jitter. Skews are redrawn per block and
-        # offsets cancel from every fire time, so both are skipped.
-        population = config.population
-        rng_init.bit_generator.advance(n if population.alpha_low == population.alpha_up else 2 * n)
         self.sigma = float(np.sqrt(config.sigma2))
 
         tau_nz = config.tau_nz
@@ -251,7 +260,13 @@ class NetworkState:
             self.next_center = 2 * config.m
         else:
             self.next_center = config.m
-        self._init_windows(rng_init)
+        self._init_windows()
+        # block buffers a phase redraws windows into: one block's float32 windows
+        # and float64 draws, held so each block reuses them
+        block = min(self.n, _NODE_BLOCK)
+        self._window = np.empty((block, config.m), dtype=np.float32)
+        self._draws = np.empty(max(block, config.m))
+        self._cursors: dict[int, list] = {}    # stream -> [generator, next row]
 
     # -- construction helpers -------------------------------------------
 
@@ -279,21 +294,28 @@ class NetworkState:
             schedules.append(Schedule(slice(p, None, 2), slice(1 - p, None, 2), receivers))
         return tuple(schedules)
 
+    def _inside(self, placed: np.ndarray) -> np.ndarray:
+        """Which of the ``placed`` nodes lie at least the channel range from every edge."""
+        # ScenarioConfig keeps the delay regime's range finite
+        edge = self.config.region.edge_distance(placed[:, 0], placed[:, 1])
+        return edge >= self.channel.max_range
+
+    def interior(self, rows: slice) -> np.ndarray:
+        """Delay regime: the interior mask of the nodes ``rows``, redrawn from their placement."""
+        return self._inside(self._placed(rows))
+
     def _delay_schedules(self) -> tuple[Schedule, ...]:
         cfg = self.config
         region = cfg.region
-        # One pass over the placement, a block at a time: the interior mask and,
-        # per target, the squared distance, node and position of the first
-        # nearest candidate so far (the interior probe, then a mid-edge
-        # boundary node; corners see the thinnest population).
+        # One pass over the placement, a block at a time: per target, the squared
+        # distance, node and position of the first nearest candidate so far (the
+        # interior probe, then a mid-edge boundary node; corners see the thinnest
+        # population).
         targets = ((region.width / 2, region.height / 2), (0.0, region.height / 2))
         nearest = [(np.inf, None, None)] * len(targets)
-        self.interior = np.empty(self.n, dtype=bool)
         for rows in _node_blocks(self.n, _BUILD_BLOCK):
             placed = self._placed(rows)
-            # ScenarioConfig keeps the delay regime's range finite
-            inside = region.edge_distance(placed[:, 0], placed[:, 1]) >= self.channel.max_range
-            self.interior[rows] = inside
+            inside = self._inside(placed)
             for k, candidates in enumerate((inside, ~inside)):
                 dist2, i = _nearest(placed, candidates, targets[k])
                 if dist2 < nearest[k][0]:
@@ -302,32 +324,98 @@ class NetworkState:
             raise ConfigurationError(
                 "delay regime needs at least one interior node; "
                 "shrink the channel range or enlarge the region")
-        receivers = tuple(
-            (node, DelayDistribution(self.channel, position),
-             cfg.epsilon if self.interior[node] else cfg.boundary_epsilon)
-            for _, node, position in nearest if node is not None)
+        receivers = tuple((node, DelayDistribution(self.channel, position), offset)
+                          for (_, node, position), offset in zip(
+                              nearest, (cfg.epsilon, cfg.boundary_epsilon))
+                          if node is not None)
         self.probes = [node for node, _, _ in receivers]
         if cfg.compensate_delay:
             self.fix_law = receivers[0][1]
         return (Schedule(slice(None), slice(None), receivers),)
 
-    def _init_windows(self, rng: np.random.Generator):
-        """Steady-state windows: exact past instants and fresh float32 jitter, drawn in blocks."""
+    def _init_windows(self):
+        """Steady-state windows: exact past instants, and every jitter column an init draw."""
         cfg = self.config
         m = cfg.m
-        residuals = np.empty((cfg.n_nodes, m), dtype=np.float32)
-        for rows in _node_blocks(cfg.n_nodes, _BUILD_BLOCK):
-            residuals[rows] = rng.standard_normal((rows.stop - rows.start, m)) * self.sigma
-        residuals[0] = 0.0
-        self.residuals = residuals
         steps = np.arange(m, dtype=float)
         if cfg.regime == "even_odd":
             # the coming phase's transmitters, parity 0, heard tau0-(2m-1), ..., tau0-1;
             # its listeners tau0-2m, ..., tau0-2, so both are spaced by 2
             self.history = (self.next_center - 2 * m + 2.0 * steps) + np.array([[1.0], [0.0]])
+            self.groups = (slice(0, None, 2), slice(1, None, 2))
         else:
             offsets = [[cfg.epsilon], [cfg.boundary_epsilon]] if cfg.regime == "delay" else 0.0
             self.history = (self.next_center - m + steps) + np.array(offsets, ndmin=2)
+            self.groups = (slice(None),)
+        self.columns = [tuple(range(-m, 0))] * len(self.groups)
+
+    def _open(self, stream: int) -> list:
+        """A fresh cursor on ``stream``: the init stream's jitter (_INIT) or phase q's _READ."""
+        cfg = self.config
+        if stream != _INIT:
+            return [substream(cfg.seed, DOMAIN_PHASE, stream, _READ), 0]
+        # The init stream draws n skews (one word each, none for a point mass),
+        # then n offsets, then the (n, m) jitter. Skews are redrawn per block and
+        # offsets cancel from every fire time, so both are skipped.
+        rng = substream(cfg.seed, DOMAIN_INIT)
+        population = cfg.population
+        rng.bit_generator.advance(self.n if population.alpha_low == population.alpha_up
+                                  else 2 * self.n)
+        return [rng, 0]
+
+    def _draw_rows(self, cursor: list, count: int, width: int):
+        """Yield (first row, draws) for ``count`` rows of ``width`` scaled normals each,
+        drawn through the draw buffer from ``cursor``'s stream."""
+        per = len(self._draws) // width
+        for start in range(0, count, per):
+            rows = min(per, count - start)
+            draws = self._draws[:rows * width].reshape(rows, width)
+            cursor[0].standard_normal(out=draws)
+            draws *= self.sigma
+            yield start, draws
+        cursor[1] += count
+
+    def residuals(self, rows: slice, out: np.ndarray | None = None) -> np.ndarray:
+        """Float32 jitter windows J of the nodes ``rows`` (a contiguous slice), redrawn.
+
+        Each group's window column is a source: an int names a stream, q < 0
+        init column q + m and q >= 0 phase q's readout jitter, each drawn
+        for every node in node order, node 0's zero; after a holdover, an array
+        holds that column for the group's rows. A stream is read through a
+        cursor that moves forward block by block, so a pass over the blocks in
+        order draws each stream once. Writes into ``out`` when given.
+        """
+        m = self.config.m
+        size = rows.stop - rows.start
+        window = np.empty((size, m), dtype=np.float32) if out is None else out
+        targets: dict[int, list] = {}       # stream -> (role, window column, draw column)
+        for role, sources in zip(self.groups, self.columns):
+            local = _within(role, rows.start)
+            for k, source in enumerate(sources):
+                if isinstance(source, np.ndarray):
+                    first = len(range(rows.start)[role])     # the group's index of its first row
+                    column = window[local, k]
+                    column[:] = source[first:first + column.size]
+                elif source < 0:
+                    targets.setdefault(_INIT, []).append((role, k, source + m))
+                else:
+                    targets.setdefault(source, []).append((role, k, 0))
+        for stream in set(self._cursors) - set(targets):
+            del self._cursors[stream]
+        for stream, columns in targets.items():
+            cursor = self._cursors.get(stream)
+            if cursor is None or cursor[1] > rows.start:
+                cursor = self._cursors[stream] = self._open(stream)
+            width = m if stream == _INIT else 1
+            for _ in self._draw_rows(cursor, rows.start - cursor[1], width):
+                pass                                # rows before the block: skipped
+            for start, draws in self._draw_rows(cursor, size, width):
+                for role, k, col in columns:
+                    local = _within(role, rows.start + start)
+                    window[start:start + len(draws)][local, k] = draws[local, col]
+        if rows.start == 0 and size:
+            window[0] = 0.0                       # the reference node reads true time
+        return window
 
     def skews(self, rows: slice) -> np.ndarray:
         """Clock skews of the nodes ``rows`` (a contiguous slice); node 0's is exactly 1.
@@ -344,7 +432,7 @@ class NetworkState:
         return skews
 
     def _jitter(self, rng: np.random.Generator, rows: slice) -> np.ndarray:
-        """Readout jitter, one entry per node of the block; node 0's is exactly zero."""
+        """Fire jitter, one entry per node of the block; node 0's is exactly zero."""
         draws = rng.normal(0.0, 1.0, size=rows.stop - rows.start)
         draws *= self.sigma
         if rows.start == 0:
@@ -366,13 +454,14 @@ def _require_regime(state: NetworkState, regime: str):
         raise ConfigurationError("state was built for a different regime")
 
 
-def _by_history(state: NetworkState, values: np.ndarray, rows: slice, role: slice):
+def _by_history(values: np.ndarray, role: slice, inside: np.ndarray | None):
     """Each node's entry of per-history ``values``, for a role's share of a block: in delay
-    row 0 inside and row 1 at the edge; otherwise the role's one row, which is p for
-    even_odd's parity-p role ``slice(p, None, 2)`` and 0 in no_delay."""
-    if state.interior is None:
+    row 0 where ``inside`` (the share's interior mask) holds and row 1 at the edge; otherwise
+    the role's one row, which is p for even_odd's parity-p role ``slice(p, None, 2)`` and 0
+    in no_delay."""
+    if inside is None:
         return values[role.start or 0]
-    return np.where(state.interior[rows][role], values[0], values[1])
+    return np.where(inside, values[0], values[1])
 
 
 def _block_events(state: NetworkState, sched: Schedule, law, rows: slice, n_tx: int,
@@ -388,21 +477,22 @@ def _block_events(state: NetworkState, sched: Schedule, law, rows: slice, n_tx: 
     size = rows.stop - rows.start
     tx = sched.transmit
     centres, slopes = heard
-    report = fit(state.residuals[rows][tx], cfg.target)
+    inside = state.interior(rows)[tx] if cfg.regime == "delay" else None
+    report = fit(state.residuals(rows, state._window[:size])[tx], cfg.target)
     fires = report.phi_hat
     alphas = state.skews(rows)[tx]
     k_fix = delays = None
     if fix_rng is not None:
         d_fix, k_fix = sample_fix(state.fix_law, fix_rng, size)
         alpha_hat = alphas if cfg.oracle_alpha else (
-            alphas * _by_history(state, slopes, rows, tx) + report.alpha_hat)
+            alphas * _by_history(slopes, tx, inside) + report.alpha_hat)
         fires += alpha_hat * d_fix[tx]
         k_fix = k_fix[tx]
     del report
     fires -= state._jitter(jitter, rows)[tx]
     fires /= alphas
     del alphas                   # before the gain draws, which set the phase's peak
-    fires += _by_history(state, centres, rows, tx)
+    fires += _by_history(centres, tx, inside)
     if isinstance(law, DelayDistribution):
         delays, gains = law.sample_pair(rng, size)
         delays = delays[tx]
@@ -419,7 +509,7 @@ def _receiver_events(state: NetworkState, sched: Schedule, node: int, law) -> Ev
     path = (cfg.seed, DOMAIN_PHASE, state.phase_count)
     # every node of a group shares its history, so one weighted sum predicts for all of them
     heard = tuple(state.history @ w for w in prediction_weights(cfg.m, cfg.target))
-    if state.interior is not None:   # the fit is linear: move the boundary to the target's frame
+    if cfg.regime == "delay":   # the fit is linear: move the boundary to the target's frame
         heard[0][1] += cfg.epsilon - cfg.boundary_epsilon
 
     def blocks():
@@ -432,19 +522,20 @@ def _receiver_events(state: NetworkState, sched: Schedule, node: int, law) -> Ev
     return EventStream(blocks)
 
 
-def _roll_block(state: NetworkState, sched: Schedule, rows: slice, crossing: CrossingReport,
-                rng: np.random.Generator):
-    """Roll a node block's listeners' fresh jitter, or on holdover their jitter fits, into J."""
+def _roll_columns(state: NetworkState, sched: Schedule, crossing: CrossingReport):
+    """Shift the listening group's jitter columns by one: in comes this phase's readout
+    stream, or on holdover each listener's jitter fit, computed now and stored."""
     listen = sched.listen
-    residuals = state.residuals[rows]
-    if crossing.ok:
-        readings = state._jitter(rng, rows)[listen]
-    else:
-        readings = fit(residuals[listen], state.config.m).phi_hat
-    # column by column: an overlapping 2-D assignment goes through a buffer, several times slower
-    for k in range(residuals.shape[1] - 1):
-        residuals[listen, k] = residuals[listen, k + 1]
-    residuals[listen, -1] = readings
+    group = listen.start or 0
+    column = state.phase_count
+    if not crossing.ok:
+        column = np.empty(len(range(state.n)[listen]), dtype=np.float32)
+        for rows in _node_blocks(state.n):
+            window = state.residuals(rows, state._window[:rows.stop - rows.start])
+            first = len(range(rows.start)[listen])
+            fits = fit(window[listen], state.config.m).phi_hat
+            column[first:first + fits.size] = fits
+    state.columns[group] = state.columns[group][1:] + (column,)
 
 
 def no_delay_phase_events(state: NetworkState) -> tuple[EventArray, float]:
@@ -474,11 +565,9 @@ def run_phase(state: NetworkState) -> PhaseReport:
 
     primary = sched.receivers[0][0]
     crossing = crossings[primary]
-    rng = substream(state.config.seed, DOMAIN_PHASE, state.phase_count, _READ)
-    for rows in _node_blocks(state.n):
-        _roll_block(state, sched, rows, crossing, rng)
+    _roll_columns(state, sched, crossing)
     # each listening history rolls in the instant it heard, or on holdover its own prediction
-    if state.interior is None:
+    if state.config.regime != "delay":
         listening, heard = [sched.listen.start or 0], [crossing.location]
     else:
         listening, heard = [0, 1], [crossing.location, tau0 + state.config.boundary_epsilon]

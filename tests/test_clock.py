@@ -16,7 +16,7 @@ def test_reference_clock_reads_true_time():
     report = run_phase(st)
     assert report.crossing is not None
     assert st.history[0, -1] == report.crossing
-    assert st.skews(slice(0, 1))[0] == 1.0 and not st.residuals[0].any()
+    assert st.skews(slice(0, 1))[0] == 1.0 and not st.residuals(slice(0, 1)).any()
 
 
 def test_jitter_variance_and_freshness():
@@ -25,12 +25,13 @@ def test_jitter_variance_and_freshness():
     report = run_phase(st)
     assert report.crossing is not None
     # a reading is alpha (crossing - delta) + noise; the state keeps the noise
-    noise = st.residuals[1:, -1].astype(float)
+    windows = st.residuals(slice(0, n))
+    noise = windows[1:, -1].astype(float)
     assert noise.var() == pytest.approx(sigma2, rel=0.05)
     assert abs(noise.mean()) < 4 * np.sqrt(sigma2 / n)
     # Fresh draws per read: the jitter of the reading taken one instant
     # earlier is uncorrelated with this one.
-    earlier = st.residuals[1:, -2].astype(float)
+    earlier = windows[1:, -2].astype(float)
     assert abs(np.corrcoef(earlier, noise)[0, 1]) < 0.03
 
 

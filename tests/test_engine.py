@@ -41,6 +41,11 @@ def quiet_config(**kw):
     return ScenarioConfig(**defaults)
 
 
+def windows(state):
+    """Every node's float32 jitter window, redrawn whole from the state's column sources."""
+    return state.residuals(slice(0, state.n))
+
+
 def next_fires(state):
     """Reference-time fires of the coming no-delay phase, as the phase draws them."""
     return no_delay_phase_events(state)[0].fire
@@ -104,15 +109,15 @@ def whole_vector_events(state):
     cfg, tx = state.config, state.schedule.transmit
     jitter, fix, channels = phase_draws(state)
     centres, slopes = (state.history @ w for w in prediction_weights(cfg.m, cfg.target))
-    if state.interior is None:
+    if cfg.regime != "delay":
         centre, slope = centres[tx.start or 0], slopes[tx.start or 0]
     else:
         centres[1] += cfg.epsilon - cfg.boundary_epsilon
-        inside = state.interior[tx]
+        inside = state.interior(slice(0, state.n))[tx]
         centre = np.where(inside, centres[0], centres[1])
         slope = np.where(inside, slopes[0], slopes[1])
     alphas = state.skews(slice(0, state.n))[tx]
-    report = fit(state.residuals[tx], cfg.target)
+    report = fit(windows(state)[tx], cfg.target)
     fires = report.phi_hat
     k_fix = 1.0
     if fix is not None:
@@ -131,7 +136,9 @@ class ParentArithmetic:
     (where the state skips them), every fit runs on whole absolute windows,
     and fires go back to reference time through each node's offset. Each
     phase takes the draws ``run_phase`` takes; ``state`` supplies the roles,
-    laws, pulse and phase counters.
+    laws, pulse and phase counters. ``residuals`` keeps every node's float32
+    jitter window whole, rolled column by column as windows were kept before
+    they were redrawn from their column sources.
     """
 
     def __init__(self, config):
@@ -143,6 +150,7 @@ class ParentArithmetic:
         self.alphas[0], self.deltas[0] = 1.0, 0.0
         jitter = rng.standard_normal((n, m)) * st.sigma
         jitter[0] = 0.0
+        self.residuals = jitter.astype(np.float32)
         steps = np.arange(m, dtype=float)
         if config.regime == "even_odd":
             # parity 0 fires first and heard tau0-(2m-1), ...; parity 1 heard tau0-2m, ...
@@ -155,9 +163,9 @@ class ParentArithmetic:
     def assumed(self):
         """Each node's assumed crossing offset: epsilon inside, boundary_epsilon at the edge."""
         st = self.state
-        if st.interior is None:
+        if st.config.regime != "delay":
             return np.zeros(st.n)
-        return np.where(st.interior, st.config.epsilon, st.config.boundary_epsilon)
+        return np.where(st.interior(slice(0, st.n)), st.config.epsilon, st.config.boundary_epsilon)
 
     def run_phase(self):
         st = self.state
@@ -167,7 +175,7 @@ class ParentArithmetic:
         alphas = self.alphas[tx]
         report = fit(self.windows[tx], cfg.target)
         fires = report.phi_hat
-        if st.interior is not None:
+        if cfg.regime == "delay":
             fires = fires + (cfg.epsilon - self.assumed()[tx]) * alphas
         k_fix = 1.0
         if fix is not None:
@@ -179,15 +187,18 @@ class ParentArithmetic:
                      for node, events, offset in receiver_events(st, fires, k_fix, channels)}
         crossing = crossings[sched.receivers[0][0]]
         if crossing.ok:
-            instants = crossing.location if st.interior is None else np.where(
-                st.interior, crossing.location, tau0 + self.assumed())
+            instants = crossing.location if cfg.regime != "delay" else np.where(
+                st.interior(slice(0, st.n)), crossing.location, tau0 + self.assumed())
             noise = substream(cfg.seed, DOMAIN_PHASE, st.phase_count, engine._READ).normal(
                 0.0, 1.0, size=st.n) * st.sigma
             noise[0] = 0.0
             readings = ((instants - self.deltas) * self.alphas + noise)[listen]
+            residuals = noise[listen]
         else:
             readings = fit(self.windows[listen], cfg.m).phi_hat
+            residuals = fit(self.residuals[listen], cfg.m).phi_hat
         self.windows[listen] = np.column_stack((self.windows[listen][:, 1:], readings))
+        self.residuals[listen] = np.column_stack((self.residuals[listen][:, 1:], residuals))
         st.phase_count += 1
         st.next_center += 1
         return crossings
@@ -214,16 +225,17 @@ def even_odd_phase(state, built_fires):
 def test_noiseless_init_windows_are_past_instants():
     st = NetworkState(quiet_config())
     assert np.array_equal(st.history, [[0.0, 1.0, 2.0]])
-    assert st.residuals.shape == (64, 3) and not st.residuals.any()
+    assert windows(st).shape == (64, 3) and not windows(st).any()
 
 
 def test_init_residuals_are_fresh_readout_jitter():
     cfg = ScenarioConfig(n_nodes=20_000, m=5, sigma2=0.04, seed=17)
     st = NetworkState(cfg)
     assert np.array_equal(st.history, [np.arange(0, 5, dtype=float)])
-    assert st.residuals.dtype == np.float32
-    assert abs(st.residuals[0]).max() == 0.0          # reference node is jitter free
-    body = st.residuals[1:].ravel().astype(float)
+    residuals = windows(st)
+    assert residuals.dtype == np.float32
+    assert abs(residuals[0]).max() == 0.0          # reference node is jitter free
+    body = residuals[1:].ravel().astype(float)
     assert np.var(body) == pytest.approx(0.04, rel=0.05)
     assert abs(np.mean(body)) < 4.0 * np.sqrt(0.04 / body.size)
 
@@ -243,7 +255,7 @@ def test_init_draws_skip_the_offsets(population):
     jitter[0] = 0.0
     skews = st.skews(slice(0, st.n))
     assert np.array_equal(skews[1:], alphas[1:]) and skews[0] == 1.0
-    assert np.array_equal(st.residuals, jitter)
+    assert np.array_equal(windows(st), jitter)
 
 
 def test_even_odd_init_spacing():
@@ -259,8 +271,9 @@ def test_delay_init_offsets():
     st = NetworkState(cfg)
     base = np.arange(3, dtype=float)
     assert np.array_equal(st.history, [base + 0.3, base + 0.1])
-    assert not st.residuals.any()
-    assert st.interior.any() and (~st.interior).any()
+    assert not windows(st).any()
+    interior = st.interior(slice(0, st.n))
+    assert interior.any() and (~interior).any()
 
 
 # -- no-delay phases -----------------------------------------------------
@@ -310,18 +323,19 @@ def test_crossing_near_center_at_moderate_size():
 def test_windows_advance_with_observations(regime):
     cfg = ScenarioConfig(n_nodes=50, sigma2=1e-4, seed=21, regime=regime)
     st = NetworkState(cfg)
-    before, history = st.residuals.copy(), st.history.copy()
+    before, history = windows(st), st.history.copy()
     # even_odd: the parity of the instant fires, the other parity listens
     heard = 1 - st.next_center % 2 if regime == "even_odd" else 0
     listen = np.arange(50) % 2 == heard if regime == "even_odd" else np.ones(50, bool)
     rep = run_phase(st)
-    assert np.array_equal(st.residuals[listen, :-1], before[listen, 1:])
-    assert np.array_equal(st.residuals[~listen], before[~listen])
+    after = windows(st)
+    assert np.array_equal(after[listen, :-1], before[listen, 1:])
+    assert np.array_equal(after[~listen], before[~listen])
     # the listeners' history reads the crossing; the other parity's is untouched
     assert np.array_equal(st.history[heard], np.append(history[heard, 1:], rep.crossing))
     assert np.array_equal(np.delete(st.history, heard, 0), np.delete(history, heard, 0))
     # readings differ from the crossing only by fresh jitter
-    spread = st.residuals[:, -1]
+    spread = after[:, -1]
     jittered = listen.copy()
     jittered[0] = False
     if listen[0]:
@@ -390,7 +404,7 @@ def test_multi_block_phases_match_whole_vectors_and_pinned_values(regime):
     first = run_phase(st)
     assert first.crossings == expected
     crossings = (first.crossing, run_phase(st).crossing)
-    digest = hashlib.sha256(st.residuals.tobytes() + st.history.tobytes()).hexdigest()
+    digest = hashlib.sha256(windows(st).tobytes() + st.history.tobytes()).hexdigest()
     assert (crossings, digest) == MULTI_BLOCK_PINS[regime]
 
 
@@ -445,6 +459,77 @@ def test_multi_block_gated_holdover_matches_the_parent_arithmetic():
         assert_same_crossings(got.crossings, parent.run_phase())
 
 
+def stored_per_group(st):
+    """How many of each listening group's jitter columns a holdover stored."""
+    return [sum(isinstance(source, np.ndarray) for source in sources) for sources in st.columns]
+
+
+@pytest.mark.parametrize("regime, seed", [("no_delay", 1), ("even_odd", 20), ("delay", 3)])
+def test_long_holdover_matches_the_parent_arithmetic(regime, seed):
+    # 2m + 1 gated phases in a row, then m + 1 good ones per listening group,
+    # across block seams: the stored jitter columns give the crossings of
+    # absolute windows and the bytes of jitter windows kept whole, and a
+    # group's stored columns drop out once it has heard m good phases. The
+    # seeds keep no_delay's and even_odd's receivers off the edge: cheap gain draws.
+    config = ScenarioConfig(n_nodes=MULTI_BLOCK_N, regime=regime, seed=seed,
+                            **ASSUMED_OFFSETS[regime])
+    st, parent = NetworkState(config), ParentArithmetic(config)
+    m = config.m
+    heard = [[] for _ in st.groups]       # per listening group: which of its phases failed
+    for gate in [1e9] * (2 * m + 1) + [0.0] * ((m + 1) * len(st.groups)):
+        group = st.schedule.listen.start or 0
+        set_gate(gate, st, parent.state)
+        got = run_phase(st)
+        assert got.failed == (gate > 0.0)
+        assert_same_crossings(got.crossings, parent.run_phase())
+        assert windows(st).tobytes() == parent.residuals.tobytes()
+        heard[group].append(got.failed)
+        assert stored_per_group(st) == [sum(failed[-m:]) for failed in heard]
+    assert stored_columns(st) == []
+
+
+@pytest.mark.parametrize("regime", ["no_delay", "even_odd"])
+def test_residuals_read_any_row_range_in_any_order(regime):
+    # Readout-stream and stored columns side by side (and init columns in
+    # even_odd): any row range, odd starts and backward jumps included, reads
+    # what the whole redraw holds.
+    st = NetworkState(ScenarioConfig(n_nodes=3001, regime=regime, seed=3))
+    for gate in (0.0, 1e9, 0.0):
+        set_gate(gate, st)
+        run_phase(st)
+    assert stored_columns(st)
+    whole = windows(st)
+    for rows in (slice(5, 17), slice(1000, 3001), slice(0, 1), slice(2999, 3001), slice(4, 8)):
+        assert np.array_equal(st.residuals(rows), whole[rows])
+        out = np.empty((rows.stop - rows.start, st.config.m), dtype=np.float32)
+        assert st.residuals(rows, out) is out and np.array_equal(out, whole[rows])
+
+
+@pytest.mark.parametrize("regime, seed", [("no_delay", 1), ("even_odd", 3)])
+def test_a_permanent_outage_stores_at_most_m_columns_per_group(regime, seed):
+    # Every phase holds over, 2000 in a row: each group's window keeps at most
+    # m stored columns, the oldest dropping out as the newest comes in. The
+    # seeds keep the receivers off the edge, so a phase costs well under 1 ms.
+    st = NetworkState(ScenarioConfig(n_nodes=20, regime=regime, seed=seed))
+    set_gate(1e9, st)
+    for _ in range(2000):
+        assert run_phase(st).failed
+        assert max(stored_per_group(st)) <= st.config.m
+    assert stored_per_group(st) == [st.config.m] * len(st.groups)
+    assert np.isfinite(windows(st)).all() and np.isfinite(st.history).all()
+
+
+@pytest.mark.parametrize("regime", ["no_delay", "even_odd", "delay"])
+def test_one_gated_phase_stores_at_most_one_column_per_listening_row(regime):
+    st = NetworkState(ScenarioConfig(n_nodes=2000, regime=regime, seed=3))
+    listening = len(range(st.n)[st.schedule.listen])
+    set_gate(1e9, st)
+    assert run_phase(st).failed
+    (column,) = stored_columns(st)
+    assert column.dtype == np.float32 and column.size == listening
+    assert held_bytes(st) <= 4 * listening + st.history.nbytes
+
+
 def test_multi_block_scan_fallback_matches_the_scan_of_whole_events():
     # seed 1 keeps node 0's coverage disk inside the region: cheap gain draws
     st = NetworkState(ScenarioConfig(n_nodes=MULTI_BLOCK_N, seed=1, tau_nz=0.2))
@@ -465,7 +550,7 @@ def test_multi_block_gated_phase_rolls_in_the_holdover_fit(regime, seed):
                                      regime=regime, channel=gated_channel))
     heard = 1 - st.next_center % 2 if regime == "even_odd" else 0
     listen = np.arange(st.n) % 2 == heard if regime == "even_odd" else np.ones(st.n, bool)
-    before, history = st.residuals.copy(), st.history.copy()
+    before, history = windows(st), st.history.copy()
     rep = run_phase(st)
     assert rep.failed and rep.crossings[rep.primary].gated
     assert_rolled_holdover(st, before, history, listen, [heard])
@@ -474,10 +559,10 @@ def test_multi_block_gated_phase_rolls_in_the_holdover_fit(regime, seed):
 def assert_rolled_holdover(st, before, history, listen, heard):
     """Each listener rolled in its jitter's fit, each listening history its own fit."""
     m = st.config.m
-    assert np.array_equal(st.residuals[listen, :-1], before[listen, 1:])
-    assert np.array_equal(st.residuals[listen, -1],
-                          fit(before[listen], m).phi_hat.astype(np.float32))
-    assert np.array_equal(st.residuals[~listen], before[~listen])
+    after = windows(st)
+    assert np.array_equal(after[listen, :-1], before[listen, 1:])
+    assert np.array_equal(after[listen, -1], fit(before[listen], m).phi_hat.astype(np.float32))
+    assert np.array_equal(after[~listen], before[~listen])
     assert np.array_equal(st.history[heard, :-1], history[heard, 1:])
     assert np.array_equal(st.history[heard, -1], fit(history[heard], m).phi_hat)
     assert np.array_equal(np.delete(st.history, heard, 0), np.delete(history, heard, 0))
@@ -537,7 +622,7 @@ def test_gate_blocks_weak_aggregate():
     gated_channel = ChannelModel(Region(), max_range=0.25, gate=1.0)
     cfg = ScenarioConfig(n_nodes=200, sigma2=1e-4, seed=4, channel=gated_channel)
     st = NetworkState(cfg)
-    before, history = st.residuals.copy(), st.history.copy()
+    before, history = windows(st), st.history.copy()
     rep = run_phase(st)
     assert rep.failed
     assert rep.crossings[0].gated
@@ -573,9 +658,8 @@ def test_no_delay_memory_stays_within_a_few_node_vectors():
     st = NetworkState(ScenarioConfig(n_nodes=n, regime="no_delay", seed=0))
     x0, y0 = st.positions[0]
     assert st.rx_gain_dist.effective_range > st.config.region.edge_distance(x0, y0)
-    # the float32 jitter windows (1.5) are kept; the skews and the placement are not
-    held = sum(v.nbytes for v in vars(st).values() if isinstance(v, np.ndarray))
-    assert held <= 1.6 * vector
+    # no node vector is kept: jitter windows and skews are redrawn, the placement is not held
+    assert held_bytes(st) <= 0.05 * vector
     tracemalloc.start()
     try:
         entry = tracemalloc.get_traced_memory()[0]
@@ -605,6 +689,31 @@ def test_phase_memory_does_not_grow_with_the_node_count():
     assert abs(peaks[1] - peaks[0]) <= 1 << 20
 
 
+BLOCK_BUFFERS = {"_window", "_draws"}
+
+
+def stored_columns(st):
+    """The jitter columns a holdover stored, over every listening group."""
+    return [source for sources in st.columns for source in sources
+            if isinstance(source, np.ndarray)]
+
+
+def block_buffer_bytes(st) -> int:
+    """Bytes of the buffers a phase redraws windows into, at most one block each."""
+    assert st._window.shape[0] <= engine._NODE_BLOCK
+    assert st._draws.size <= max(engine._NODE_BLOCK, st.config.m)
+    return st._window.nbytes + st._draws.nbytes
+
+
+def held_bytes(st) -> int:
+    """Bytes the state holds in arrays: its array attributes beside the block buffers,
+    and any stored jitter columns."""
+    block_buffer_bytes(st)
+    return (sum(v.nbytes for name, v in vars(st).items()
+                if isinstance(v, np.ndarray) and name not in BLOCK_BUFFERS)
+            + sum(column.nbytes for column in stored_columns(st)))
+
+
 def traced_peak(call) -> int:
     tracemalloc.start()
     try:
@@ -617,42 +726,60 @@ def traced_peak(call) -> int:
 
 def test_fit_and_crossing_work_in_blocks():
     # fit holds its two outputs plus block temporaries, the float32 rows'
-    # float64 cast among them; the closed-form crossing holds block
+    # float64 cast among them; a pass that redraws every block's windows into
+    # the state's buffers holds none; the closed-form crossing holds block
     # temporaries only
     n = 200_000
     vector = 8 * n
     st = NetworkState(ScenarioConfig(n_nodes=n, regime="no_delay", seed=0))
     events, center = no_delay_phase_events(st)
-    assert st.residuals.dtype == np.float32
-    assert traced_peak(lambda: fit(st.residuals, 3.0)) <= 2.6 * vector
+    residuals = windows(st)
+    assert residuals.dtype == np.float32
+    assert traced_peak(lambda: fit(residuals, 3.0)) <= 2.6 * vector
+
+    def redraw_pass():
+        for rows in engine._node_blocks(n):
+            st.residuals(rows, st._window[:rows.stop - rows.start])
+
+    for _ in range(2):               # init columns, then a readout stream among them
+        assert traced_peak(redraw_pass) <= 0.01 * vector
+        run_phase(st)
     assert traced_peak(lambda: find_zero_crossing(events, st.pulse, center)) <= 0.3 * vector
 
 
 @pytest.mark.parametrize("regime", ["no_delay", "even_odd"])
 def test_no_delay_build_stays_within_a_few_node_vectors(regime):
-    # Only the float32 jitter windows (1.5) are kept. The build reads the
-    # placement rows of nodes 0 and 1 alone, draws no skews, and draws the
-    # jitter a small block at a time, so its working space is a fraction of
-    # a node vector (1.75 in all). even_odd's roles are row slices, so it
+    # No node vector is kept. The build reads the placement rows of nodes 0
+    # and 1 alone and draws no skews or jitter; at this n it is mostly the
+    # block buffers (1.64 vectors). even_odd's roles are row slices, so it
     # keeps no mask beside them.
     n = 200_000
     config = ScenarioConfig(n_nodes=n, regime=regime, seed=0)
     NetworkState(replace(config, n_nodes=10))  # pays the first build's lazy imports
-    assert traced_peak(lambda: NetworkState(config)) <= 1.9 * 8 * n
+    assert traced_peak(lambda: NetworkState(config)) <= 1.7 * 8 * n
 
 
 def test_delay_build_stays_within_a_few_node_vectors():
-    # The placement is streamed a small block at a time into the interior
-    # mask (0.125) and both probe searches, so the build peaks near 1.9
-    # vectors; the state then keeps the float32 jitter windows (1.5) beside
-    # the mask.
+    # The placement is streamed a small block at a time through both probe
+    # searches and the state keeps no interior mask (a phase redraws it per
+    # block), so the build peaks near the block buffers (1.64 vectors).
     n = 200_000
     config = ScenarioConfig(n_nodes=n, regime="delay", seed=0)
     NetworkState(replace(config, n_nodes=10))
     built = []
-    assert traced_peak(lambda: built.append(NetworkState(config))) <= 2.1 * 8 * n
-    held = sum(v.nbytes for v in vars(built[0]).values() if isinstance(v, np.ndarray))
-    assert held <= 1.7 * 8 * n
+    assert traced_peak(lambda: built.append(NetworkState(config))) <= 1.7 * 8 * n
+    assert held_bytes(built[0]) <= 0.05 * 8 * n
+
+
+@pytest.mark.parametrize("regime", ["no_delay", "even_odd", "delay"])
+def test_a_ten_million_node_build_holds_only_block_buffers(regime):
+    # 10^7 nodes: the state holds the two block buffers (2.5 MiB at m = 3) and
+    # small per-receiver data; no regime allocates anything node-sized.
+    config = ScenarioConfig(n_nodes=10_000_000, regime=regime, seed=3)
+    NetworkState(replace(config, n_nodes=10))
+    built = []
+    assert traced_peak(lambda: built.append(NetworkState(config))) < 4 << 20
+    assert held_bytes(built[0]) < 1 << 10
 
 
 @pytest.mark.parametrize("regime", ["no_delay", "even_odd", "delay"])
@@ -665,11 +792,12 @@ def test_state_keeps_only_the_receivers_positions(regime):
                                               "delay": set(st.probes)}[regime]
     for node, xy in st.positions.items():
         assert xy == tuple(placed[node]) == (laws[node].receiver.x, laws[node].receiver.y)
-    # no n-sized array beyond the node vectors a phase reads
+    # no n-sized array beyond the block buffers, here one block of the whole network
+    assert block_buffer_bytes(st) == 4 * config.m * config.n_nodes + 8 * config.n_nodes
     kept = {name for name, v in vars(st).items()
             if isinstance(v, np.ndarray) and v.shape[0] == config.n_nodes}
-    assert kept == {"residuals"} | ({"interior"} if regime == "delay" else set())
-    assert st.residuals.dtype == np.float32
+    assert kept - BLOCK_BUFFERS == set()
+    assert windows(st).dtype == np.float32
 
 
 # Seeds per node count that give the delay regime an interior node: at n = 2,
@@ -693,7 +821,7 @@ def test_build_matches_the_whole_placement_and_skews(regime, n):
     if regime == "delay":
         region = config.region
         interior = region.edge_distance(placed[:, 0], placed[:, 1]) >= config.channel.max_range
-        assert np.array_equal(st.interior, interior)
+        assert np.array_equal(st.interior(slice(0, n)), interior)
 
         def first_nearest(rows, point):
             off = placed - np.array(point)
@@ -706,7 +834,7 @@ def test_build_matches_the_whole_placement_and_skews(regime, n):
             receivers.append(first_nearest(~interior, (0.0, region.height / 2)))
         assert st.probes == receivers
     else:
-        assert st.interior is None and st.probes == []
+        assert st.probes == []
     got = [node for sched in st.schedules for node, _, _ in sched.receivers]
     assert got == receivers
     laws = {node: law for sched in st.schedules for node, law, _ in sched.receivers}
@@ -817,11 +945,11 @@ def test_delay_probes_draw_independently_of_each_other():
     (sched,) = alone.schedules
     alone.schedules = (replace(sched, receivers=sched.receivers[:1]),)
     probe = both.probes[0]
-    assert len(both.probes) == 2 and both.interior[probe]
+    assert len(both.probes) == 2 and both.interior(slice(probe, probe + 1))[0]
     full, single = run_phase(both), run_phase(alone)
     assert list(single.crossings) == [probe]
     assert single.crossings[probe] == full.crossings[probe]
-    assert np.array_equal(alone.residuals, both.residuals)
+    assert np.array_equal(windows(alone), windows(both))
     assert np.array_equal(alone.history, both.history)
 
 
@@ -831,7 +959,7 @@ def test_delay_compensated_crossing_stays_put():
     st = NetworkState(cfg)
     rep = run_phase(st)
     probe = st.probes[0]
-    assert st.interior[probe]
+    assert st.interior(slice(probe, probe + 1))[0]
     assert abs(rep.crossings[probe].location - rep.center) < 0.01
 
 
@@ -851,7 +979,7 @@ def test_delay_boundary_windows_keep_assumed_offset():
     # interior nodes read the crossing, boundary nodes their assumed instant
     assert st.history[0, -1] == rep.crossing
     assert st.history[1, -1] == rep.center + 0.05
-    assert not st.residuals.any()
+    assert not windows(st).any()
 
 
 def test_delay_boundary_nodes_fire_on_the_instant(built_fires):
@@ -861,7 +989,7 @@ def test_delay_boundary_nodes_fire_on_the_instant(built_fires):
     cfg = ScenarioConfig(n_nodes=3000, sigma2=0.0, regime="delay", seed=7,
                          epsilon=0.03, boundary_epsilon=0.05, compensate_delay=False)
     st = NetworkState(cfg)
-    assert np.any(~st.interior) and np.ptp(st.skews(slice(0, st.n))) > 0.01
+    assert np.any(~st.interior(slice(0, st.n))) and np.ptp(st.skews(slice(0, st.n))) > 0.01
     center = st.next_center
     run_phase(st)
     for fires in built_fires:
