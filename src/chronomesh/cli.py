@@ -43,7 +43,7 @@ from .multihop import HopChainConfig, run_cascade
 from .parallel import run_indexed
 from .pco import PcoConfig, pco_run_to_sync, random_phases
 from .rng import DOMAIN_INIT, DOMAIN_SAMPLE, DOMAIN_SEED_SWEEP, derive_seed, substream
-from .waveform import evaluate_aggregate, find_zero_crossing
+from .waveform import AggregateEvaluator, find_zero_crossing
 
 COMMANDS = ("waveform", "steady", "evenodd", "delay", "pco", "multihop",
             "channel-sample")
@@ -271,16 +271,15 @@ def write_csv(path: str, header: list[str], rows) -> None:
 # -- subcommands ----------------------------------------------------------
 
 def _cmd_waveform(manifest: RunManifest) -> None:
-    config = build_scenario(manifest)
-    state = NetworkState(config)
-    events, center = no_delay_phase_events(state)
-    crossing = find_zero_crossing(events, state.pulse, search_center=center,
-                                  gate=state.channel.gate)
     points = manifest.values["scenario"]["grid_points"]
     if points < 2:
         raise ConfigurationError("scenario.grid_points must be at least 2")
+    state = NetworkState(build_scenario(manifest))
+    events, center = no_delay_phase_events(state)
+    crossing = find_zero_crossing(events, state.pulse, search_center=center,
+                                  gate=state.channel.gate)
     grid = center + np.linspace(-state.pulse.tau_nz, state.pulse.tau_nz, points)
-    amplitude = evaluate_aggregate(events, state.pulse, grid)
+    amplitude = AggregateEvaluator(events, state.pulse)(grid)
     out = manifest.out_dir
     write_csv(os.path.join(out, "waveform.csv"), ["t", "amplitude"],
               zip(grid, amplitude))

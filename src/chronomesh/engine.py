@@ -59,7 +59,7 @@ recomputes its transmitters' fire times block by block and adds each block,
 with its channel draw, to the closed-form sums. A good phase's roll only
 names its readout stream as the newest column. Blocks cut the same draws
 and keep every blocked sum's partitions, so no result depends on the block
-size; whole event columns are joined only for the scan fallback,
+size; whole event columns are joined only for the segment search,
 ``no_delay_phase_events`` and tests.
 """
 

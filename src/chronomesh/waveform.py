@@ -11,8 +11,8 @@ sinusoid, -A sin(pi (t - phi) / tau_nz) with A e^{i pi phi / tau_nz} =
 sum_i scale_i e^{i pi arrival_i / tau_nz}, so the crossing is phi, read off
 two weighted sums. find_zero_crossing takes that closed form whenever the
 scales are non-negative and the arrivals span less than tau_nz / 2, which
-holds for the engine's default supports. Otherwise it falls back to a scan
-on a coarse grid polished by bisection.
+holds for the engine's default supports. Otherwise the same rule runs on each
+segment between the breakpoints arrival_i -+ tau_nz: one sinusoid apiece.
 
 The infinite-density limit of the aggregate is a deterministic waveform:
 the pulse smoothed by the transmit-error law and averaged over the skew
@@ -32,7 +32,6 @@ import numpy as np
 
 from .errors import DomainError
 
-_REFINE_TOL = 1e-12
 _ANGLE_BLOCK = 1 << 14
 
 
@@ -159,33 +158,30 @@ class AggregateEvaluator:
         np.cumsum(cos_part, out=cos_part)
         np.cumsum(sin_part, out=sin_part)
 
-    def __call__(self, t) -> np.ndarray | float:
-        t_arr = np.asarray(t, dtype=float)
-        scalar = t_arr.ndim == 0
-        t_arr = np.atleast_1d(t_arr)
+    def _sums(self, t) -> tuple[np.ndarray, np.ndarray]:
+        """C and S at t: in-support sums of scale * cos and sin(pi arrival / tau_nz)."""
         tau = self.pulse.tau_nz
-        lo = np.searchsorted(self._arrivals, t_arr - tau, side="right")
-        hi = np.searchsorted(self._arrivals, t_arr + tau, side="left")
-        cos_sum = self._cos_prefix[hi] - self._cos_prefix[lo]
-        sin_sum = self._sin_prefix[hi] - self._sin_prefix[lo]
-        angle = np.pi * t_arr / tau
+        lo = np.searchsorted(self._arrivals, t - tau, side="right")
+        hi = np.searchsorted(self._arrivals, t + tau, side="left")
+        return (self._cos_prefix[hi] - self._cos_prefix[lo],
+                self._sin_prefix[hi] - self._sin_prefix[lo])
+
+    def __call__(self, t) -> np.ndarray | float:
+        """Summed waveform at time(s) t: sum_i scale_i p(t - arrival_i)."""
+        t_arr = np.asarray(t, dtype=float)
+        cos_sum, sin_sum = self._sums(t_arr)
+        angle = np.pi * t_arr / self.pulse.tau_nz
         out = -np.sin(angle) * cos_sum + np.cos(angle) * sin_sum
-        return float(out[0]) if scalar else out
-
-
-def evaluate_aggregate(events: EventArray, pulse: Pulse, t) -> np.ndarray | float:
-    """Summed waveform at time(s) t: sum_i scale_i p(t - arrival_i)."""
-    return AggregateEvaluator(events, pulse)(t)
+        return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
 class CrossingReport:
     """Outcome of a zero-crossing search on one aggregate waveform."""
 
-    location: float | None       # refined crossing time; None if not usable
-    max_amplitude: float         # closed form: the sinusoid's amplitude A, the
-                                 # aggregate's peak; scan: sup of |aggregate|
-                                 # over the search grid
+    location: float | None       # crossing time; None if not usable
+    max_amplitude: float         # the aggregate's peak, which the gate sees: the
+                                 # closed form's A, else the window's exact peak
     gated: bool                  # amplitude never cleared the detection gate
     no_crossing: bool            # gate cleared but no downward sign change
 
@@ -196,40 +192,33 @@ class CrossingReport:
 
 def find_zero_crossing(events: EventArray | EventStream, pulse: Pulse, search_center: float,
                        gate: float = 0.0) -> CrossingReport:
-    """Locate the first downward zero crossing near the search centre.
+    """Locate the first downward zero crossing in (search_center -+ tau_nz].
 
-    An ``EventStream`` is read in one pass of blocks; only the scan joins it.
-
-    Closed form, when the scales are non-negative and the arrivals span less
-    than tau_nz / 2: every arrival is then in support on [a_min, a_max],
-    where the aggregate is -A sin(pi (t - phi) / tau_nz). Before a_min every
-    term is non-negative and after a_max none is positive, so phi, taken
-    modulo 2 tau_nz into [a_min, a_max], is the first downward crossing, and
-    A, the aggregate's peak, is what the gate sees. A = 0, or a phi farther
-    than tau_nz from the search centre, reports no crossing.
-
-    Otherwise it scans [search_center - tau_nz, search_center + tau_nz] on a
-    uniform grid of step about tau_nz / 1000 for the first
-    positive-to-non-positive sign change, then bisects until the amplitude
-    magnitude drops below 1e-12 or the bracket is narrower than 1e-12.
+    Between consecutive breakpoints a_i -+ tau_nz the aggregate is one sinusoid
+    -A sin(pi (t - phi) / tau_nz), phi = (tau_nz / pi) atan2(S, C) for the sums
+    S and C over the events in support, with downward zeros phi + 2 j tau_nz.
+    When the scales are non-negative and the arrivals span less than tau_nz / 2,
+    one segment holds [a_min, a_max]; no term is negative before a_min or
+    positive after a_max, so the crossing is the zero among the arrivals and A
+    is the aggregate's peak. This closed form reads an ``EventStream`` in one
+    pass of blocks. Otherwise every segment of the window is searched in order
+    (a stream is joined), and the gate sees the window's exact peak of
+    |aggregate|. A = 0, or no zero in the window, reports no crossing.
     """
     tau = pulse.tau_nz
     sums = _single_support_sums(events, tau, search_center)
     if sums is None:
-        return _scan_crossing(events, pulse, search_center, gate)
-    sin_sum, cos_sum, lo, hi = sums
-    amplitude = math.hypot(sin_sum, cos_sum)
-    if amplitude < gate:
-        return CrossingReport(location=None, max_amplitude=amplitude, gated=True,
-                              no_crossing=False)
-    offset = tau / math.pi * math.atan2(sin_sum, cos_sum)
-    # atan2 fixes phi modulo 2 tau; the crossing lies among the arrivals
-    offset += 2.0 * tau * round((0.5 * (lo + hi) - offset) / (2.0 * tau))
-    if amplitude == 0.0 or not abs(offset) <= tau:
-        return CrossingReport(location=None, max_amplitude=amplitude, gated=False,
-                              no_crossing=True)
-    return CrossingReport(location=float(search_center + offset), max_amplitude=amplitude,
-                          gated=False, no_crossing=False)
+        location, peak = _segment_search(events, pulse, search_center)
+    else:
+        sin_sum, cos_sum, lo, hi = sums
+        peak = math.hypot(sin_sum, cos_sum)
+        offset = tau / math.pi * math.atan2(sin_sum, cos_sum)
+        # atan2 fixes phi modulo 2 tau; the crossing lies among the arrivals
+        offset += 2.0 * tau * round((0.5 * (lo + hi) - offset) / (2.0 * tau))
+        location = float(search_center + offset) if peak > 0.0 and abs(offset) <= tau else None
+    gated = peak < gate
+    return CrossingReport(location=None if gated else location, max_amplitude=peak,
+                          gated=gated, no_crossing=not gated and location is None)
 
 
 def _single_support_sums(events: EventArray | EventStream, tau: float, center: float):
@@ -267,33 +256,43 @@ def _single_support_sums(events: EventArray | EventStream, tau: float, center: f
     return sin_sum, cos_sum, float(lo), float(hi)
 
 
-def _scan_crossing(events: EventArray, pulse: Pulse, search_center: float,
-                   gate: float) -> CrossingReport:
-    """The fallback: grid scan and bisection over the search window."""
+def _segment_search(events: EventArray, pulse: Pulse,
+                    search_center: float) -> tuple[float | None, float]:
+    """First crossing and peak: the closed form's rule on each segment of the window."""
     waveform = AggregateEvaluator(events, pulse)
-    # Not a literal 1000: tau / (tau / 1000) rounds up to 1001 for some tau
-    # (17.3 is one), and the pinned crossings were found on that grid.
-    half_points = int(np.ceil(pulse.tau_nz / (pulse.tau_nz / 1000.0)))
-    grid = search_center + np.linspace(-pulse.tau_nz, pulse.tau_nz, 2 * half_points + 1)
-    amps = waveform(grid)
-    peak = float(np.max(np.abs(amps)))
-    if peak < gate:
-        return CrossingReport(location=None, max_amplitude=peak, gated=True, no_crossing=False)
-
-    down = np.nonzero((amps[:-1] > 0.0) & (amps[1:] <= 0.0))[0]
-    if down.size == 0:
-        return CrossingReport(location=None, max_amplitude=peak, gated=False, no_crossing=True)
-    lo, hi = grid[down[0]], grid[down[0] + 1]
-
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        a_mid = waveform(mid)
-        if abs(a_mid) < _REFINE_TOL or (hi - lo) < _REFINE_TOL:
-            return CrossingReport(location=float(mid), max_amplitude=peak,
-                                  gated=False, no_crossing=False)
-        if a_mid > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return CrossingReport(location=float(0.5 * (lo + hi)), max_amplitude=peak,
-                          gated=False, no_crossing=False)
+    tau, n = pulse.tau_nz, events.count
+    # the window's ends and the breakpoints; clipping keeps both runs sorted
+    edges = np.empty(2 * n + 2)
+    edges[0], edges[-1] = search_center - tau, search_center + tau
+    np.subtract(waveform._arrivals, tau, out=edges[1:n + 1])
+    np.add(waveform._arrivals, tau, out=edges[n + 1:-1])
+    np.clip(edges, edges[0], edges[-1], out=edges)
+    edges.sort(kind="stable")
+    location, peak = None, 0.0
+    for start in range(0, 2 * n + 1, _ANGLE_BLOCK):
+        # the block's segments, and one either side for its flatness alone
+        first, last = max(start - 1, 0), min(start + _ANGLE_BLOCK + 1, 2 * n + 1)
+        left, right = edges[first:last], edges[first + 1:last + 1]
+        mid = 0.5 * (left + right)
+        cos_sum, sin_sum = waveform._sums(mid)
+        amplitude = np.hypot(sin_sum, cos_sum)
+        phi = tau / np.pi * np.arctan2(sin_sum, cos_sum)
+        at_left, at_right = np.pi / tau * (left - phi), np.pi / tau * (right - phi)
+        if location is None:
+            zero = phi + 2.0 * tau * np.round((mid - phi) / (2.0 * tau))
+            found = (amplitude > 0.0) & (left < zero) & (zero <= right)
+            # beside a flat segment the shared end is an exact zero of this sinusoid:
+            # a downward one is no crossing on the left, and this one's on the right
+            flat = np.pad(amplitude == 0.0, 1)  # none beyond the segments at hand
+            found &= ~(flat[:-2] & (np.cos(at_left) > 0.0))
+            ends_down = flat[2:] & (amplitude > 0.0) & (np.cos(at_right) > 0.0)
+            found |= ends_down
+            found[:start - first] = found[start - first + _ANGLE_BLOCK:] = False
+            if found.any():
+                k = found.argmax()
+                location = float(right[k] if ends_down[k] else zero[k])
+        # |aggregate| peaks at A if an extremum phi + tau/2 + j tau is inside, else at an end
+        inside = np.floor(at_right / np.pi - 0.5) >= np.ceil(at_left / np.pi - 0.5)
+        ends = np.maximum(np.abs(np.sin(at_left)), np.abs(np.sin(at_right)))
+        peak = max(peak, float(np.max(amplitude * np.where(inside, 1.0, ends))))
+    return location, peak

@@ -28,7 +28,7 @@ from chronomesh.geometry import NodePosition, Region
 from chronomesh.multihop import HopChainConfig, run_cascade
 from chronomesh.pco import PcoConfig, log_charging_map, pco_run_to_sync, random_phases
 from chronomesh.rng import DOMAIN_SEED_SWEEP, substream
-from chronomesh.waveform import Pulse, evaluate_aggregate
+from chronomesh.waveform import AggregateEvaluator, Pulse
 from limit_oracle import LimitSpec, limit_waveform
 from test_estimator import alpha_variance
 
@@ -70,8 +70,9 @@ def test_criterion_2_crossing_polarity_and_odd_symmetry():
         state = NetworkState(cfg)
         events, tau0 = no_delay_phase_events(state)
         shift = 0.2 * state.pulse.tau_nz
-        before.append(evaluate_aggregate(events, state.pulse, tau0 - shift))
-        after.append(evaluate_aggregate(events, state.pulse, tau0 + shift))
+        aggregate = AggregateEvaluator(events, state.pulse)
+        before.append(aggregate(tau0 - shift))
+        after.append(aggregate(tau0 + shift))
     for sign, values in ((1.0, np.array(before)), (-1.0, np.array(after))):
         mean = values.mean()
         se = values.std(ddof=1) / np.sqrt(len(values))

@@ -165,6 +165,18 @@ def test_waveform_trace(tmp_path):
     assert abs(location - center) < 0.02
 
 
+def test_waveform_grid_points_below_two_exits_two_before_the_build(tmp_path, monkeypatch,
+                                                                   capsys):
+    built = []
+    monkeypatch.setattr(cli, "NetworkState", built.append)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[scenario]\ngrid_points = 1\n", encoding="ascii")
+    out = tmp_path / "out"
+    assert cli.run_command(["waveform", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "scenario.grid_points" in capsys.readouterr().err
+    assert built == [] and not list(out.glob("*.csv"))
+
+
 def test_delay_rows_cover_probes(tmp_path):
     out = str(tmp_path)
     assert cli.run_command(["delay", "--nodes", "2000", "--phases", "2",

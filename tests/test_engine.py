@@ -30,7 +30,7 @@ from chronomesh.errors import ConfigurationError
 from chronomesh.estimator import fit, prediction_weights
 from chronomesh.geometry import NodePosition, Region, place_nodes
 from chronomesh.rng import DOMAIN_INIT, DOMAIN_PHASE, DOMAIN_PLACEMENT, substream
-from chronomesh.waveform import EventArray, find_zero_crossing
+from chronomesh.waveform import AggregateEvaluator, EventArray, find_zero_crossing
 from test_waveform import assert_matches_scan, scan_crossing
 
 
@@ -539,7 +539,20 @@ def test_multi_block_scan_fallback_matches_the_scan_of_whole_events():
     assert np.ptp(events.arrival) >= st.pulse.tau_nz / 2
     expected = scan_crossing(events, st.pulse, center)
     assert expected.ok
-    assert run_phase(st).crossings[0] == expected
+    assert_matches_scan(run_phase(st).crossings[0], expected)
+
+
+def test_segment_search_holds_at_most_four_event_vectors_beyond_its_evaluator():
+    # the breakpoints (two event vectors) and block temporaries; the evaluator
+    # keeps its sorted arrivals and both prefix sums
+    st = NetworkState(ScenarioConfig(n_nodes=MULTI_BLOCK_N, seed=1, tau_nz=0.2))
+    events, center = no_delay_phase_events(st)
+    assert np.ptp(events.arrival) >= st.pulse.tau_nz / 2
+    evaluator = AggregateEvaluator(events, st.pulse)
+    held = sum(a.nbytes for a in (evaluator._arrivals, evaluator._sin_prefix,
+                                  evaluator._cos_prefix))
+    peak = traced_peak(lambda: find_zero_crossing(events, st.pulse, center))
+    assert peak - held <= 4 * 8 * events.count
 
 
 @pytest.mark.parametrize("regime, seed", [("no_delay", 1), ("even_odd", 4)])
@@ -591,15 +604,15 @@ def test_closed_form_crossings_agree_with_the_scan(monkeypatch, regime):
 
 
 def test_support_narrower_than_twice_the_spread_takes_the_scan(monkeypatch):
-    # a user tau_nz below twice the arrival spread: find_zero_crossing falls
-    # back to the scan, and the phase still finds its crossing
+    # a user tau_nz below twice the arrival spread: find_zero_crossing takes
+    # the segment search, which finds the scan's crossing
     seen = []
     search = engine.find_zero_crossing
 
     def scanned(events, pulse, search_center, gate=0.0):
         report = search(events, pulse, search_center, gate)
         assert np.ptp(events.arrival) >= pulse.tau_nz / 2
-        assert report == scan_crossing(events, pulse, search_center, gate)
+        assert_matches_scan(report, scan_crossing(events, pulse, search_center, gate))
         seen.append(report)
         return report
 

@@ -24,7 +24,6 @@ from chronomesh.waveform import (
     EventStream,
     Pulse,
     default_tau_nz,
-    evaluate_aggregate,
     find_zero_crossing,
 )
 from limit_oracle import LimitSpec, limit_waveform
@@ -50,10 +49,11 @@ def full_array_prefixes(events: EventArray, pulse: Pulse):
 
 def scan_crossing(events: EventArray, pulse: Pulse, center: float,
                   gate: float = 0.0) -> CrossingReport:
-    """Oracle: the grid scan and bisection, on the sorted prefix-sum evaluator.
+    """Oracle: a grid scan of step about tau / 1000 and bracket bisection to 1e-12.
 
-    The same first-crossing rule find_zero_crossing falls back to, written
-    out here so the closed form is always checked against an independent scan.
+    Independent of the segment search, on the same prefix-sum evaluator. It
+    steps over a positive run shorter than one grid step, and its peak,
+    sampled on the grid, is at most the exact one.
     """
     aggregate = AggregateEvaluator(events, pulse)
     tau = pulse.tau_nz
@@ -68,10 +68,7 @@ def scan_crossing(events: EventArray, pulse: Pulse, center: float,
     lo, hi = grid[down[0]], grid[down[0] + 1]
     while hi - lo >= 1e-12:
         mid = 0.5 * (lo + hi)
-        value = aggregate(mid)
-        if abs(value) < 1e-12:
-            break
-        lo, hi = (mid, hi) if value > 0.0 else (lo, mid)
+        lo, hi = (mid, hi) if aggregate(mid) > 0.0 else (lo, mid)
     return CrossingReport(float(0.5 * (lo + hi)), peak, gated=False, no_crossing=False)
 
 
@@ -86,6 +83,19 @@ def assert_matches_scan(report: CrossingReport, scan: CrossingReport, tol: float
     if peak_in_window:
         assert report.max_amplitude == pytest.approx(scan.max_amplitude, rel=1e-4,
                                                      abs=1e-300)
+
+
+def assert_stepped_over(events: EventArray, pulse: Pulse, center: float, location: float):
+    """The scan's grid stepped over the crossing at ``location``: the step around
+    it shows no downward sign change at its ends, a dense look inside it does."""
+    tau = pulse.tau_nz
+    grid = center + np.linspace(-tau, tau, 2 * int(np.ceil(tau / (tau / 1000.0))) + 1)
+    j = np.searchsorted(grid, location) - 1
+    dense = np.linspace(grid[j], grid[j + 1], 100_001)
+    values = AggregateEvaluator(events, pulse)(dense)
+    assert not values[0] > 0.0 >= values[-1]
+    down = dense[1:][(values[:-1] > 0.0) & (values[1:] <= 0.0)]
+    assert down.size and abs(down[0] - location) <= dense[1] - dense[0]
 
 
 def contributions(events: EventArray, pulse: Pulse, t: float) -> np.ndarray:
@@ -122,7 +132,7 @@ class TestPulseShape:
         rng = np.random.default_rng(2)
         ev = gaussian_events(5000, 1.0, 0.1, rng)
         grid = np.linspace(-0.5, 2.5, 701)
-        fast = evaluate_aggregate(ev, Pulse(1.0), grid)
+        fast = AggregateEvaluator(ev, Pulse(1.0))(grid)
         slow = dense_aggregate(ev, Pulse(1.0), grid)
         assert np.max(np.abs(fast - slow)) < 1e-12
 
@@ -146,7 +156,7 @@ class TestAggregate:
         ev = EventArray.build([3.0], [0.5], [0.25])
         ts = np.linspace(2.5, 4.0, 17)
         expected = 0.5 * pulse.evaluate(ts - 3.25)
-        assert np.allclose(evaluate_aggregate(ev, pulse, ts), expected, atol=1e-15)
+        assert np.allclose(AggregateEvaluator(ev, pulse)(ts), expected, atol=1e-15)
 
     def test_contributions_sum_to_aggregate(self):
         rng = np.random.default_rng(3)
@@ -154,7 +164,7 @@ class TestAggregate:
         t = 0.037
         parts = contributions(ev, Pulse(1.0), t)
         assert parts.shape == (1000,)
-        assert parts.sum() == pytest.approx(evaluate_aggregate(ev, Pulse(1.0), t),
+        assert parts.sum() == pytest.approx(AggregateEvaluator(ev, Pulse(1.0))(t),
                                             abs=1e-12)
 
     def test_empty_events_rejected(self):
@@ -205,7 +215,7 @@ class TestCrossingSearch:
         ev = gaussian_events(1000, 0.0, 0.15, rng)
         report = find_zero_crossing(ev, pulse, search_center=0.0)
         dense = np.linspace(-1.0, 1.0, 1_000_001)
-        amps = evaluate_aggregate(ev, pulse, dense)
+        amps = AggregateEvaluator(ev, pulse)(dense)
         idx = np.nonzero((amps[:-1] > 0.0) & (amps[1:] <= 0.0))[0][0]
         assert report.ok
         assert abs(report.location - dense[idx]) < 2.0 * (dense[1] - dense[0])
@@ -215,7 +225,7 @@ class TestCrossingSearch:
         pulse = Pulse(2.0)
         ev = gaussian_events(5000, 1.0, 0.2, rng)
         report = find_zero_crossing(ev, pulse, search_center=1.0)
-        assert abs(evaluate_aggregate(ev, pulse, report.location)) < 1e-9
+        assert abs(AggregateEvaluator(ev, pulse)(report.location)) < 1e-9
 
     def test_monte_carlo_crossing_tightens_with_density(self):
         pulse = Pulse(1.0)
@@ -267,7 +277,7 @@ class TestCrossingSearch:
 class TestClosedFormCrossing:
     @pytest.fixture
     def scans(self, monkeypatch):
-        """Count the evaluators find_zero_crossing builds, i.e. its fallback scans."""
+        """Count the evaluators find_zero_crossing builds, i.e. its segment searches."""
         built = []
         evaluator = waveform.AggregateEvaluator
 
@@ -299,7 +309,7 @@ class TestClosedFormCrossing:
         events = EventArray.build(fires, np.full(fires.size, 1e-3))
         report = find_zero_crossing(events, pulse, 0.1)
         assert scans == [fires.size]
-        assert report == scan_crossing(events, pulse, 0.1)
+        assert_matches_scan(report, scan_crossing(events, pulse, 0.1))
         assert report.ok
 
     def test_just_below_half_the_support_uses_the_closed_form(self, scans):
@@ -313,7 +323,7 @@ class TestClosedFormCrossing:
         events = EventArray.build([0.0, 0.01, 0.02], [1.0, -0.2, 1.0])
         report = find_zero_crossing(events, Pulse(1.0), 0.0)
         assert scans == [3]
-        assert report == scan_crossing(events, Pulse(1.0), 0.0)
+        assert_matches_scan(report, scan_crossing(events, Pulse(1.0), 0.0))
 
     def test_all_scales_zero_is_no_crossing(self, scans):
         # every transmitter in outage: no pulse at all, not a crossing at the centre
@@ -367,7 +377,7 @@ class TestClosedFormCrossing:
     @pytest.mark.parametrize("with_delay", [False, True], ids=["no_delay", "delay"])
     def test_stream_cut_at_angle_blocks_matches_its_whole_array(self, scans, with_delay):
         # blocks cut at multiples of the angle block keep every sum's order, so
-        # both the closed form and the scan give the whole array's report exactly
+        # both the closed form and the segment search give the whole array's report exactly
         rng = np.random.default_rng(73)
         size = 3 * _ANGLE_BLOCK + 17
         delay = rng.uniform(0.0, 0.02, size) if with_delay else None
@@ -387,10 +397,88 @@ class TestClosedFormCrossing:
             passes.clear()
             scans.clear()
             report = find_zero_crossing(stream, pulse, 4.0)
-            # the scan joins the whole columns in one more pass
+            # the segment search joins the whole columns in one more pass
             assert (scans, len(passes)) == (([size], 2) if joined else ([], 1))
             assert report == find_zero_crossing(events, pulse, 4.0)
             assert np.array_equal(stream.arrival, events.arrival)
+
+
+class TestSegmentSearch:
+    """Arrivals spanning tau_nz / 2 or more, or signed scales: the exact search."""
+
+    def test_two_downward_crossings_in_one_grid_step_report_the_first(self):
+        # A unit pulse crosses down at t0; pulses of scales 2 and -2 starting
+        # delta and 3 delta later turn the aggregate up at t0 + 2 delta and down
+        # again at t0 + 4 delta, all inside one grid step of the scan, whose
+        # bisection starts at t0 + 3 delta and lands on the second crossing.
+        pulse, step = Pulse(1.0), 1e-3
+        t0, delta = step / 8, step / 8
+        events = EventArray.build([t0, t0 + delta + 1.0, t0 + 3 * delta + 1.0],
+                                  [1.0, 2.0, -2.0])
+        dense = np.linspace(0.0, step, 100_001)
+        values = dense_aggregate(events, pulse, dense)
+        down = dense[1:][(values[:-1] > 0.0) & (values[1:] <= 0.0)]
+        assert down.size == 2 and values[0] > 0.0 > values[-1]
+        report = find_zero_crossing(events, pulse, 0.0)
+        assert abs(report.location - down[0]) <= dense[1] - dense[0]
+        assert abs(scan_crossing(events, pulse, 0.0).location - down[1]) <= dense[1] - dense[0]
+
+    def test_gate_between_the_grid_peak_and_the_true_peak_is_cleared(self):
+        # a unit pulse whose extrema fall half a grid step off the scan's grid,
+        # and a pulse outside the window that widens the span past tau_nz / 2
+        pulse = Pulse(1.0)
+        events = EventArray.build([5e-4, 3.0])
+        grid_peak = scan_crossing(events, pulse, 0.0).max_amplitude
+        assert grid_peak < 1.0 - 1e-7
+        gate = 0.5 * (grid_peak + 1.0)
+        assert scan_crossing(events, pulse, 0.0, gate).gated
+        report = find_zero_crossing(events, pulse, 0.0, gate)
+        assert report.ok and not report.gated and not report.no_crossing
+        assert report.max_amplitude == pytest.approx(1.0, rel=1e-15)
+        assert report.location == pytest.approx(5e-4, abs=1e-12)
+
+    def test_reports_do_not_depend_on_the_block_size(self, monkeypatch):
+        # a few pulses, mostly negative, with flat runs between them; blocks of
+        # two segments put a seam beside every other end of a flat run
+        rng = np.random.default_rng(25)
+        cases = []
+        for _ in range(100):
+            n = int(rng.integers(1, 10))
+            events = EventArray.build(rng.uniform(0.0, 3.0, n), rng.uniform(-1.0, 0.5, n))
+            cases.append((events, Pulse(rng.uniform(0.2, 1.0)), rng.uniform(-1.0, 4.0)))
+        reports = [find_zero_crossing(*case) for case in cases]
+        assert sum(report.ok for report in reports) > 40
+        monkeypatch.setattr(waveform, "_ANGLE_BLOCK", 2)
+        assert [find_zero_crossing(*case) for case in cases] == reports
+
+    def test_agrees_with_the_scan_on_seeded_wide_spans(self):
+        # 400 seeded event sets: 1-3000 events, tau_nz from 0.2 to 3, arrivals
+        # spanning 0.5-1.5 tau_nz, every other set with signed scales, centres on
+        # and off the arrivals, every third set gated at a random share of the
+        # grid's peak. Where the crossings differ the grid stepped over the
+        # search's; fixed seeds keep a tangency from shrinking into a false alarm.
+        rng = np.random.default_rng(24)
+        stepped_over = 0
+        for case in range(400):
+            n = int(rng.integers(1, 3001))
+            pulse = Pulse(rng.uniform(0.2, 3.0))
+            span = rng.uniform(0.5, 1.5) * pulse.tau_nz
+            low = 0.0 if case % 2 else -0.5
+            events = EventArray.build(rng.uniform(0.0, span, n), rng.uniform(low, 1.0, n) / n)
+            center = rng.uniform(-0.5, 1.5) * span
+            gate = 0.0
+            if case % 3 == 0:
+                gate = rng.uniform(0.0, 2.0) * scan_crossing(events, pulse, center).max_amplitude
+            report = find_zero_crossing(events, pulse, center, gate)
+            scan = scan_crossing(events, pulse, center, gate)
+            if report.ok and not (scan.ok and scan.location <= report.location + 1e-9):
+                assert report.gated == scan.gated
+                assert scan.max_amplitude <= report.max_amplitude * (1.0 + 1e-12)
+                assert_stepped_over(events, pulse, center, report.location)
+                stepped_over += 1
+            else:
+                assert_matches_scan(report, scan, peak_in_window=False)
+        assert stepped_over < 10
 
 
 class TestLimitWaveform:
