@@ -11,7 +11,7 @@ multi-hop cascade used as the scaling contrast.
 __version__ = "0.1.0"
 
 from .engine import NetworkState, PhaseReport, ScenarioConfig, run_phase, run_phases
-from .errors import ConfigurationError, DomainError, NumericsError
+from .errors import ConfigurationError, DomainError
 
-__all__ = ["ConfigurationError", "DomainError", "NetworkState", "NumericsError", "PhaseReport",
-           "ScenarioConfig", "run_phase", "run_phases", "__version__"]
+__all__ = ["ConfigurationError", "DomainError", "NetworkState", "PhaseReport", "ScenarioConfig",
+           "run_phase", "run_phases", "__version__"]

@@ -37,7 +37,7 @@ from . import __version__
 from .channel import ChannelModel, DelayDistribution
 from .clock import SkewPopulation
 from .engine import NetworkState, ScenarioConfig, no_delay_phase_events, run_phases
-from .errors import ConfigurationError, DomainError, NumericsError
+from .errors import ConfigurationError, DomainError
 from .geometry import NodePosition, Region
 from .multihop import HopChainConfig, run_cascade
 from .parallel import run_indexed
@@ -291,10 +291,10 @@ def _cmd_waveform(manifest: RunManifest) -> None:
 
 
 def _cmd_phases(manifest: RunManifest) -> None:
-    state = NetworkState(build_scenario(manifest))
     count = manifest.values["scenario"]["phases"]
     if count < 1:
         raise ConfigurationError("scenario.phases must be at least 1")
+    state = NetworkState(build_scenario(manifest))
     reports = run_phases(state, count)
     if manifest.command == "delay":
         assumed_offsets = {node: offset for node, _, offset in state.schedule.receivers}
@@ -422,9 +422,6 @@ def run_command(argv: list[str]) -> int:
     except (ConfigurationError, DomainError) as exc:
         print(f"chronomesh: error: {exc}", file=sys.stderr)
         return 2
-    except NumericsError as exc:
-        print(f"chronomesh: numeric failure: {exc}", file=sys.stderr)
-        return 3
     return 0
 
 

@@ -51,15 +51,15 @@ held whole: the build reads the rows its receivers need, or streams it a
 block at a time in delay, and each phase draws every channel from its
 receiver's law. Only a holdover stores jitter columns, at most m per group;
 beyond such a column a phase allocates nothing node-sized, working
-``_NODE_BLOCK`` rows at a time, and redraws windows into two block buffers
-the state keeps. Every
-block starts at an even row, so a role's slice of a block selects the
-block's share of that role. Each receiver's pass opens its streams afresh,
-recomputes its transmitters' fire times block by block and adds each block,
-with its channel draw, to the closed-form sums. A good phase's roll only
-names its readout stream as the newest column. Blocks cut the same draws
-and keep every blocked sum's partitions, so no result depends on the block
-size; whole event columns are joined only for the segment search,
+``_NODE_BLOCK`` rows at a time. Every block starts at an even row, so a
+role's slice of a block selects the block's share of that role. Each pass
+of a receiver, or of a holdover's fits, opens its streams afresh and reads
+each front to back: it redraws the windows block by block into two buffers
+the state keeps, recomputes its transmitters' fire times and adds each
+block, with its channel draw, to the closed-form sums. A good phase's roll
+only names its readout stream as the newest column. Blocks cut the same
+draws and keep every blocked sum's partitions, so no result depends on the
+block size; whole event columns are joined only for the segment search,
 ``no_delay_phase_events`` and tests.
 """
 
@@ -90,7 +90,7 @@ _NODE_BLOCK = 1 << 17
 _BUILD_BLOCK = 1 << 14     # rows per block of the delay build's placement pass
 # Kinds of phase draw, each with its own substream(seed, DOMAIN_PHASE, phase, kind[, node]).
 _FIRE, _FIX, _CHANNEL, _READ = range(4)
-_INIT = -1                 # NetworkState.residuals' cursor key for the init stream's jitter
+_INIT = -1                 # NetworkState.windows' key for the init stream's jitter
 
 
 def _node_blocks(n: int, size: int = _NODE_BLOCK):
@@ -219,8 +219,8 @@ class NetworkState:
     every window's jitter J is the stream that drew it, so ``columns`` keeps,
     per listening group (``groups``, each a slice of the node rows: one in
     no_delay and delay, one per parity in even_odd), the source of each of
-    its m window columns, and
-    ``residuals`` redraws a block's float32 J from them (node 0's are zero).
+    its m window columns, and ``windows`` redraws every block's float32 J
+    from them in one pass (node 0's are zero).
     Only a holdover stores a column, its listeners' jitter fits, until m good
     phases push it out. The skews alpha_i are the init stream's first draws,
     so ``skews`` redraws them a block at a time, and ``interior`` redraws a
@@ -266,7 +266,6 @@ class NetworkState:
         block = min(self.n, _NODE_BLOCK)
         self._window = np.empty((block, config.m), dtype=np.float32)
         self._draws = np.empty(max(block, config.m))
-        self._cursors: dict[int, list] = {}    # stream -> [generator, next row]
 
     # -- construction helpers -------------------------------------------
 
@@ -349,11 +348,11 @@ class NetworkState:
             self.groups = (slice(None),)
         self.columns = [tuple(range(-m, 0))] * len(self.groups)
 
-    def _open(self, stream: int) -> list:
-        """A fresh cursor on ``stream``: the init stream's jitter (_INIT) or phase q's _READ."""
+    def _stream(self, stream: int) -> np.random.Generator:
+        """A fresh generator on ``stream``: the init stream's jitter (_INIT) or phase q's _READ."""
         cfg = self.config
         if stream != _INIT:
-            return [substream(cfg.seed, DOMAIN_PHASE, stream, _READ), 0]
+            return substream(cfg.seed, DOMAIN_PHASE, stream, _READ)
         # The init stream draws n skews (one word each, none for a point mass),
         # then n offsets, then the (n, m) jitter. Skews are redrawn per block and
         # offsets cancel from every fire time, so both are skipped.
@@ -361,61 +360,48 @@ class NetworkState:
         population = cfg.population
         rng.bit_generator.advance(self.n if population.alpha_low == population.alpha_up
                                   else 2 * self.n)
-        return [rng, 0]
+        return rng
 
-    def _draw_rows(self, cursor: list, count: int, width: int):
-        """Yield (first row, draws) for ``count`` rows of ``width`` scaled normals each,
-        drawn through the draw buffer from ``cursor``'s stream."""
-        per = len(self._draws) // width
-        for start in range(0, count, per):
-            rows = min(per, count - start)
-            draws = self._draws[:rows * width].reshape(rows, width)
-            cursor[0].standard_normal(out=draws)
-            draws *= self.sigma
-            yield start, draws
-        cursor[1] += count
-
-    def residuals(self, rows: slice, out: np.ndarray | None = None) -> np.ndarray:
-        """Float32 jitter windows J of the nodes ``rows`` (a contiguous slice), redrawn.
+    def windows(self):
+        """Yield (rows, J) for every node block in order: the float32 jitter windows of
+        the nodes ``rows``, redrawn into the window buffer, which the next block reuses.
 
         Each group's window column is a source: an int names a stream, q < 0
-        init column q + m and q >= 0 phase q's readout jitter, each drawn
-        for every node in node order, node 0's zero; after a holdover, an array
-        holds that column for the group's rows. A stream is read through a
-        cursor that moves forward block by block, so a pass over the blocks in
-        order draws each stream once. Writes into ``out`` when given.
+        init column q + m and q >= 0 phase q's readout jitter, each drawn for
+        every node in node order, node 0's zero; after a holdover, an array
+        holds that column for the group's rows. A pass opens each stream once
+        and reads it front to back.
         """
         m = self.config.m
-        size = rows.stop - rows.start
-        window = np.empty((size, m), dtype=np.float32) if out is None else out
-        targets: dict[int, list] = {}       # stream -> (role, window column, draw column)
+        streams: dict[int, list] = {}        # stream -> (role, window column, draw column)
         for role, sources in zip(self.groups, self.columns):
-            local = _within(role, rows.start)
             for k, source in enumerate(sources):
                 if isinstance(source, np.ndarray):
-                    first = len(range(rows.start)[role])     # the group's index of its first row
-                    column = window[local, k]
-                    column[:] = source[first:first + column.size]
-                elif source < 0:
-                    targets.setdefault(_INIT, []).append((role, k, source + m))
-                else:
-                    targets.setdefault(source, []).append((role, k, 0))
-        for stream in set(self._cursors) - set(targets):
-            del self._cursors[stream]
-        for stream, columns in targets.items():
-            cursor = self._cursors.get(stream)
-            if cursor is None or cursor[1] > rows.start:
-                cursor = self._cursors[stream] = self._open(stream)
-            width = m if stream == _INIT else 1
-            for _ in self._draw_rows(cursor, rows.start - cursor[1], width):
-                pass                                # rows before the block: skipped
-            for start, draws in self._draw_rows(cursor, size, width):
-                for role, k, col in columns:
-                    local = _within(role, rows.start + start)
-                    window[start:start + len(draws)][local, k] = draws[local, col]
-        if rows.start == 0 and size:
-            window[0] = 0.0                       # the reference node reads true time
-        return window
+                    continue
+                stream, col = (_INIT, source + m) if source < 0 else (source, 0)
+                streams.setdefault(stream, []).append((role, k, col))
+        opened = [(self._stream(stream), m if stream == _INIT else 1, columns)
+                  for stream, columns in streams.items()]
+        for rows in _node_blocks(self.n):
+            window = self._window[:rows.stop - rows.start]
+            for role, sources in zip(self.groups, self.columns):
+                first = len(range(rows.start)[role])     # the group's index of its first row
+                for k, source in enumerate(sources):
+                    if isinstance(source, np.ndarray):
+                        column = window[_within(role, rows.start), k]
+                        column[:] = source[first:first + column.size]
+            for rng, width, columns in opened:
+                per = len(self._draws) // width
+                for start in range(0, len(window), per):
+                    draws = self._draws[:min(per, len(window) - start) * width].reshape(-1, width)
+                    rng.standard_normal(out=draws)
+                    draws *= self.sigma
+                    for role, k, col in columns:
+                        local = _within(role, rows.start + start)
+                        window[start:start + len(draws)][local, k] = draws[local, col]
+            if rows.start == 0:
+                window[0] = 0.0                   # the reference node reads true time
+            yield rows, window
 
     def skews(self, rows: slice) -> np.ndarray:
         """Clock skews of the nodes ``rows`` (a contiguous slice); node 0's is exactly 1.
@@ -464,9 +450,10 @@ def _by_history(values: np.ndarray, role: slice, inside: np.ndarray | None):
     return np.where(inside, values[0], values[1])
 
 
-def _block_events(state: NetworkState, sched: Schedule, law, rows: slice, n_tx: int,
+def _block_events(state: NetworkState, sched: Schedule, law, rows: slice, window, n_tx: int,
                   heard, jitter, fix_rng, rng: np.random.Generator) -> EventArray | None:
-    """A node block's events: fire times from ``jitter`` and ``fix_rng``, channel from ``rng``.
+    """A node block's events: fits of its jitter ``window``, fire times from ``jitter`` and
+    ``fix_rng``, channel from ``rng``.
 
     None when the block holds no transmitter. A node's window is alpha (history - delta)
     + J, so its fit, taken back to reference time, is its history's prediction plus
@@ -478,7 +465,7 @@ def _block_events(state: NetworkState, sched: Schedule, law, rows: slice, n_tx: 
     tx = sched.transmit
     centres, slopes = heard
     inside = state.interior(rows)[tx] if cfg.regime == "delay" else None
-    report = fit(state.residuals(rows, state._window[:size])[tx], cfg.target)
+    report = fit(window[tx], cfg.target)
     fires = report.phi_hat
     alphas = state.skews(rows)[tx]
     k_fix = delays = None
@@ -516,9 +503,9 @@ def _receiver_events(state: NetworkState, sched: Schedule, node: int, law) -> Ev
         jitter, rng = substream(*path, _FIRE), substream(*path, _CHANNEL, node)
         fix_rng = None if state.fix_law is None else substream(*path, _FIX)
         # filter holds no block once it is handed on, so a pass holds one at a time
-        return filter(None, (_block_events(state, sched, law, rows, n_tx, heard, jitter,
-                                           fix_rng, rng)
-                             for rows in _node_blocks(state.n)))
+        return filter(None, (_block_events(state, sched, law, rows, window, n_tx, heard,
+                                           jitter, fix_rng, rng)
+                             for rows, window in state.windows()))
     return EventStream(blocks)
 
 
@@ -530,8 +517,7 @@ def _roll_columns(state: NetworkState, sched: Schedule, crossing: CrossingReport
     column = state.phase_count
     if not crossing.ok:
         column = np.empty(len(range(state.n)[listen]), dtype=np.float32)
-        for rows in _node_blocks(state.n):
-            window = state.residuals(rows, state._window[:rows.stop - rows.start])
+        for rows, window in state.windows():
             first = len(range(rows.start)[listen])
             fits = fit(window[listen], state.config.m).phi_hat
             column[first:first + fits.size] = fits

@@ -10,21 +10,3 @@ class DomainError(ValueError):
 class ConfigurationError(ValueError):
     """A scenario or run configuration is internally inconsistent."""
 
-
-class NumericsError(RuntimeError):
-    """A numerical routine failed to reach its accuracy target.
-
-    Carries a diagnostics mapping so callers can report what the routine
-    was doing when it gave up.
-    """
-
-    def __init__(self, message: str, diagnostics: dict | None = None):
-        super().__init__(message)
-        self.diagnostics = dict(diagnostics or {})
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        base = super().__str__()
-        if self.diagnostics:
-            detail = ", ".join(f"{k}={v!r}" for k, v in sorted(self.diagnostics.items()))
-            return f"{base} [{detail}]"
-        return base

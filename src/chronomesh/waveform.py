@@ -66,8 +66,8 @@ class EventArray:
     """Column layout of transmit events for vectorized evaluation.
 
     delay is None when propagation is instantaneous; arrival is then the
-    fire column itself, with no second array. An ``EventStream`` stands in for one
-    whose columns are made a block at a time.
+    fire column itself, with no second array. An ``EventStream`` makes one a
+    block at a time.
     """
 
     fire: np.ndarray
@@ -101,7 +101,7 @@ class EventStream:
     """Events made a block at a time by a source that replays them on every call.
 
     Every block but the last holds a multiple of ``_ANGLE_BLOCK`` events, so block
-    sums keep a whole array's order. Reading a column joins the whole array, once.
+    sums keep a whole array's order. ``whole`` joins the whole array, once.
     """
 
     def __init__(self, source: Callable[[], Iterable[EventArray]]):
@@ -111,12 +111,6 @@ class EventStream:
     def whole(self) -> EventArray:
         parts = [(p.fire, p.scale, p.delay) for p in self.blocks()]
         return EventArray(*(None if c[0] is None else np.concatenate(c) for c in zip(*parts)))
-
-    fire = property(lambda self: self.whole.fire)
-    scale = property(lambda self: self.whole.scale)
-    delay = property(lambda self: self.whole.delay)
-    arrival = property(lambda self: self.whole.arrival)
-    count = property(lambda self: self.whole.count)
 
 
 class AggregateEvaluator:
@@ -208,6 +202,8 @@ def find_zero_crossing(events: EventArray | EventStream, pulse: Pulse, search_ce
     tau = pulse.tau_nz
     sums = _single_support_sums(events, tau, search_center)
     if sums is None:
+        if isinstance(events, EventStream):
+            events = events.whole
         location, peak = _segment_search(events, pulse, search_center)
     else:
         sin_sum, cos_sum, lo, hi = sums

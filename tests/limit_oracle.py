@@ -15,8 +15,12 @@ import numpy as np
 from scipy.integrate import quad
 
 from chronomesh.clock import SkewPopulation
-from chronomesh.errors import DomainError, NumericsError
+from chronomesh.errors import DomainError
 from chronomesh.waveform import Pulse
+
+
+class QuadratureError(RuntimeError):
+    """The quadrature's error estimate exceeded its accuracy target."""
 
 
 @dataclass(frozen=True)
@@ -54,8 +58,8 @@ def _smoothed_pulse(pulse: Pulse, x: float, sd: float, tol: float) -> tuple[floa
 def limit_waveform(spec: LimitSpec, t, tol: float = 1e-9) -> np.ndarray | float:
     """Limit waveform value(s) at t, exact to roughly 10 * tol.
 
-    Raises NumericsError when the quadrature error estimates exceed the
-    target, carrying the offending t and error estimate.
+    Raises QuadratureError, naming the offending t and error estimate, when the
+    quadrature error estimates exceed the target.
     """
     if spec.sigma_bar2 < 0.0:
         raise DomainError("sigma_bar2 must be non-negative")
@@ -81,7 +85,7 @@ def limit_waveform(spec: LimitSpec, t, tol: float = 1e-9) -> np.ndarray | float:
             value, err = quad(skew_weighted, pop.alpha_low, pop.alpha_up,
                               limit=100, epsabs=tol, epsrel=1e-9)
         if err > 10.0 * tol:
-            raise NumericsError("limit waveform quadrature did not converge",
-                                {"t": float(ti), "error_estimate": float(err)})
+            raise QuadratureError(f"limit waveform quadrature did not converge at t = {ti}: "
+                                  f"error estimate {err}")
         out[idx] = spec.mean_gain * value
     return float(out[0]) if scalar else out

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from chronomesh import cli
-from chronomesh.errors import NumericsError
 from chronomesh.geometry import Region
 
 
@@ -174,6 +173,15 @@ def test_waveform_grid_points_below_two_exits_two_before_the_build(tmp_path, mon
     out = tmp_path / "out"
     assert cli.run_command(["waveform", "--config", str(cfg), "--out", str(out)]) == 2
     assert "scenario.grid_points" in capsys.readouterr().err
+    assert built == [] and not list(out.glob("*.csv"))
+
+
+def test_phases_below_one_exit_two_before_the_build(tmp_path, monkeypatch, capsys):
+    built = []
+    monkeypatch.setattr(cli, "NetworkState", built.append)
+    out = tmp_path / "out"
+    assert cli.run_command(["steady", "--phases", "0", "--out", str(out)]) == 2
+    assert "scenario.phases" in capsys.readouterr().err
     assert built == [] and not list(out.glob("*.csv"))
 
 
@@ -425,14 +433,6 @@ def test_out_through_an_existing_file_exits_two(tmp_path, capsys, leaf):
     err = capsys.readouterr().err
     assert err.startswith("chronomesh: error:") and str(out) in err
     assert afile.read_text(encoding="ascii") == "kept\n"
-
-
-def test_numeric_failures_exit_three(tmp_path, monkeypatch):
-    def explode(_manifest):
-        raise NumericsError("quadrature failed", diagnostics={"t": 0.0})
-
-    monkeypatch.setitem(cli._RUNNERS, "steady", explode)
-    assert cli.run_command(["steady", "--out", str(tmp_path)]) == 3
 
 
 def test_config_value_errors_exit_two(tmp_path, capsys):

@@ -16,7 +16,7 @@ def test_reference_clock_reads_true_time():
     report = run_phase(st)
     assert report.crossing is not None
     assert st.history[0, -1] == report.crossing
-    assert st.skews(slice(0, 1))[0] == 1.0 and not st.residuals(slice(0, 1)).any()
+    assert st.skews(slice(0, 1))[0] == 1.0 and not next(st.windows())[1][0].any()
 
 
 def test_jitter_variance_and_freshness():
@@ -25,7 +25,7 @@ def test_jitter_variance_and_freshness():
     report = run_phase(st)
     assert report.crossing is not None
     # a reading is alpha (crossing - delta) + noise; the state keeps the noise
-    windows = st.residuals(slice(0, n))
+    ((_, windows),) = st.windows()          # one block holds every node
     noise = windows[1:, -1].astype(float)
     assert noise.var() == pytest.approx(sigma2, rel=0.05)
     assert abs(noise.mean()) < 4 * np.sqrt(sigma2 / n)

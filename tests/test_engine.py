@@ -42,8 +42,11 @@ def quiet_config(**kw):
 
 
 def windows(state):
-    """Every node's float32 jitter window, redrawn whole from the state's column sources."""
-    return state.residuals(slice(0, state.n))
+    """Every node's float32 jitter window, joined from one pass of the state's redraws."""
+    whole = np.empty((state.n, state.config.m), dtype=np.float32)
+    for rows, window in state.windows():
+        whole[rows] = window
+    return whole
 
 
 def next_fires(state):
@@ -488,23 +491,6 @@ def test_long_holdover_matches_the_parent_arithmetic(regime, seed):
     assert stored_columns(st) == []
 
 
-@pytest.mark.parametrize("regime", ["no_delay", "even_odd"])
-def test_residuals_read_any_row_range_in_any_order(regime):
-    # Readout-stream and stored columns side by side (and init columns in
-    # even_odd): any row range, odd starts and backward jumps included, reads
-    # what the whole redraw holds.
-    st = NetworkState(ScenarioConfig(n_nodes=3001, regime=regime, seed=3))
-    for gate in (0.0, 1e9, 0.0):
-        set_gate(gate, st)
-        run_phase(st)
-    assert stored_columns(st)
-    whole = windows(st)
-    for rows in (slice(5, 17), slice(1000, 3001), slice(0, 1), slice(2999, 3001), slice(4, 8)):
-        assert np.array_equal(st.residuals(rows), whole[rows])
-        out = np.empty((rows.stop - rows.start, st.config.m), dtype=np.float32)
-        assert st.residuals(rows, out) is out and np.array_equal(out, whole[rows])
-
-
 @pytest.mark.parametrize("regime, seed", [("no_delay", 1), ("even_odd", 3)])
 def test_a_permanent_outage_stores_at_most_m_columns_per_group(regime, seed):
     # Every phase holds over, 2000 in a row: each group's window keeps at most
@@ -590,8 +576,8 @@ def test_closed_form_crossings_agree_with_the_scan(monkeypatch, regime):
 
     def both(events, pulse, search_center, gate=0.0):
         report = closed_form(events, pulse, search_center, gate)
-        assert np.ptp(events.arrival) < pulse.tau_nz / 2
-        seen.append((report, scan_crossing(events, pulse, search_center, gate)))
+        assert np.ptp(events.whole.arrival) < pulse.tau_nz / 2
+        seen.append((report, scan_crossing(events.whole, pulse, search_center, gate)))
         return report
 
     monkeypatch.setattr(engine, "find_zero_crossing", both)
@@ -611,8 +597,8 @@ def test_support_narrower_than_twice_the_spread_takes_the_scan(monkeypatch):
 
     def scanned(events, pulse, search_center, gate=0.0):
         report = search(events, pulse, search_center, gate)
-        assert np.ptp(events.arrival) >= pulse.tau_nz / 2
-        assert_matches_scan(report, scan_crossing(events, pulse, search_center, gate))
+        assert np.ptp(events.whole.arrival) >= pulse.tau_nz / 2
+        assert_matches_scan(report, scan_crossing(events.whole, pulse, search_center, gate))
         seen.append(report)
         return report
 
@@ -751,8 +737,8 @@ def test_fit_and_crossing_work_in_blocks():
     assert traced_peak(lambda: fit(residuals, 3.0)) <= 2.6 * vector
 
     def redraw_pass():
-        for rows in engine._node_blocks(n):
-            st.residuals(rows, st._window[:rows.stop - rows.start])
+        for _ in st.windows():
+            pass
 
     for _ in range(2):               # init columns, then a readout stream among them
         assert traced_peak(redraw_pass) <= 0.01 * vector
