@@ -491,6 +491,30 @@ def test_long_holdover_matches_the_parent_arithmetic(regime, seed):
     assert stored_columns(st) == []
 
 
+@pytest.mark.parametrize("regime", ["no_delay", "even_odd"])
+def test_a_window_pass_yields_each_block_once_in_node_order(regime):
+    # Readout-stream and stored columns side by side (and init columns in
+    # even_odd), across block seams: a pass yields every node block once, from
+    # row 0, in the one window buffer, and a pass left unfinished leaves
+    # nothing behind that changes the next one.
+    st = NetworkState(ScenarioConfig(n_nodes=MULTI_BLOCK_N, regime=regime, seed=3))
+    for gate in (0.0, 1e9, 0.0):
+        set_gate(gate, st)
+        run_phase(st)
+    assert stored_columns(st)
+    seen = []
+    for rows, window in st.windows():
+        assert window.shape == (rows.stop - rows.start, st.config.m)
+        assert np.shares_memory(window, st._window)
+        seen.append(rows)
+    assert seen == list(engine._node_blocks(st.n))
+    whole = windows(st)
+    for rows, window in st.windows():
+        if rows.start > 0:
+            break                         # abandon the pass after its first block
+    assert windows(st).tobytes() == whole.tobytes()
+
+
 @pytest.mark.parametrize("regime, seed", [("no_delay", 1), ("even_odd", 3)])
 def test_a_permanent_outage_stores_at_most_m_columns_per_group(regime, seed):
     # Every phase holds over, 2000 in a row: each group's window keeps at most
