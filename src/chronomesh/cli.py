@@ -67,6 +67,7 @@ _FLOAT = _typed("a finite number", float, math.isfinite)
 _BOOL = _typed("a boolean", {**dict.fromkeys(("true", "yes", "on", "1"), True),
                              **dict.fromkeys(("false", "no", "off", "0"), False)}.__getitem__)
 
+
 # section -> key -> (default text, parser). Range checks stay with the
 # configs and commands that read a value: one flag feeds several sections,
 # and a count valid in one (samples >= 1) is invalid in another (trials >= 2).
@@ -88,7 +89,6 @@ _SETTINGS = {
         "wave_speed": ("1.0", _FLOAT),
         "gate": ("0.0", _FLOAT),
         "epsilon": ("0.0", _FLOAT),
-        "boundary_epsilon": ("0.0", _FLOAT),
         "oracle_alpha": ("false", _BOOL),
         "compensate_delay": ("true", _BOOL),
         "tau_nz": ("auto", _typed("auto or a finite number",
@@ -224,7 +224,11 @@ def _resolve(args: argparse.Namespace) -> RunManifest:
                 parsed[key] = parse(text[key])
             except ValueError as exc:
                 raise ConfigurationError(f"{name}.{key} must be {exc}, got {text[key]!r}") from None
-    return RunManifest(command, args.config or "(command line)", sections, values)
+    source = args.config or "(command line)"
+    for what, path in (("--config", source), ("run.out", values["run"]["out"])):
+        if "\n" in path or "\r" in path:      # the manifest records each on a line of its own
+            raise ConfigurationError(f"{what} must be a path without line breaks, got {path!r}")
+    return RunManifest(command, source, sections, values)
 
 
 def _make_out_dir(path: str) -> None:
@@ -243,8 +247,8 @@ def build_scenario(manifest: RunManifest) -> ScenarioConfig:
         regime=_REGIME_BY_COMMAND.get(manifest.command, "no_delay"),
         population=SkewPopulation(s["alpha_low"], s["alpha_up"]),
         channel=channel, tau_nz=s["tau_nz"], epsilon=s["epsilon"],
-        boundary_epsilon=s["boundary_epsilon"], oracle_alpha=s["oracle_alpha"],
-        compensate_delay=s["compensate_delay"], seed=manifest.seed)
+        oracle_alpha=s["oracle_alpha"], compensate_delay=s["compensate_delay"],
+        seed=manifest.seed)
 
 
 # -- CSV emission ---------------------------------------------------------
@@ -302,7 +306,7 @@ def _cmd_phases(manifest: RunManifest) -> None:
         for rep in reports:
             for node in sorted(rep.crossings):
                 cr = rep.crossings[node]
-                role = "interior" if node == state.probes[0] else "boundary"
+                role = "interior" if node == rep.primary else "boundary"
                 assumed = assumed_offsets[node]
                 location = cr.location if cr.ok else math.nan
                 offset = location - (rep.center + assumed) if cr.ok else math.nan
@@ -421,6 +425,9 @@ def run_command(argv: list[str]) -> int:
             fh.write(manifest.render())
     except (ConfigurationError, DomainError) as exc:
         print(f"chronomesh: error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:          # an output file the run could not write
+        print(f"chronomesh: error: cannot write output: {exc}", file=sys.stderr)
         return 2
     return 0
 

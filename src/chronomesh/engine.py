@@ -26,11 +26,10 @@ window step each fit predicts at (``ScenarioConfig.target``).
   the coupled gains of both legs, and the aggregate differs per receiver.
   Evaluating N receivers each phase would cost O(N^2), so only a small probe
   set (one interior node plus one boundary probe) actually forms its
-  waveform; interior nodes share the interior probe's crossing (the law is
-  position independent inside), while boundary windows are refreshed at
-  their assumed offset, which is exactly the steady-state premise the probes
-  test. Every fit predicts at step m - epsilon; a boundary node then moves
-  its prediction by epsilon - boundary_epsilon for its own offset.
+  waveform. Interior nodes share the interior probe's crossing (the law is
+  position independent inside) and fit at step m - epsilon. Boundary nodes
+  are handed the instant itself and keep no history, so only the boundary
+  probe reports what they would hear.
 
 When the primary receiver finds no crossing (gated or no sign change), the
 phase is flagged ``failed`` and each listener holds over: it rolls in its own
@@ -103,9 +102,9 @@ class ScenarioConfig:
 
     ``sigma2`` is the clock-readout jitter variance. ``epsilon`` is the
     offset from integer instants that interior nodes assume their crossings
-    sit at (delay regime); ``boundary_epsilon`` is the same assumption for
-    edge nodes, which see a thinner transmitter population. The channel
-    carries the deployment region; ``region`` reads it from there.
+    sit at (delay regime); boundary nodes assume none, as they are handed the
+    instant. The channel carries the deployment region; ``region`` reads it
+    from there.
     """
 
     n_nodes: int
@@ -116,7 +115,6 @@ class ScenarioConfig:
     channel: ChannelModel = ChannelModel(Region(), 0.25)
     tau_nz: float | None = None
     epsilon: float = 0.0
-    boundary_epsilon: float = 0.0
     oracle_alpha: bool = False
     compensate_delay: bool = True
     seed: int = 0
@@ -133,8 +131,8 @@ class ScenarioConfig:
             raise ConfigurationError(f"unknown regime {self.regime!r}")
         if self.tau_nz is not None and not 0.0 < self.tau_nz < np.inf:
             raise ConfigurationError("tau_nz must be positive and finite")
-        if not np.isfinite(self.epsilon) or not np.isfinite(self.boundary_epsilon):
-            raise ConfigurationError("epsilon and boundary_epsilon must be finite")
+        if not np.isfinite(self.epsilon):
+            raise ConfigurationError("epsilon must be finite")
         if self.regime == "delay" and not np.isfinite(self.channel.max_range):
             raise ConfigurationError("delay regime needs a finite channel range")
         if self.seed < 0:
@@ -213,9 +211,9 @@ class NetworkState:
     window's fit is alpha_i (c_hat - delta_i) + fit(J_i): the offset delta_i
     cancels from every fire time. So the state keeps ``history``, the
     instants heard by each group of nodes that listen together, one row
-    each: one in no_delay, row p for parity p in even_odd, and in delay row 0
-    for interior nodes (the crossing) and row 1 for boundary nodes (their
-    assumed instant, integer + boundary_epsilon). It holds no node vector:
+    each: one in no_delay and delay, row p for parity p in even_odd. Delay's
+    row is the interior crossing; boundary nodes are handed the instant and
+    read no history. It holds no node vector:
     every window's jitter J is the stream that drew it, so ``columns`` keeps,
     per listening group (``groups``, each a slice of the node rows: one in
     no_delay and delay, one per parity in even_odd), the source of each of
@@ -234,7 +232,6 @@ class NetworkState:
         self.config = config
         channel = self.channel = config.channel
 
-        self.probes: list[int] = []
         self.rx_gain_dist: PathlossDistribution | None = None
         self.fix_law: DelayDistribution | None = None  # delay: the compensation law
         if config.regime == "delay":
@@ -324,10 +321,8 @@ class NetworkState:
                 "delay regime needs at least one interior node; "
                 "shrink the channel range or enlarge the region")
         receivers = tuple((node, DelayDistribution(self.channel, position), offset)
-                          for (_, node, position), offset in zip(
-                              nearest, (cfg.epsilon, cfg.boundary_epsilon))
+                          for (_, node, position), offset in zip(nearest, (cfg.epsilon, 0.0))
                           if node is not None)
-        self.probes = [node for node, _, _ in receivers]
         if cfg.compensate_delay:
             self.fix_law = receivers[0][1]
         return (Schedule(slice(None), slice(None), receivers),)
@@ -343,8 +338,8 @@ class NetworkState:
             self.history = (self.next_center - 2 * m + 2.0 * steps) + np.array([[1.0], [0.0]])
             self.groups = (slice(0, None, 2), slice(1, None, 2))
         else:
-            offsets = [[cfg.epsilon], [cfg.boundary_epsilon]] if cfg.regime == "delay" else 0.0
-            self.history = (self.next_center - m + steps) + np.array(offsets, ndmin=2)
+            offset = cfg.epsilon if cfg.regime == "delay" else 0.0
+            self.history = ((self.next_center - m + steps) + offset)[None, :]
             self.groups = (slice(None),)
         self.columns = [tuple(range(-m, 0))] * len(self.groups)
 
@@ -442,9 +437,9 @@ def _require_regime(state: NetworkState, regime: str):
 
 def _by_history(values: np.ndarray, role: slice, inside: np.ndarray | None):
     """Each node's entry of per-history ``values``, for a role's share of a block: in delay
-    row 0 where ``inside`` (the share's interior mask) holds and row 1 at the edge; otherwise
-    the role's one row, which is p for even_odd's parity-p role ``slice(p, None, 2)`` and 0
-    in no_delay."""
+    entry 0 where ``inside`` (the share's interior mask) holds and entry 1, the boundary's,
+    at the edge; otherwise the role's one row, which is p for even_odd's parity-p role
+    ``slice(p, None, 2)`` and 0 in no_delay."""
     if inside is None:
         return values[role.start or 0]
     return np.where(inside, values[0], values[1])
@@ -495,9 +490,9 @@ def _receiver_events(state: NetworkState, sched: Schedule, node: int, law) -> Ev
     n_tx = len(range(state.n)[sched.transmit])
     path = (cfg.seed, DOMAIN_PHASE, state.phase_count)
     # every node of a group shares its history, so one weighted sum predicts for all of them
-    heard = tuple(state.history @ w for w in prediction_weights(cfg.m, cfg.target))
-    if cfg.regime == "delay":   # the fit is linear: move the boundary to the target's frame
-        heard[0][1] += cfg.epsilon - cfg.boundary_epsilon
+    heard = np.array([state.history @ w for w in prediction_weights(cfg.m, cfg.target)])
+    if cfg.regime == "delay":   # the oracle ROADMAP item 4 removes: the boundary gets the instant
+        heard = np.column_stack((heard, (state.next_center, 1.0)))
 
     def blocks():
         jitter, rng = substream(*path, _FIRE), substream(*path, _CHANNEL, node)
@@ -509,19 +504,23 @@ def _receiver_events(state: NetworkState, sched: Schedule, node: int, law) -> Ev
     return EventStream(blocks)
 
 
-def _roll_columns(state: NetworkState, sched: Schedule, crossing: CrossingReport):
-    """Shift the listening group's jitter columns by one: in comes this phase's readout
-    stream, or on holdover each listener's jitter fit, computed now and stored."""
+def _roll(state: NetworkState, sched: Schedule, crossing: CrossingReport):
+    """Shift the listening group's window by one: its history takes in the crossing and its
+    jitter columns this phase's readout stream; on holdover the history takes in its own
+    prediction and the columns each listener's jitter fit, computed now and stored."""
     listen = sched.listen
     group = listen.start or 0
-    column = state.phase_count
+    m = state.config.m
+    column, heard = state.phase_count, [crossing.location]
     if not crossing.ok:
+        heard = state.history[[group]] @ prediction_weights(m, m)[0]
         column = np.empty(len(range(state.n)[listen]), dtype=np.float32)
         for rows, window in state.windows():
             first = len(range(rows.start)[listen])
-            fits = fit(window[listen], state.config.m).phi_hat
+            fits = fit(window[listen], m).phi_hat
             column[first:first + fits.size] = fits
     state.columns[group] = state.columns[group][1:] + (column,)
+    state.history[[group]] = np.column_stack((state.history[[group], 1:], heard))
 
 
 def no_delay_phase_events(state: NetworkState) -> tuple[EventArray, float]:
@@ -551,15 +550,7 @@ def run_phase(state: NetworkState) -> PhaseReport:
 
     primary = sched.receivers[0][0]
     crossing = crossings[primary]
-    _roll_columns(state, sched, crossing)
-    # each listening history rolls in the instant it heard, or on holdover its own prediction
-    if state.config.regime != "delay":
-        listening, heard = [sched.listen.start or 0], [crossing.location]
-    else:
-        listening, heard = [0, 1], [crossing.location, tau0 + state.config.boundary_epsilon]
-    if not crossing.ok:
-        heard = state.history[listening] @ prediction_weights(state.config.m, state.config.m)[0]
-    state.history[listening] = np.column_stack((state.history[listening, 1:], heard))
+    _roll(state, sched, crossing)
 
     phase_index = state.phase_count
     state.phase_count += 1
@@ -582,7 +573,7 @@ class EpsilonReport:
     """Fixed-point estimate of the steady-state crossing offsets."""
 
     epsilon: float
-    boundary_epsilon: float | None
+    boundary_epsilon: float | None     # the last completed round's mean boundary-probe offset
     iterations: int
     converged: bool
     history: tuple[float, ...]
@@ -595,51 +586,34 @@ def estimate_epsilon(config: ScenarioConfig, *, n_seeds: int = 50,
 
     Each round rebuilds ``n_seeds`` fresh networks of ``n_nodes`` nodes that
     assume the current offset, runs one phase each, and replaces the offset
-    with the mean observed crossing offset. Boundary probes drive the shared
-    boundary offset the same way. Non-convergence is reported, not raised.
+    with the mean observed crossing offset. The report's ``boundary_epsilon``
+    is the mean offset of the boundary probes that found a crossing in the
+    last completed round, None if none did. Non-convergence is reported, not
+    raised.
     """
     if config.regime != "delay":
         raise ConfigurationError("offset estimation only applies to the delay regime")
     if n_seeds < 1 or max_iter < 1:
         raise ConfigurationError("need at least one seed and one iteration")
-    eps = config.epsilon
-    beps = config.boundary_epsilon
-    saw_boundary = False
-    history = [eps]
-    converged = False
-    iterations = 0
+    eps, beps, history = config.epsilon, None, [config.epsilon]
     for it in range(max_iter):
-        def one_seed(s: int, _it=it, _eps=eps, _beps=beps):
-            child = derive_seed(config.seed, DOMAIN_SEED_SWEEP, _it, s)
-            cfg = replace(config, n_nodes=n_nodes, seed=child,
-                          epsilon=_eps, boundary_epsilon=_beps)
-            st = NetworkState(cfg)
-            rep = run_phase_delay(st)
-            interior_probe = st.probes[0]
-            cr = rep.crossings[interior_probe]
-            interior_offset = cr.location - rep.center if cr.ok else np.nan
-            boundary_offsets = [
-                rep.crossings[p].location - rep.center
-                for p in st.probes[1:] if rep.crossings[p].ok
-            ]
-            return interior_offset, boundary_offsets
+        def one_seed(s: int):
+            child = derive_seed(config.seed, DOMAIN_SEED_SWEEP, it, s)
+            rep = run_phase_delay(NetworkState(replace(config, n_nodes=n_nodes, seed=child,
+                                                       epsilon=eps)))
+            offsets = {node: cr.location - rep.center if cr.ok else np.nan
+                       for node, cr in rep.crossings.items()}
+            return offsets.pop(rep.primary), [off for off in offsets.values() if np.isfinite(off)]
 
         results = run_indexed(one_seed, n_seeds, threads=threads)
         interior = np.array([r[0] for r in results])
         if np.any(np.isnan(interior)):
-            return EpsilonReport(eps, beps if saw_boundary else None, it + 1,
-                                 False, tuple(history))
+            return EpsilonReport(eps, beps, it + 1, False, tuple(history))
         new_eps = float(np.mean(interior))
         b_all = [off for r in results for off in r[1]]
-        iterations = it + 1
-        moved = abs(new_eps - eps)
-        eps = new_eps
-        if b_all:
-            saw_boundary = True
-            beps = float(np.mean(b_all))
+        beps = float(np.mean(b_all)) if b_all else None
+        moved, eps = abs(new_eps - eps), new_eps
         history.append(eps)
         if moved < tol:
-            converged = True
-            break
-    return EpsilonReport(eps, beps if saw_boundary else None, iterations,
-                         converged, tuple(history))
+            return EpsilonReport(eps, beps, it + 1, True, tuple(history))
+    return EpsilonReport(eps, beps, max_iter, False, tuple(history))

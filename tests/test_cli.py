@@ -396,10 +396,11 @@ def test_usage_errors_exit_two(tmp_path):
         assert not out.exists()
 
 
-@pytest.mark.parametrize("key", ["delta_low", "delta_high"])
+@pytest.mark.parametrize("key", ["delta_low", "delta_high", "boundary_epsilon"])
 def test_removed_offset_settings_exit_two(tmp_path, capsys, key):
     # clock offsets cancel from every fire time, so the settings that drew
-    # them are gone; a config or an old manifest naming one is refused
+    # them are gone, and delay's boundary nodes are handed the instant, so
+    # they assume no offset; a config or an old manifest naming one is refused
     assert cli.run_command(["steady", "--nodes", "50", "--out", str(tmp_path / "a")]) == 0
     manifest = (tmp_path / "a" / "manifest.cfg").read_text(encoding="ascii")
     old = tmp_path / "old.cfg"
@@ -433,6 +434,38 @@ def test_out_through_an_existing_file_exits_two(tmp_path, capsys, leaf):
     err = capsys.readouterr().err
     assert err.startswith("chronomesh: error:") and str(out) in err
     assert afile.read_text(encoding="ascii") == "kept\n"
+
+
+def test_an_output_that_cannot_be_written_exits_two(tmp_path, capsys):
+    # a directory where the CSV goes fails for root too, unlike a read-only one
+    out = tmp_path / "out"
+    (out / "phases.csv").mkdir(parents=True)
+    assert cli.run_command(["steady", "--nodes", "50", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("chronomesh: error:") and str(out / "phases.csv") in err
+    assert not (out / "manifest.cfg").exists()
+
+
+@pytest.mark.parametrize("how", ["flag", "continuation", "config_path"])
+def test_a_line_break_the_manifest_cannot_record_exits_two(tmp_path, capsys, how):
+    # a manifest records run.out and the config path on one line each, so a
+    # value with a line break would not re-run: it is refused before the run
+    out = str(tmp_path / "o\nx")
+    argv = ["steady", "--nodes", "50"]
+    if how == "flag":
+        argv += ["--out", out]
+    elif how == "continuation":
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[run]\nout = {tmp_path / 'o'}\n  x\n", encoding="ascii")
+        argv += ["--config", str(cfg)]
+    else:
+        cfg = tmp_path / "c\nfg.cfg"
+        cfg.write_text("[scenario]\nm = 3\n", encoding="ascii")
+        argv += ["--config", str(cfg), "--out", str(tmp_path / "o")]
+    assert cli.run_command(argv) == 2
+    assert "line breaks" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == (
+        [] if how == "flag" else [cfg.name])
 
 
 def test_config_value_errors_exit_two(tmp_path, capsys):

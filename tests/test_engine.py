@@ -29,7 +29,8 @@ from chronomesh.engine import (
 from chronomesh.errors import ConfigurationError
 from chronomesh.estimator import fit, prediction_weights
 from chronomesh.geometry import NodePosition, Region, place_nodes
-from chronomesh.rng import DOMAIN_INIT, DOMAIN_PHASE, DOMAIN_PLACEMENT, substream
+from chronomesh.rng import (DOMAIN_INIT, DOMAIN_PHASE, DOMAIN_PLACEMENT, DOMAIN_SEED_SWEEP,
+                            derive_seed, substream)
 from chronomesh.waveform import AggregateEvaluator, EventArray, find_zero_crossing
 from test_waveform import assert_matches_scan, scan_crossing
 
@@ -80,7 +81,8 @@ def phase_draws(state):
     jitter[0] = 0.0
     fix = None
     if cfg.regime == "delay" and cfg.compensate_delay:
-        law = DelayDistribution(state.channel, NodePosition(*state.positions[state.probes[0]]))
+        probe = state.schedule.receivers[0][0]
+        law = DelayDistribution(state.channel, NodePosition(*state.positions[probe]))
         fix = sample_fix(law, substream(*path, engine._FIX), state.n)
     channels = {}
     for node, law, _ in state.schedule.receivers:
@@ -115,10 +117,10 @@ def whole_vector_events(state):
     if cfg.regime != "delay":
         centre, slope = centres[tx.start or 0], slopes[tx.start or 0]
     else:
-        centres[1] += cfg.epsilon - cfg.boundary_epsilon
+        # boundary nodes are handed the instant, a line of slope 1
         inside = state.interior(slice(0, state.n))[tx]
-        centre = np.where(inside, centres[0], centres[1])
-        slope = np.where(inside, slopes[0], slopes[1])
+        centre = np.where(inside, centres[0], state.next_center)
+        slope = np.where(inside, slopes[0], 1.0)
     alphas = state.skews(slice(0, state.n))[tx]
     report = fit(windows(state)[tx], cfg.target)
     fires = report.phi_hat
@@ -164,11 +166,11 @@ class ParentArithmetic:
         self.windows = (instants - self.deltas[:, None]) * self.alphas[:, None] + jitter
 
     def assumed(self):
-        """Each node's assumed crossing offset: epsilon inside, boundary_epsilon at the edge."""
+        """Each node's assumed crossing offset: epsilon inside, 0.0 at the edge (the instant)."""
         st = self.state
         if st.config.regime != "delay":
             return np.zeros(st.n)
-        return np.where(st.interior(slice(0, st.n)), st.config.epsilon, st.config.boundary_epsilon)
+        return np.where(st.interior(slice(0, st.n)), st.config.epsilon, 0.0)
 
     def run_phase(self):
         st = self.state
@@ -269,11 +271,10 @@ def test_even_odd_init_spacing():
 
 
 def test_delay_init_offsets():
-    cfg = quiet_config(n_nodes=200, regime="delay", epsilon=0.3,
-                       boundary_epsilon=0.1, seed=12)
+    cfg = quiet_config(n_nodes=200, regime="delay", epsilon=0.3, seed=12)
     st = NetworkState(cfg)
     base = np.arange(3, dtype=float)
-    assert np.array_equal(st.history, [base + 0.3, base + 0.1])
+    assert np.array_equal(st.history, [base + 0.3])
     assert not windows(st).any()
     interior = st.interior(slice(0, st.n))
     assert interior.any() and (~interior).any()
@@ -382,7 +383,8 @@ def test_crossings_are_bit_identical_to_pinned_values(regime):
 # primary crossings and the SHA-256 of the residuals and histories after them.
 # A seam error in any block draw, fit, sum or window roll changes them.
 # Retaken when windows became a shared history plus float32 jitter, once the
-# parent-arithmetic oracle matched the crossings.
+# parent-arithmetic oracle matched the crossings. Delay's digest was retaken
+# when its history lost the boundary row, which only replayed the grid.
 MULTI_BLOCK_N = 2 * (1 << 17) + 2001
 MULTI_BLOCK_PINS = {
     "no_delay": ((3.000094281749363, 4.000041202408367),
@@ -390,7 +392,7 @@ MULTI_BLOCK_PINS = {
     "even_odd": ((5.999874826730116, 6.999961786949898),
                  "9e43d8a6c56a9a36b05ca30b2590b350887bd401ba08d42250b0f82661533cf6"),
     "delay": ((3.000272165223013, 3.999681609067745),
-              "66e778165397a1d13b5cb48e28fba74343a0d29c5a6c2cbbce8cd15c3824626f"),
+              "950b4d1a3db216225e36b028937cc937fb68a10d99bbf5ce4f51a6680263ab87"),
 }
 
 
@@ -420,9 +422,8 @@ def assert_same_crossings(got, want):
             assert abs(report.location - want[node].location) <= 1e-8
 
 
-# distinct interior and boundary offsets, so the boundary's frame shift counts
-ASSUMED_OFFSETS = {"no_delay": {}, "even_odd": {},
-                   "delay": {"epsilon": 0.02, "boundary_epsilon": -0.01}}
+# a nonzero interior offset, so interior and boundary nodes fire from different frames
+ASSUMED_OFFSETS = {"no_delay": {}, "even_odd": {}, "delay": {"epsilon": 0.02}}
 
 
 @pytest.mark.parametrize("n", [2000, MULTI_BLOCK_N])
@@ -811,8 +812,9 @@ def test_state_keeps_only_the_receivers_positions(regime):
     st = NetworkState(config)
     placed = place_nodes(config.region, config.n_nodes, substream(config.seed, DOMAIN_PLACEMENT))
     laws = {node: law for sched in st.schedules for node, law, _ in sched.receivers}
+    probes = {node for node, _, _ in st.schedule.receivers}
     assert set(st.positions) == set(laws) == {"no_delay": {0}, "even_odd": {0, 1},
-                                              "delay": set(st.probes)}[regime]
+                                              "delay": probes}[regime]
     for node, xy in st.positions.items():
         assert xy == tuple(placed[node]) == (laws[node].receiver.x, laws[node].receiver.y)
     # no n-sized array beyond the block buffers, here one block of the whole network
@@ -855,9 +857,6 @@ def test_build_matches_the_whole_placement_and_skews(regime, n):
         receivers = [first_nearest(interior, (region.width / 2, region.height / 2))]
         if not interior.all():
             receivers.append(first_nearest(~interior, (0.0, region.height / 2)))
-        assert st.probes == receivers
-    else:
-        assert st.probes == []
     got = [node for sched in st.schedules for node, _, _ in sched.receivers]
     assert got == receivers
     laws = {node: law for sched in st.schedules for node, law, _ in sched.receivers}
@@ -878,7 +877,7 @@ def test_delay_probe_search_keeps_the_first_of_tied_nodes(monkeypatch):
     monkeypatch.setattr(engine, "place_nodes",
                         lambda region, count, rng, rows: placed[rows].copy())
     st = NetworkState(ScenarioConfig(n_nodes=n, regime="delay", seed=0))
-    assert st.probes == [block + 5, 7]
+    assert [node for node, _, _ in st.schedule.receivers] == [block + 5, 7]
     assert st.positions == {block + 5: (0.5, 0.5), 7: (0.0, 0.5)}
 
 
@@ -967,8 +966,8 @@ def test_delay_probes_draw_independently_of_each_other():
     both, alone = NetworkState(cfg), NetworkState(cfg)
     (sched,) = alone.schedules
     alone.schedules = (replace(sched, receivers=sched.receivers[:1]),)
-    probe = both.probes[0]
-    assert len(both.probes) == 2 and both.interior(slice(probe, probe + 1))[0]
+    probe = sched.receivers[0][0]
+    assert len(sched.receivers) == 2 and both.interior(slice(probe, probe + 1))[0]
     full, single = run_phase(both), run_phase(alone)
     assert list(single.crossings) == [probe]
     assert single.crossings[probe] == full.crossings[probe]
@@ -981,7 +980,7 @@ def test_delay_compensated_crossing_stays_put():
                          seed=7, oracle_alpha=True)
     st = NetworkState(cfg)
     rep = run_phase(st)
-    probe = st.probes[0]
+    probe = rep.primary
     assert st.interior(slice(probe, probe + 1))[0]
     assert abs(rep.crossings[probe].location - rep.center) < 0.01
 
@@ -993,24 +992,24 @@ def test_delay_estimated_alpha_still_centred():
     assert abs(rep.crossing - rep.center) < 0.005
 
 
-def test_delay_boundary_windows_keep_assumed_offset():
+def test_delay_history_reads_the_interior_crossing():
     cfg = ScenarioConfig(n_nodes=3000, sigma2=0.0, regime="delay", seed=7,
-                         population=SkewPopulation(1.0, 1.0),
-                         epsilon=0.0, boundary_epsilon=0.05)
+                         population=SkewPopulation(1.0, 1.0), epsilon=0.0)
     st = NetworkState(cfg)
     rep = run_phase(st)
-    # interior nodes read the crossing, boundary nodes their assumed instant
+    # the one listening group's history reads the interior crossing; boundary
+    # nodes are handed the instant and keep no history
+    assert st.history.shape == (1, cfg.m)
     assert st.history[0, -1] == rep.crossing
-    assert st.history[1, -1] == rep.center + 0.05
     assert not windows(st).any()
 
 
 def test_delay_boundary_nodes_fire_on_the_instant(built_fires):
-    # Noiseless windows read at each node's assumed offset; the fit predicts
-    # in the interior frame and epsilon - boundary_epsilon moves boundary
-    # nodes back, so every node, skewed or not, fires on the instant itself.
+    # Noiseless interior windows read at epsilon past each instant and the fit
+    # predicts at step m - epsilon; boundary nodes are handed the instant. So
+    # every node, skewed or not, fires on the instant itself.
     cfg = ScenarioConfig(n_nodes=3000, sigma2=0.0, regime="delay", seed=7,
-                         epsilon=0.03, boundary_epsilon=0.05, compensate_delay=False)
+                         epsilon=0.03, compensate_delay=False)
     st = NetworkState(cfg)
     assert np.any(~st.interior(slice(0, st.n))) and np.ptp(st.skews(slice(0, st.n))) > 0.01
     center = st.next_center
@@ -1030,6 +1029,22 @@ def test_uncompensated_fixed_point_is_gain_weighted_delay():
     assert rep.converged
     assert rep.epsilon == pytest.approx(0.125, abs=0.005)
     assert rep.boundary_epsilon is not None
+
+
+def test_boundary_epsilon_is_the_rounds_mean_boundary_probe_offset():
+    # one round: the report's boundary offset is the mean crossing offset of
+    # the boundary probes of that round's child networks, one phase each
+    cfg = ScenarioConfig(n_nodes=1, regime="delay", sigma2=1e-4, seed=42, epsilon=0.01)
+    rep = estimate_epsilon(cfg, n_seeds=4, n_nodes=2000, max_iter=1)
+    offsets = []
+    for s in range(4):
+        child = replace(cfg, n_nodes=2000, seed=derive_seed(cfg.seed, DOMAIN_SEED_SWEEP, 0, s))
+        phase = run_phase(NetworkState(child))
+        (boundary,) = set(phase.crossings) - {phase.primary}
+        assert phase.crossings[boundary].ok
+        offsets.append(phase.crossings[boundary].location - phase.center)
+    assert rep.iterations == 1
+    assert rep.boundary_epsilon == np.mean(offsets)
 
 
 def test_compensated_fixed_point_is_near_zero():
@@ -1082,8 +1097,7 @@ def test_config_validation():
     with pytest.raises(ConfigurationError):
         ScenarioConfig(n_nodes=5, regime="delay", channel=ChannelModel(Region(), np.inf))
     for field_values in ({"sigma2": np.nan}, {"sigma2": np.inf},
-                         {"tau_nz": np.nan}, {"epsilon": np.nan},
-                         {"boundary_epsilon": np.nan}, {"seed": -1}):
+                         {"tau_nz": np.nan}, {"epsilon": np.nan}, {"seed": -1}):
         with pytest.raises(ConfigurationError):
             ScenarioConfig(n_nodes=5, **field_values)
 
