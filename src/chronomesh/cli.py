@@ -224,10 +224,12 @@ def _resolve(args: argparse.Namespace) -> RunManifest:
                 parsed[key] = parse(text[key])
             except ValueError as exc:
                 raise ConfigurationError(f"{name}.{key} must be {exc}, got {text[key]!r}") from None
-    source = args.config or "(command line)"
-    for what, path in (("--config", source), ("run.out", values["run"]["out"])):
+    source, out = args.config or "(command line)", values["run"]["out"]
+    for what, path in (("--config", source), ("run.out", out)):
         if "\n" in path or "\r" in path:      # the manifest records each on a line of its own
             raise ConfigurationError(f"{what} must be a path without line breaks, got {path!r}")
+    if out != out.strip():                    # the manifest's reader strips each value
+        raise ConfigurationError(f"run.out must not start or end with whitespace, got {out!r}")
     return RunManifest(command, source, sections, values)
 
 

@@ -54,8 +54,9 @@ beyond such a column a phase allocates nothing node-sized, working
 role's slice of a block selects the block's share of that role. Each pass
 of a receiver, or of a holdover's fits, opens its streams afresh and reads
 each front to back: it redraws the windows block by block into two buffers
-the state keeps, recomputes its transmitters' fire times and adds each
-block, with its channel draw, to the closed-form sums. A good phase's roll
+the state keeps, recomputes its transmitters' fire times, adds a delay
+draw's delays into them in place, and adds each block's arrivals and scales
+to the closed-form sums. A good phase's roll
 only names its readout stream as the newest column. Blocks cut the same
 draws and keep every blocked sum's partitions, so no result depends on the
 block size; whole event columns are joined only for the segment search,
@@ -448,7 +449,7 @@ def _by_history(values: np.ndarray, role: slice, inside: np.ndarray | None):
 def _block_events(state: NetworkState, sched: Schedule, law, rows: slice, window, n_tx: int,
                   heard, jitter, fix_rng, rng: np.random.Generator) -> EventArray | None:
     """A node block's events: fits of its jitter ``window``, fire times from ``jitter`` and
-    ``fix_rng``, channel from ``rng``.
+    ``fix_rng``, channel from ``rng``; in delay each arrival is a fire time plus its delay.
 
     None when the block holds no transmitter. A node's window is alpha (history - delta)
     + J, so its fit, taken back to reference time, is its history's prediction plus
@@ -463,7 +464,7 @@ def _block_events(state: NetworkState, sched: Schedule, law, rows: slice, window
     report = fit(window[tx], cfg.target)
     fires = report.phi_hat
     alphas = state.skews(rows)[tx]
-    k_fix = delays = None
+    k_fix = None
     if fix_rng is not None:
         d_fix, k_fix = sample_fix(state.fix_law, fix_rng, size)
         alpha_hat = alphas if cfg.oracle_alpha else (
@@ -477,11 +478,11 @@ def _block_events(state: NetworkState, sched: Schedule, law, rows: slice, window
     fires += _by_history(centres, tx, inside)
     if isinstance(law, DelayDistribution):
         delays, gains = law.sample_pair(rng, size)
-        delays = delays[tx]
+        fires += delays[tx]      # the arrivals
     else:
         gains = law.sample(rng, size)
     scales = gains[tx] if k_fix is None else gains[tx] * k_fix
-    return EventArray.build(fires, scales / n_tx, delays) if fires.size else None
+    return EventArray.build(fires, scales / n_tx) if fires.size else None
 
 
 def _receiver_events(state: NetworkState, sched: Schedule, node: int, law) -> EventStream:

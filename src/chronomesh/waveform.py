@@ -63,38 +63,31 @@ def default_tau_nz(sigma_bar: float, alpha_low: float) -> float:
 
 @dataclass(frozen=True)
 class EventArray:
-    """Column layout of transmit events for vectorized evaluation.
+    """Received events as two columns: each pulse's arrival time and its scale.
 
-    delay is None when propagation is instantaneous; arrival is then the
-    fire column itself, with no second array. An ``EventStream`` makes one a
-    block at a time.
+    A receiver sees only the superposed pulses, so a transmitter's fire time
+    and its propagation delay enter as their sum. An ``EventStream`` makes
+    one a block at a time.
     """
 
-    fire: np.ndarray
+    arrival: np.ndarray
     scale: np.ndarray
-    delay: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.fire.shape != self.scale.shape or (
-                self.delay is not None and self.delay.shape != self.fire.shape):
+        if self.arrival.shape != self.scale.shape:
             raise DomainError("event columns must share one shape")
-        if self.fire.ndim != 1 or self.fire.size == 0:
+        if self.arrival.ndim != 1 or self.arrival.size == 0:
             raise DomainError("event arrays must be non-empty vectors")
 
     @staticmethod
-    def build(fire, scale=None, delay=None) -> "EventArray":
-        fire = np.asarray(fire, dtype=float)
-        scale = np.ones(fire.size) if scale is None else np.asarray(scale, dtype=float)
-        delay = None if delay is None else np.asarray(delay, dtype=float)
-        return EventArray(fire=fire, scale=scale, delay=delay)
-
-    @property
-    def arrival(self) -> np.ndarray:
-        return self.fire if self.delay is None else self.fire + self.delay
+    def build(arrival, scale=None) -> "EventArray":
+        arrival = np.asarray(arrival, dtype=float)
+        scale = np.ones(arrival.size) if scale is None else np.asarray(scale, dtype=float)
+        return EventArray(arrival=arrival, scale=scale)
 
     @property
     def count(self) -> int:
-        return self.fire.size
+        return self.arrival.size
 
 
 class EventStream:
@@ -109,8 +102,8 @@ class EventStream:
 
     @functools.cached_property
     def whole(self) -> EventArray:
-        parts = [(p.fire, p.scale, p.delay) for p in self.blocks()]
-        return EventArray(*(None if c[0] is None else np.concatenate(c) for c in zip(*parts)))
+        parts = [(p.arrival, p.scale) for p in self.blocks()]
+        return EventArray(*(np.concatenate(c) for c in zip(*parts)))
 
 
 class AggregateEvaluator:
@@ -128,10 +121,8 @@ class AggregateEvaluator:
         # Event-sized buffers, in order: sort order, sorted arrivals, sine
         # prefix (first holding the sorted scales), then, once the order is
         # dropped, cosine prefix. Phase angles are built a block at a time.
-        arrival = events.arrival
-        order = np.argsort(arrival, kind="stable")
-        self._arrivals = arrival[order]
-        del arrival
+        order = np.argsort(events.arrival, kind="stable")
+        self._arrivals = events.arrival[order]
         # prefix[k] sums the first k sorted events
         self._sin_prefix = np.empty(events.count + 1)
         sin_part = self._sin_prefix[1:]
@@ -221,7 +212,7 @@ def _single_support_sums(events: EventArray | EventStream, tau: float, center: f
     """S and C of the arrivals about ``center``, with their least and greatest.
 
     None when the closed form does not apply: a negative or nan scale, or
-    arrivals spanning tau / 2 or more (nan arrivals included). Arrivals are
+    arrivals spanning tau / 2 or more (nan arrivals included). Angles are
     formed ``_ANGLE_BLOCK`` at a time, so nothing event-sized is allocated.
     """
     sin_sum = cos_sum = 0.0
@@ -232,11 +223,7 @@ def _single_support_sums(events: EventArray | EventStream, tau: float, center: f
             weight = part.scale[block]
             if not weight.min() >= 0.0:
                 return None
-            if part.delay is None:
-                angle = np.subtract(part.fire[block], center)
-            else:
-                angle = np.add(part.fire[block], part.delay[block])
-                angle -= center
+            angle = np.subtract(part.arrival[block], center)
             lo, hi = np.minimum(lo, angle.min()), np.maximum(hi, angle.max())  # nan sticks
             if not hi - lo < 0.5 * tau:
                 return None

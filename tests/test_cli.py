@@ -468,6 +468,15 @@ def test_a_line_break_the_manifest_cannot_record_exits_two(tmp_path, capsys, how
         [] if how == "flag" else [cfg.name])
 
 
+@pytest.mark.parametrize("out", [" sp", "sp "])
+def test_an_out_the_manifest_would_strip_exits_two(tmp_path, monkeypatch, capsys, out):
+    # the manifest's reader strips each value, so a re-run would write to "sp"
+    monkeypatch.chdir(tmp_path)
+    assert cli.run_command(["steady", "--nodes", "50", "--out", out]) == 2
+    assert "whitespace" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_config_value_errors_exit_two(tmp_path, capsys):
     cfg = tmp_path / "types.cfg"
     cfg.write_text("[run]\ncommand = steady\n\n[scenario]\nnodes = many\n",

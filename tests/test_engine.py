@@ -52,18 +52,19 @@ def windows(state):
 
 def next_fires(state):
     """Reference-time fires of the coming no-delay phase, as the phase draws them."""
-    return no_delay_phase_events(state)[0].fire
+    return no_delay_phase_events(state)[0].arrival
 
 
 @pytest.fixture
 def built_fires(monkeypatch):
-    """Fire columns of every event array the engine builds, in build order."""
+    """Arrival columns of every event array the engine builds, in build order: the fire
+    times, plus each receiver's channel delays in the delay regime."""
     seen = []
     build = EventArray.build
 
-    def spy(fire, scale=None, delay=None):
-        seen.append(np.array(fire))
-        return build(fire, scale, delay)
+    def spy(arrival, scale=None):
+        seen.append(np.array(arrival))
+        return build(arrival, scale)
 
     monkeypatch.setattr(EventArray, "build", staticmethod(spy))
     return seen
@@ -99,8 +100,8 @@ def receiver_events(state, fires, k_fix, channels):
     for node, _, offset in state.schedule.receivers:
         delays, gains = channels[node]
         scales = gains[tx] * k_fix / fires.size
-        out.append((node, EventArray.build(fires, scales, None if delays is None else delays[tx]),
-                    offset))
+        arrivals = fires if delays is None else fires + delays[tx]
+        out.append((node, EventArray.build(arrivals, scales), offset))
     return out
 
 
@@ -298,8 +299,8 @@ def test_reference_node_fires_on_the_instant():
     cfg = ScenarioConfig(n_nodes=300, sigma2=1e-3, seed=8)
     st = NetworkState(cfg)
     events, center = no_delay_phase_events(st)
-    assert events.fire[0] == pytest.approx(center, abs=1e-10)
-    assert abs(events.fire[1:] - center).max() > 1e-4
+    assert events.arrival[0] == pytest.approx(center, abs=1e-10)
+    assert abs(events.arrival[1:] - center).max() > 1e-4
 
 
 def test_fire_time_variance_matches_design():
@@ -546,7 +547,8 @@ def test_multi_block_scan_fallback_matches_the_scan_of_whole_events():
     st = NetworkState(ScenarioConfig(n_nodes=MULTI_BLOCK_N, seed=1, tau_nz=0.2))
     ((_, events, _),) = whole_vector_events(st)
     joined, center = no_delay_phase_events(st)
-    assert np.array_equal(joined.fire, events.fire) and np.array_equal(joined.scale, events.scale)
+    assert np.array_equal(joined.arrival, events.arrival)
+    assert np.array_equal(joined.scale, events.scale)
     assert np.ptp(events.arrival) >= st.pulse.tau_nz / 2
     expected = scan_crossing(events, st.pulse, center)
     assert expected.ok
@@ -709,6 +711,18 @@ def test_phase_memory_does_not_grow_with_the_node_count():
         st = NetworkState(ScenarioConfig(n_nodes=n, regime="no_delay", seed=3))
         x0, y0 = st.positions[0]
         assert st.rx_gain_dist.effective_range <= st.config.region.edge_distance(x0, y0)
+        peaks.append(traced_peak(lambda: run_phase(st)))
+    assert abs(peaks[1] - peaks[0]) <= 1 << 20
+
+
+def test_delay_phase_memory_does_not_grow_with_the_node_count():
+    # Each probe's pass redraws a block's placement for its interior mask and
+    # adds the block's delays into its fire times in place, so a delay phase
+    # too holds one block's working set, whatever the node count.
+    peaks = []
+    for n in (200_000, 800_000):
+        st = NetworkState(ScenarioConfig(n_nodes=n, regime="delay", seed=3))
+        assert n > engine._NODE_BLOCK and len(st.schedule.receivers) == 2
         peaks.append(traced_peak(lambda: run_phase(st)))
     assert abs(peaks[1] - peaks[0]) <= 1 << 20
 
@@ -1013,9 +1027,14 @@ def test_delay_boundary_nodes_fire_on_the_instant(built_fires):
     st = NetworkState(cfg)
     assert np.any(~st.interior(slice(0, st.n))) and np.ptp(st.skews(slice(0, st.n))) > 0.01
     center = st.next_center
+    receivers = st.schedule.receivers
+    _, _, channels = phase_draws(st)
     run_phase(st)
-    for fires in built_fires:
-        assert np.allclose(fires, center, rtol=0.0, atol=1e-9)
+    # one block and one pass per receiver, each building its arrivals once
+    assert len(built_fires) == len(receivers) == 2
+    for arrivals, (node, _, _) in zip(built_fires, receivers):
+        delays, _ = channels[node]
+        assert np.allclose(arrivals - delays, center, rtol=0.0, atol=1e-9)
 
 
 def test_uncompensated_fixed_point_is_gain_weighted_delay():

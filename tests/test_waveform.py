@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -153,7 +154,7 @@ class TestPulseShape:
 class TestAggregate:
     def test_single_event_recovers_pulse(self):
         pulse = Pulse(1.0)
-        ev = EventArray.build([3.0], [0.5], [0.25])
+        ev = EventArray.build([3.25], [0.5])
         ts = np.linspace(2.5, 4.0, 17)
         expected = 0.5 * pulse.evaluate(ts - 3.25)
         assert np.allclose(AggregateEvaluator(ev, pulse)(ts), expected, atol=1e-15)
@@ -171,22 +172,20 @@ class TestAggregate:
         with pytest.raises(DomainError):
             EventArray.build([])
 
-    def test_events_without_delay_arrive_at_their_fire_times(self):
-        fires = np.array([0.5, -0.25, 1.0])
-        ev = EventArray.build(fires)
-        assert ev.delay is None
-        assert ev.arrival is ev.fire
-        assert np.array_equal(ev.arrival, fires)
-        assert np.array_equal(EventArray.build(fires, delay=[0.0, 0.5, 1.0]).arrival,
-                              [0.5, 0.25, 2.0])
+    def test_events_are_the_arrival_and_scale_columns_given(self):
+        arrivals = np.array([0.5, -0.25, 1.0])
+        ev = EventArray.build(arrivals)
+        assert [f.name for f in dataclasses.fields(ev)] == ["arrival", "scale"]
+        assert np.array_equal(ev.arrival, arrivals) and np.array_equal(ev.scale, np.ones(3))
+        assert ev.count == 3
 
     @pytest.mark.parametrize("size", [_ANGLE_BLOCK - 1, _ANGLE_BLOCK, _ANGLE_BLOCK + 1,
                                       3 * _ANGLE_BLOCK + 5])
     def test_prefix_sums_match_full_array_construction(self, size):
         rng = np.random.default_rng(size)
-        # fires on a coarse grid, so the stable sort has ties to keep in order
-        fires = np.round(rng.normal(4.0, 0.3, size), 3)
-        events = EventArray.build(fires, rng.uniform(0.0, 2.0, size), rng.uniform(0.0, 0.1, size))
+        # arrivals on a coarse grid, so the stable sort has ties to keep in order
+        arrivals = np.round(rng.normal(4.0, 0.3, size), 3)
+        events = EventArray.build(arrivals, rng.uniform(0.0, 2.0, size))
         pulse = Pulse(0.7)
         arrivals, cos_prefix, sin_prefix = full_array_prefixes(events, pulse)
         evaluator = AggregateEvaluator(events, pulse)
@@ -196,9 +195,9 @@ class TestAggregate:
 
     def test_event_columns_of_mismatched_shape_rejected(self):
         with pytest.raises(DomainError):
-            EventArray.build([0.0, 1.0], delay=[0.5])
-        with pytest.raises(DomainError):
             EventArray.build([0.0, 1.0], scale=[1.0, 1.0, 1.0])
+        with pytest.raises(DomainError):
+            EventArray.build([0.0, 1.0], scale=[0.5])
 
 
 class TestCrossingSearch:
@@ -293,9 +292,10 @@ class TestClosedFormCrossing:
     def test_narrow_arrivals_agree_with_the_scan(self, scans, size, with_delay):
         rng = np.random.default_rng(size + with_delay)
         pulse = Pulse(1.3)
-        fires = 4.0 + rng.normal(0.0, 0.02, size)
-        delay = rng.uniform(0.0, 0.2, size) if with_delay else None
-        events = EventArray.build(fires, rng.uniform(0.0, 1.0, size) / size, delay)
+        arrivals = 4.0 + rng.normal(0.0, 0.02, size)
+        if with_delay:      # arrivals spread by propagation delays as well
+            arrivals += rng.uniform(0.0, 0.2, size)
+        events = EventArray.build(arrivals, rng.uniform(0.0, 1.0, size) / size)
         report = find_zero_crossing(events, pulse, 4.05)
         assert scans == [] and report.ok
         assert_matches_scan(report, scan_crossing(events, pulse, 4.05))
@@ -380,16 +380,15 @@ class TestClosedFormCrossing:
         # both the closed form and the segment search give the whole array's report exactly
         rng = np.random.default_rng(73)
         size = 3 * _ANGLE_BLOCK + 17
-        delay = rng.uniform(0.0, 0.02, size) if with_delay else None
-        events = EventArray.build(4.0 + rng.normal(0.0, 0.01, size),
-                                  rng.uniform(0.0, 1.0, size) / size, delay)
+        delays = rng.uniform(0.0, 0.02, size) if with_delay else 0.0
+        events = EventArray.build(4.0 + rng.normal(0.0, 0.01, size) + delays,
+                                  rng.uniform(0.0, 1.0, size) / size)
         cuts = [0, 2 * _ANGLE_BLOCK, 3 * _ANGLE_BLOCK, size]
         passes = []
 
         def blocks():
             passes.append(1)
-            return (EventArray.build(events.fire[a:b], events.scale[a:b],
-                                     None if delay is None else delay[a:b])
+            return (EventArray.build(events.arrival[a:b], events.scale[a:b])
                     for a, b in zip(cuts, cuts[1:]))
 
         for pulse, joined in ((Pulse(1.0), False), (Pulse(0.05), True)):
