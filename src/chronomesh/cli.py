@@ -228,16 +228,10 @@ def _resolve(args: argparse.Namespace) -> RunManifest:
     for what, path in (("--config", source), ("run.out", out)):
         if "\n" in path or "\r" in path:      # the manifest records each on a line of its own
             raise ConfigurationError(f"{what} must be a path without line breaks, got {path!r}")
-    if out != out.strip():                    # the manifest's reader strips each value
-        raise ConfigurationError(f"run.out must not start or end with whitespace, got {out!r}")
+    if not out or out != out.strip():         # the manifest's reader strips each value
+        raise ConfigurationError("run.out must be a non-empty path without leading or "
+                                 f"trailing whitespace, got {out!r}")
     return RunManifest(command, source, sections, values)
-
-
-def _make_out_dir(path: str) -> None:
-    try:
-        os.makedirs(path, exist_ok=True)
-    except OSError as exc:
-        raise ConfigurationError(f"cannot use output directory {path}: {exc.strerror}") from None
 
 
 def build_scenario(manifest: RunManifest) -> ScenarioConfig:
@@ -268,6 +262,8 @@ def _format_cell(value) -> str:
 
 
 def write_csv(path: str, header: list[str], rows) -> None:
+    # every runner writes a CSV first, so a refused run leaves no output directory
+    os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "w", encoding="ascii", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
@@ -420,7 +416,6 @@ def run_command(argv: list[str]) -> int:
         return int(exc.code or 0)
     try:
         manifest = _resolve(args)
-        _make_out_dir(manifest.out_dir)
         _RUNNERS[manifest.command](manifest)
         with open(os.path.join(manifest.out_dir, "manifest.cfg"), "w",
                   encoding="utf-8", errors="surrogateescape") as fh:

@@ -76,8 +76,7 @@ from .estimator import fit, predicted_variance, prediction_weights
 from .geometry import NodePosition, Region, place_nodes, positions_array
 from .rng import DOMAIN_INIT, DOMAIN_PHASE, DOMAIN_PLACEMENT, DOMAIN_SEED_SWEEP, derive_seed, substream
 from .parallel import run_indexed
-from .waveform import (CrossingReport, EventArray, EventStream, Pulse, default_tau_nz,
-                       find_zero_crossing)
+from .waveform import CrossingReport, EventArray, Pulse, default_tau_nz, find_zero_crossing, join
 
 REGIMES = ("no_delay", "even_odd", "delay")
 
@@ -130,6 +129,8 @@ class ScenarioConfig:
             raise ConfigurationError("sigma2 must be nonnegative and finite")
         if self.regime not in REGIMES:
             raise ConfigurationError(f"unknown regime {self.regime!r}")
+        if self.regime == "even_odd" and self.n_nodes < 2:
+            raise ConfigurationError("even_odd needs a node of each parity")
         if self.tau_nz is not None and not 0.0 < self.tau_nz < np.inf:
             raise ConfigurationError("tau_nz must be positive and finite")
         if not np.isfinite(self.epsilon):
@@ -282,14 +283,9 @@ class NetworkState:
             return (Schedule(slice(None), slice(None), ((0, self.rx_gain_dist, 0.0),)),)
         # even_odd: in the phase of an instant of parity p, parity p fires
         # and the first listener, node 1 - p, reports the crossing
-        schedules = []
-        for p in (0, 1):
-            receivers = ()
-            if self.n > 1:
-                law = self.rx_gain_dist if p == 1 else PathlossDistribution(self.channel, placed[1])
-                receivers = ((1 - p, law, 0.0),)
-            schedules.append(Schedule(slice(p, None, 2), slice(1 - p, None, 2), receivers))
-        return tuple(schedules)
+        laws = (PathlossDistribution(self.channel, placed[1]), self.rx_gain_dist)
+        return tuple(Schedule(slice(p, None, 2), slice(1 - p, None, 2), ((1 - p, laws[p], 0.0),))
+                     for p in (0, 1))
 
     def _inside(self, placed: np.ndarray) -> np.ndarray:
         """Which of the ``placed`` nodes lie at least the channel range from every edge."""
@@ -485,8 +481,9 @@ def _block_events(state: NetworkState, sched: Schedule, law, rows: slice, window
     return EventArray.build(fires, scales / n_tx) if fires.size else None
 
 
-def _receiver_events(state: NetworkState, sched: Schedule, node: int, law) -> EventStream:
-    """A receiver's events, a node block at a time; each pass opens the phase's streams afresh."""
+def _receiver_events(state: NetworkState, sched: Schedule, node: int, law):
+    """A receiver's replayable block source: each call opens the phase's streams afresh and
+    makes its events a node block at a time."""
     cfg = state.config
     n_tx = len(range(state.n)[sched.transmit])
     path = (cfg.seed, DOMAIN_PHASE, state.phase_count)
@@ -502,7 +499,7 @@ def _receiver_events(state: NetworkState, sched: Schedule, node: int, law) -> Ev
         return filter(None, (_block_events(state, sched, law, rows, window, n_tx, heard,
                                            jitter, fix_rng, rng)
                              for rows, window in state.windows()))
-    return EventStream(blocks)
+    return blocks
 
 
 def _roll(state: NetworkState, sched: Schedule, crossing: CrossingReport):
@@ -533,15 +530,12 @@ def no_delay_phase_events(state: NetworkState) -> tuple[EventArray, float]:
     _require_regime(state, "no_delay")
     sched = state.schedule
     node, law, _ = sched.receivers[0]
-    return _receiver_events(state, sched, node, law).whole, float(state.next_center)
+    return join(_receiver_events(state, sched, node, law)), float(state.next_center)
 
 
 def run_phase(state: NetworkState) -> PhaseReport:
     """One phase of the state's regime: transmit, receive, update, advance."""
     sched = state.schedule
-    if not sched.receivers:
-        raise ConfigurationError("a phase needs a transmitter and a listener; "
-                                 "even_odd needs both parities present")
     tau0 = float(state.next_center)
     crossings: dict[int, CrossingReport] = {}
     for node, law, offset in sched.receivers:

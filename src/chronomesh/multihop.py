@@ -89,7 +89,6 @@ class CascadeReport:
     predicted_variances: np.ndarray
     slope: float                       # variance growth per hop
     intercept: float                   # variance at hop 2
-    trials: int
 
     def contrast_note(self) -> str:
         return ("relay-chain variance grows linearly with hop count, while the "
@@ -147,5 +146,4 @@ def run_cascade(config: HopChainConfig, trials: int) -> CascadeReport:
 
     slope, intercept = _variance_trend(hop_ids, variances)
     return CascadeReport(hop_ids, means, variances,
-                         predicted_chain_variances(config), slope, intercept,
-                         trials)
+                         predicted_chain_variances(config), slope, intercept)

@@ -129,7 +129,6 @@ class PcoState:
                 g.members = tuple(sorted(g.members + (i,)))
             else:
                 self.groups.append(_Group((i,), x))
-        self.fired_events: list[FireEvent] = []
 
     @property
     def synchronized(self) -> bool:
@@ -173,9 +172,7 @@ def pco_step(state: PcoState) -> FireEvent:
     members = tuple(sorted(i for g in firing for i in g.members))
     state.groups = [g for g, _ in waiting] + [_Group(members, t_star + 1.0)]
     state.groups.sort(key=lambda g: g.members[0])
-    event = FireEvent(t_star, members)
-    state.fired_events.append(event)
-    return event
+    return FireEvent(t_star, members)
 
 
 @dataclass(frozen=True)
@@ -191,12 +188,10 @@ def pco_run_to_sync(config: PcoConfig) -> PcoRunReport:
     Hitting the budget is an ordinary outcome (some starting points never
     merge), reported through the ``synchronized`` flag.
     """
-    state = PcoState(config)
-    cycles = 0
-    while not state.synchronized and cycles < config.max_cycles:
-        pco_step(state)
-        cycles += 1
-    return PcoRunReport(cycles, state.synchronized, tuple(state.fired_events))
+    state, events = PcoState(config), []
+    while not state.synchronized and len(events) < config.max_cycles:
+        events.append(pco_step(state))
+    return PcoRunReport(len(events), state.synchronized, tuple(events))
 
 
 def random_phases(n: int, rng: np.random.Generator) -> tuple[float, ...]:

@@ -23,7 +23,6 @@ Monte-Carlo aggregates against it. The simulator needs numpy alone.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
@@ -66,8 +65,10 @@ class EventArray:
     """Received events as two columns: each pulse's arrival time and its scale.
 
     A receiver sees only the superposed pulses, so a transmitter's fire time
-    and its propagation delay enter as their sum. An ``EventStream`` makes
-    one a block at a time.
+    and its propagation delay enter as their sum. Events come as such an array
+    or as a replayable block source: a function that makes them afresh, a block
+    at a time, on every call. Every block but the last holds a multiple of
+    ``_ANGLE_BLOCK`` events, so block sums keep a whole array's order.
     """
 
     arrival: np.ndarray
@@ -90,20 +91,12 @@ class EventArray:
         return self.arrival.size
 
 
-class EventStream:
-    """Events made a block at a time by a source that replays them on every call.
-
-    Every block but the last holds a multiple of ``_ANGLE_BLOCK`` events, so block
-    sums keep a whole array's order. ``whole`` joins the whole array, once.
-    """
-
-    def __init__(self, source: Callable[[], Iterable[EventArray]]):
-        self.blocks = source
-
-    @functools.cached_property
-    def whole(self) -> EventArray:
-        parts = [(p.arrival, p.scale) for p in self.blocks()]
-        return EventArray(*(np.concatenate(c) for c in zip(*parts)))
+def join(events: EventArray | Callable[[], Iterable[EventArray]]) -> EventArray:
+    """Events as one array: an ``EventArray`` as it is, a block source's blocks joined."""
+    if isinstance(events, EventArray):
+        return events
+    parts = [(p.arrival, p.scale) for p in events()]
+    return EventArray(*(np.concatenate(c) for c in zip(*parts)))
 
 
 class AggregateEvaluator:
@@ -175,8 +168,8 @@ class CrossingReport:
         return self.location is not None
 
 
-def find_zero_crossing(events: EventArray | EventStream, pulse: Pulse, search_center: float,
-                       gate: float = 0.0) -> CrossingReport:
+def find_zero_crossing(events: EventArray | Callable[[], Iterable[EventArray]], pulse: Pulse,
+                       search_center: float, gate: float = 0.0) -> CrossingReport:
     """Locate the first downward zero crossing in (search_center -+ tau_nz].
 
     Between consecutive breakpoints a_i -+ tau_nz the aggregate is one sinusoid
@@ -185,17 +178,16 @@ def find_zero_crossing(events: EventArray | EventStream, pulse: Pulse, search_ce
     When the scales are non-negative and the arrivals span less than tau_nz / 2,
     one segment holds [a_min, a_max]; no term is negative before a_min or
     positive after a_max, so the crossing is the zero among the arrivals and A
-    is the aggregate's peak. This closed form reads an ``EventStream`` in one
-    pass of blocks. Otherwise every segment of the window is searched in order
-    (a stream is joined), and the gate sees the window's exact peak of
+    is the aggregate's peak. ``events`` is an ``EventArray`` or a replayable
+    block source, which this closed form reads in one pass of blocks.
+    Otherwise every segment of the window is searched in order on the events
+    joined by ``join``, and the gate sees the window's exact peak of
     |aggregate|. A = 0, or no zero in the window, reports no crossing.
     """
     tau = pulse.tau_nz
     sums = _single_support_sums(events, tau, search_center)
     if sums is None:
-        if isinstance(events, EventStream):
-            events = events.whole
-        location, peak = _segment_search(events, pulse, search_center)
+        location, peak = _segment_search(join(events), pulse, search_center)
     else:
         sin_sum, cos_sum, lo, hi = sums
         peak = math.hypot(sin_sum, cos_sum)
@@ -208,7 +200,8 @@ def find_zero_crossing(events: EventArray | EventStream, pulse: Pulse, search_ce
                           gated=gated, no_crossing=not gated and location is None)
 
 
-def _single_support_sums(events: EventArray | EventStream, tau: float, center: float):
+def _single_support_sums(events: EventArray | Callable[[], Iterable[EventArray]], tau: float,
+                         center: float):
     """S and C of the arrivals about ``center``, with their least and greatest.
 
     None when the closed form does not apply: a negative or nan scale, or
@@ -217,7 +210,7 @@ def _single_support_sums(events: EventArray | EventStream, tau: float, center: f
     """
     sin_sum = cos_sum = 0.0
     lo, hi = math.inf, -math.inf
-    for part in events.blocks() if isinstance(events, EventStream) else (events,):
+    for part in (events,) if isinstance(events, EventArray) else events():
         for start in range(0, part.count, _ANGLE_BLOCK):
             block = slice(start, start + _ANGLE_BLOCK)
             weight = part.scale[block]

@@ -425,6 +425,37 @@ def test_unread_sections_are_validated(tmp_path, capsys, section, key, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, config", [
+    pytest.param(["delay", "--nodes", "3"], None, id="delay-without-interior-node"),
+    pytest.param(["evenodd", "--nodes", "1"], None, id="evenodd-one-parity"),
+    pytest.param(["steady", "--phases", "0"], None, id="steady-no-phase"),
+    pytest.param(["multihop", "--hops", "1"], None, id="multihop-one-hop"),
+    pytest.param(["multihop", "--trials", "1"], None, id="multihop-one-trial"),
+    pytest.param(["pco", "--trials", "0"], None, id="pco-no-trial"),
+    pytest.param(["pco", "--nodes", "0"], None, id="pco-no-oscillator"),
+    pytest.param(["channel-sample", "--trials", "0"], None, id="channel-sample-no-sample"),
+    pytest.param(["waveform"], "[scenario]\ngrid_points = 1\n", id="waveform-one-point"),
+    pytest.param(["steady"], "nodes = 50\n[scenario]\n", id="key-before-any-section"),
+    pytest.param([], "[run]\ncommand = nope\n", id="unknown-command-in-config"),
+])
+def test_a_refused_run_leaves_no_output_directory(tmp_path, capsys, argv, config):
+    # the output directory is made with the first output file, after every check
+    if config is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config, encoding="ascii")
+        argv = argv + ["--config", str(cfg)]
+    out = tmp_path / "out"
+    assert cli.run_command(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("chronomesh: error:")
+    assert not out.exists()
+
+
+def test_an_output_directory_is_made_with_its_parents(tmp_path):
+    out = tmp_path / "a" / "b"
+    assert cli.run_command(["steady", "--nodes", "50", "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.cfg", "phases.csv"]
+
+
 @pytest.mark.parametrize("leaf", [None, "sub"])
 def test_out_through_an_existing_file_exits_two(tmp_path, capsys, leaf):
     afile = tmp_path / "afile"
@@ -475,6 +506,16 @@ def test_an_out_the_manifest_would_strip_exits_two(tmp_path, monkeypatch, capsys
     assert cli.run_command(["steady", "--nodes", "50", "--out", out]) == 2
     assert "whitespace" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_an_empty_out_exits_two_before_the_build(tmp_path, monkeypatch, capsys):
+    # no output directory is made before the run, so an empty path is refused up front
+    built = []
+    monkeypatch.setattr(cli, "NetworkState", built.append)
+    monkeypatch.chdir(tmp_path)
+    assert cli.run_command(["steady", "--out", ""]) == 2
+    assert "run.out" in capsys.readouterr().err
+    assert built == [] and list(tmp_path.iterdir()) == []
 
 
 def test_config_value_errors_exit_two(tmp_path, capsys):

@@ -31,7 +31,7 @@ from chronomesh.estimator import fit, prediction_weights
 from chronomesh.geometry import NodePosition, Region, place_nodes
 from chronomesh.rng import (DOMAIN_INIT, DOMAIN_PHASE, DOMAIN_PLACEMENT, DOMAIN_SEED_SWEEP,
                             derive_seed, substream)
-from chronomesh.waveform import AggregateEvaluator, EventArray, find_zero_crossing
+from chronomesh.waveform import AggregateEvaluator, EventArray, find_zero_crossing, join
 from test_waveform import assert_matches_scan, scan_crossing
 
 
@@ -603,8 +603,9 @@ def test_closed_form_crossings_agree_with_the_scan(monkeypatch, regime):
 
     def both(events, pulse, search_center, gate=0.0):
         report = closed_form(events, pulse, search_center, gate)
-        assert np.ptp(events.whole.arrival) < pulse.tau_nz / 2
-        seen.append((report, scan_crossing(events.whole, pulse, search_center, gate)))
+        whole = join(events)
+        assert np.ptp(whole.arrival) < pulse.tau_nz / 2
+        seen.append((report, scan_crossing(whole, pulse, search_center, gate)))
         return report
 
     monkeypatch.setattr(engine, "find_zero_crossing", both)
@@ -624,8 +625,9 @@ def test_support_narrower_than_twice_the_spread_takes_the_scan(monkeypatch):
 
     def scanned(events, pulse, search_center, gate=0.0):
         report = search(events, pulse, search_center, gate)
-        assert np.ptp(events.whole.arrival) >= pulse.tau_nz / 2
-        assert_matches_scan(report, scan_crossing(events.whole, pulse, search_center, gate))
+        whole = join(events)
+        assert np.ptp(whole.arrival) >= pulse.tau_nz / 2
+        assert_matches_scan(report, scan_crossing(whole, pulse, search_center, gate))
         seen.append(report)
         return report
 
@@ -844,8 +846,9 @@ def test_state_keeps_only_the_receivers_positions(regime):
 ORACLE_SEEDS = {1: 1, 2: 9, 2 * engine._NODE_BLOCK + 3: 3}
 
 
-@pytest.mark.parametrize("n", sorted(ORACLE_SEEDS))
-@pytest.mark.parametrize("regime", ["no_delay", "even_odd", "delay"])
+@pytest.mark.parametrize("regime, n", [(regime, n) for n in sorted(ORACLE_SEEDS)
+                                       for regime in ("no_delay", "even_odd", "delay")
+                                       if (regime, n) != ("even_odd", 1)])  # needs both parities
 def test_build_matches_the_whole_placement_and_skews(regime, n):
     # The build reads placement rows alone and redraws skews per block; both
     # must be what whole-vector draws from the same streams give.
@@ -856,7 +859,7 @@ def test_build_matches_the_whole_placement_and_skews(regime, n):
     skews[0] = 1.0
     for rows in engine._node_blocks(n):
         assert np.array_equal(st.skews(rows), skews[rows])
-    receivers = {"no_delay": [0], "even_odd": [1, 0] if n > 1 else [], "delay": []}[regime]
+    receivers = {"no_delay": [0], "even_odd": [1, 0], "delay": []}[regime]
     if regime == "delay":
         region = config.region
         interior = region.edge_distance(placed[:, 0], placed[:, 1]) >= config.channel.max_range
@@ -954,9 +957,8 @@ def test_even_odd_fire_variance(built_fires):
 
 
 def test_even_odd_needs_both_parities():
-    st = NetworkState(ScenarioConfig(n_nodes=1, regime="even_odd", seed=1))
     with pytest.raises(ConfigurationError):
-        run_phase(st)
+        ScenarioConfig(n_nodes=1, regime="even_odd")
 
 
 # -- delay phases --------------------------------------------------------
@@ -1064,6 +1066,22 @@ def test_boundary_epsilon_is_the_rounds_mean_boundary_probe_offset():
         offsets.append(phase.crossings[boundary].location - phase.center)
     assert rep.iterations == 1
     assert rep.boundary_epsilon == np.mean(offsets)
+
+
+def test_epsilon_estimation_refuses_other_regimes_and_no_seeds():
+    with pytest.raises(ConfigurationError):
+        estimate_epsilon(ScenarioConfig(n_nodes=1))
+    with pytest.raises(ConfigurationError):
+        estimate_epsilon(ScenarioConfig(n_nodes=1, regime="delay"), n_seeds=0)
+
+
+def test_epsilon_estimation_stops_when_an_interior_probe_finds_no_crossing():
+    # a gate far above every child's peak: each first-round interior probe is gated
+    cfg = ScenarioConfig(n_nodes=1, regime="delay", seed=3,
+                         channel=ChannelModel(Region(), 0.25, gate=0.6))
+    rep = estimate_epsilon(cfg, n_seeds=3, n_nodes=2000, max_iter=3)
+    assert rep == EpsilonReport(epsilon=0.0, boundary_epsilon=None, iterations=1,
+                                converged=False, history=(0.0,))
 
 
 def test_compensated_fixed_point_is_near_zero():

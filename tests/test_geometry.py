@@ -89,6 +89,11 @@ def test_area_monotone_and_continuous_in_radius():
     assert np.all(np.diff(areas) <= 2.0 * np.pi * radii[1:] * step + 1e-12)
 
 
+def test_region_with_a_side_of_zero_rejected():
+    with pytest.raises(DomainError):
+        Region(0.0, 1.0)
+
+
 def test_center_outside_region_rejected():
     with pytest.raises(DomainError):
         disk_intersection_area(Region(), (1.2, 0.5), 0.1)

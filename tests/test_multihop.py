@@ -144,6 +144,12 @@ def test_report_structure():
     assert "hop" in note and "crossing" in note
 
 
+def test_a_single_relay_has_no_variance_trend():
+    rep = run_cascade(HopChainConfig(hops=2, seed=4), trials=200)
+    assert rep.slope == 0.0
+    assert rep.intercept == rep.empirical_variances[0]
+
+
 def test_config_validation():
     with pytest.raises(ConfigurationError):
         HopChainConfig(hops=1)

@@ -196,6 +196,15 @@ def test_census_of_random_starts_synchronizes():
     assert reached >= 99
 
 
+def test_a_run_reports_one_event_per_cycle():
+    # whether it synchronizes or runs out of cycles first
+    for max_cycles, synchronized in ((5, False), (10_000, True)):
+        report = pco_run_to_sync(PcoConfig(initial_phases=(0.1, 0.4, 0.7), epsilons=0.05,
+                                           max_cycles=max_cycles))
+        assert report.synchronized == synchronized
+        assert report.cycles == len(report.events)
+
+
 def test_next_fire_view_covers_all_nodes():
     config = PcoConfig(initial_phases=(0.2, 0.7, 0.4))
     state = PcoState(config)
@@ -226,6 +235,8 @@ def test_config_validation():
             PcoConfig(initial_phases=(0.2,), curvature=curvature)
     with pytest.raises(ConfigurationError):
         log_charging_map(b=0.0)
+    with pytest.raises(ConfigurationError):
+        random_phases(0, np.random.default_rng(0))
 
 
 def test_charging_map_round_trip():

@@ -22,10 +22,10 @@ from chronomesh.waveform import (
     AggregateEvaluator,
     CrossingReport,
     EventArray,
-    EventStream,
     Pulse,
     default_tau_nz,
     find_zero_crossing,
+    join,
 )
 from limit_oracle import LimitSpec, QuadratureError, limit_waveform
 
@@ -392,14 +392,13 @@ class TestClosedFormCrossing:
                     for a, b in zip(cuts, cuts[1:]))
 
         for pulse, joined in ((Pulse(1.0), False), (Pulse(0.05), True)):
-            stream = EventStream(blocks)
             passes.clear()
             scans.clear()
-            report = find_zero_crossing(stream, pulse, 4.0)
+            report = find_zero_crossing(blocks, pulse, 4.0)
             # the segment search joins the whole columns in one more pass
             assert (scans, len(passes)) == (([size], 2) if joined else ([], 1))
             assert report == find_zero_crossing(events, pulse, 4.0)
-            assert np.array_equal(stream.whole.arrival, events.arrival)
+            assert np.array_equal(join(blocks).arrival, events.arrival)
 
 
 class TestSegmentSearch:
