@@ -25,9 +25,11 @@ negated delay of an interior receiver together with its implied gain
 is symmetric about zero, which is what lets the aggregate waveform keep its
 crossing in place.
 
-Quantiles invert the exact area function, with no interpolation tables: in
-closed form (A = pi r^2) for a receiver whose coverage disk never meets an
-edge, by bracketed bisection otherwise.
+Only the samplers live here; the tests evaluate the two CDFs above in
+``tests/channel_oracle.py`` and check the samplers against them. Quantiles
+invert the exact area function, with no interpolation tables: in closed form
+(A = pi r^2) for a receiver whose coverage disk never meets an edge, by
+bisection with a fixed number of rounds otherwise.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from .geometry import NodePosition, Region, disk_intersection_area
 # Absolute tolerance for bisection brackets; quantiles inherit it through
 # the (Lipschitz) gain and delay maps.
 _BISECT_TOL = 1e-12
-_BISECT_MAX_ITER = 120
 _BISECT_BLOCK = 1 << 14
 
 
@@ -94,7 +95,6 @@ class PathlossDistribution:
 
     model: ChannelModel
     receiver: NodePosition
-    reach: float = field(init=False)        # radius at which coverage saturates
     effective_range: float = field(init=False)
     area_total: float = field(init=False)
     area_at_range: float = field(init=False)
@@ -105,7 +105,6 @@ class PathlossDistribution:
         if not region.contains(self.receiver.x, self.receiver.y):
             raise DomainError("receiver must lie inside the region")
         reach = region.corner_reach(self.receiver.x, self.receiver.y)
-        object.__setattr__(self, "reach", reach)
         object.__setattr__(self, "effective_range", min(self.model.max_range, reach))
         object.__setattr__(self, "area_total", region.area)
         object.__setattr__(self, "area_at_range", disk_intersection_area(
@@ -118,41 +117,24 @@ class PathlossDistribution:
         """Mass of the atom at K_j = 0 (transmitters out of range)."""
         return 1.0 - self.area_at_range / self.area_total
 
-    def _coverage(self, radius: np.ndarray) -> np.ndarray:
-        return disk_intersection_area(self.model.region, self.receiver, radius)
-
-    def cdf(self, k: np.ndarray | float) -> np.ndarray | float:
-        k_arr = np.atleast_1d(np.asarray(k, dtype=float))
-        inside = np.clip(k_arr, 0.0, 1.0)
-        # rbar(k) up to the coverage reach; unit gain (R = inf) exceeds every
-        # k < 1 anywhere, and k >= 1 is set to 1 below.
-        r = self.model.max_range
-        radius = (np.full_like(inside, self.reach) if np.isinf(r)
-                  else np.minimum(r * (1.0 - inside), self.reach))
-        values = 1.0 - self._coverage(radius) / self.area_total
-        values = np.where(k_arr < 0.0, 0.0, values)
-        values = np.where(k_arr >= 1.0, 1.0, values)
-        return float(values[0]) if np.ndim(k) == 0 else values
-
     def _invert_coverage(self, target_area: np.ndarray) -> np.ndarray:
         # Radius whose coverage area equals target (strictly increasing map).
         if self._interior:
             # coverage never meets an edge, so the area map is exactly pi r^2
             return np.sqrt(target_area / np.pi)
         # Bisected in blocks to keep the area temporaries small. Every bracket
-        # halves from [0, effective_range] alike, so all stop on one round.
+        # halves from [0, effective_range] alike, so all reach the tolerance together.
+        rounds = max(1, int(np.floor(np.log2(self.effective_range / _BISECT_TOL))) + 1)
         radii = np.empty_like(target_area)
         for start in range(0, target_area.size, _BISECT_BLOCK):
             target = target_area[start:start + _BISECT_BLOCK]
             lo = np.zeros_like(target)
             hi = np.full_like(target, self.effective_range)
-            for _ in range(_BISECT_MAX_ITER):
+            for _ in range(rounds):
                 mid = 0.5 * (lo + hi)
-                below = self._coverage(mid) < target
+                below = disk_intersection_area(self.model.region, self.receiver, mid) < target
                 lo = np.where(below, mid, lo)
                 hi = np.where(below, hi, mid)
-                if np.all(hi - lo < _BISECT_TOL):
-                    break
             radii[start:start + _BISECT_BLOCK] = 0.5 * (lo + hi)
         return radii
 
@@ -190,34 +172,15 @@ class DelayDistribution:
         object.__setattr__(self, "ramp_end", end)
         object.__setattr__(self, "slope", self.pathloss.outage_probability / (end - start))
 
-    def r_prime(self, x: np.ndarray | float) -> np.ndarray | float:
-        """Distance reached by delay x, clipped to the coverage reach."""
-        return np.minimum(self.model.invert_delay(x), self.pathloss.reach)
-
-    def cdf(self, x: np.ndarray | float) -> np.ndarray | float:
-        x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-        area_total = self.pathloss.area_total
-        body_x = np.clip(x_arr, 0.0, self.ramp_start)
-        body = disk_intersection_area(self.model.region, self.receiver,
-                                      self.r_prime(body_x)) / area_total
-        ramp = (self.pathloss.area_at_range / area_total
-                + self.slope * (np.minimum(x_arr, self.ramp_end) - self.ramp_start))
-        values = np.where(x_arr <= self.ramp_start, body, ramp)
-        values = np.where(x_arr < 0.0, 0.0, values)
-        values = np.where(x_arr > self.ramp_end, 1.0, values)
-        return float(values[0]) if np.ndim(x) == 0 else values
-
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Inverse-transform samples of D_j."""
         u = rng.uniform(size=size)
         contact_mass = self.pathloss.area_at_range / self.pathloss.area_total
         delays = np.empty(size)
         heard = u <= contact_mass
-        if np.any(heard):
-            radii = self.pathloss._invert_coverage(u[heard] * self.pathloss.area_total)
-            delays[heard] = self.model.delay(radii)
-        if np.any(~heard):
-            delays[~heard] = self.ramp_start + (u[~heard] - contact_mass) / self.slope
+        radii = self.pathloss._invert_coverage(u[heard] * self.pathloss.area_total)
+        delays[heard] = self.model.delay(radii)
+        delays[~heard] = self.ramp_start + (u[~heard] - contact_mass) / self.slope
         return delays
 
     def sample_pair(self, rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:

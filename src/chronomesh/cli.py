@@ -231,6 +231,12 @@ def _resolve(args: argparse.Namespace) -> RunManifest:
     if not out or out != out.strip():         # the manifest's reader strips each value
         raise ConfigurationError("run.out must be a non-empty path without leading or "
                                  f"trailing whitespace, got {out!r}")
+    nearest = os.path.abspath(out)            # write_csv makes the missing directories
+    while not os.path.exists(nearest):
+        nearest = os.path.dirname(nearest)
+    if not os.path.isdir(nearest):
+        raise ConfigurationError(f"run.out must be a directory, but {nearest!r} is not one, "
+                                 f"got {out!r}")
     return RunManifest(command, source, sections, values)
 
 

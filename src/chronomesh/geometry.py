@@ -17,7 +17,6 @@ import numpy as np
 from .errors import DomainError
 
 ArrayLike = "np.ndarray | float"
-_PLACE_BLOCK = 1 << 14     # coordinates drawn per block by place_nodes
 
 
 @dataclass(frozen=True)
@@ -128,10 +127,10 @@ def place_nodes(region: Region, n: int, rng: np.random.Generator,
     """Drop n nodes independently and uniformly over the region.
 
     Returns an (n, 2) float array of (x, y) rows. Draw order is fixed: all x
-    coordinates first, then all y coordinates, each drawn in blocks, one word
-    of ``rng`` per coordinate. ``rows``, a contiguous slice, returns just
-    those rows of the same placement: a fresh ``rng`` is advanced past the
-    other rows' words instead of drawing them.
+    coordinates first, then all y coordinates, one word of ``rng`` per
+    coordinate. ``rows``, a contiguous slice, returns just those rows of the
+    same placement: a fresh ``rng`` is advanced past the other rows' words
+    instead of drawing them.
     """
     if n <= 0:
         raise DomainError(f"node count must be positive, got {n}")
@@ -143,9 +142,7 @@ def place_nodes(region: Region, n: int, rng: np.random.Generator,
     for column, side in enumerate((region.width, region.height)):
         if skip:
             rng.bit_generator.advance(skip)
-        for start in range(0, len(rows), _PLACE_BLOCK):
-            block = placed[start:start + _PLACE_BLOCK, column]
-            block[:] = rng.uniform(0.0, side, size=block.size)
+        placed[:, column] = rng.uniform(0.0, side, size=len(rows))
         skip = n - len(rows)
     return placed
 

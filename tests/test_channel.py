@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from chronomesh import channel
 from chronomesh.channel import (
     _BISECT_BLOCK,
     ChannelModel,
@@ -14,6 +15,7 @@ from chronomesh.channel import (
 )
 from chronomesh.errors import ConfigurationError, DomainError
 from chronomesh.geometry import NodePosition, Region, disk_intersection_area
+from channel_oracle import delay_cdf, pathloss_cdf
 
 CENTER = NodePosition(0.5, 0.5)
 EDGE = NodePosition(0.1, 0.3)        # its coverage disk crosses the left edge
@@ -46,28 +48,28 @@ class TestPathlossCdf:
         # Coverage disks around the centre stay inside the unit square, so
         # F(k) = 1 - pi (R (1-k))^2 for the linear gain map.
         law = PathlossDistribution(center_model(), CENTER)
-        assert law.cdf(0.0) == pytest.approx(1 - np.pi / 16, abs=1e-10)
-        assert law.cdf(0.5) == pytest.approx(1 - np.pi / 64, abs=1e-10)
-        assert law.cdf(1.0) == 1.0
-        assert law.cdf(-0.3) == 0.0
-        assert law.cdf(1.7) == 1.0
+        assert pathloss_cdf(law, 0.0) == pytest.approx(1 - np.pi / 16, abs=1e-10)
+        assert pathloss_cdf(law, 0.5) == pytest.approx(1 - np.pi / 64, abs=1e-10)
+        assert pathloss_cdf(law, 1.0) == 1.0
+        assert pathloss_cdf(law, -0.3) == 0.0
+        assert pathloss_cdf(law, 1.7) == 1.0
         grid = np.array([-0.3, 0.0, 0.5, 1.0, 1.7])
-        assert np.array_equal(law.cdf(grid), [law.cdf(k) for k in grid])
+        assert np.array_equal(pathloss_cdf(law, grid), [pathloss_cdf(law, k) for k in grid])
         # A cutoff past the farthest corner: R (1 - k) saturates at the reach
         # until k = 1 - reach / R; once R (1 - k) < 0.5 the disk is inside
         # the square again and F = 1 - pi (R (1 - k))^2.
         wide = PathlossDistribution(ChannelModel(Region(1.0, 1.0), 3.0), CENTER)
-        assert wide.cdf(0.0) == 0.0
-        assert wide.cdf(0.5) == 0.0
-        assert wide.cdf(0.9) == pytest.approx(1 - np.pi * 0.09, abs=1e-10)
-        assert wide.cdf(1.0) == 1.0
+        assert pathloss_cdf(wide, 0.0) == 0.0
+        assert pathloss_cdf(wide, 0.5) == 0.0
+        assert pathloss_cdf(wide, 0.9) == pytest.approx(1 - np.pi * 0.09, abs=1e-10)
+        assert pathloss_cdf(wide, 1.0) == 1.0
 
     def test_unit_gain_is_point_mass_at_one(self):
         law = PathlossDistribution(ChannelModel(Region(1.0, 1.0), np.inf), CENTER)
-        assert law.cdf(0.999999) == pytest.approx(0.0, abs=1e-9)
-        assert law.cdf(1.0) == 1.0
+        assert pathloss_cdf(law, 0.999999) == pytest.approx(0.0, abs=1e-9)
+        assert pathloss_cdf(law, 1.0) == 1.0
         # R = inf meets 1 - k = 0 at k = 1 without an inf * 0 warning
-        assert np.array_equal(law.cdf(np.array([-0.3, 0.0, 0.5, 1.0, 1.7])),
+        assert np.array_equal(pathloss_cdf(law, np.array([-0.3, 0.0, 0.5, 1.0, 1.7])),
                               [0.0, 0.0, 0.0, 1.0, 1.0])
         gains = law.sample(np.random.default_rng(3), size=1000)
         assert np.all(gains == 1.0)
@@ -76,7 +78,7 @@ class TestPathlossCdf:
         model = center_model()
         dist = PathlossDistribution(model, NodePosition(0.1, 0.3))
         grid = np.linspace(-0.2, 1.2, 701)
-        values = dist.cdf(grid)
+        values = pathloss_cdf(dist, grid)
         assert np.all(np.diff(values) >= -1e-12)
         assert values[0] == 0.0 and values[-1] == 1.0
 
@@ -92,7 +94,7 @@ class TestPathlossCdf:
             dist = PathlossDistribution(model, rx)
             gains = dist.sample(np.random.default_rng(seed), size=1_000_000)
             grid = np.linspace(0.0, 1.0, 2001)
-            ks = np.max(np.abs(empirical_cdf(gains, grid) - dist.cdf(grid)))
+            ks = np.max(np.abs(empirical_cdf(gains, grid) - pathloss_cdf(dist, grid)))
             assert ks < 0.005, (rx, ks)
 
     @pytest.mark.parametrize("size", [_BISECT_BLOCK - 1, _BISECT_BLOCK, _BISECT_BLOCK + 1,
@@ -102,6 +104,35 @@ class TestPathlossCdf:
         assert not dist._interior
         target = np.random.default_rng(size).uniform(0.0, dist.area_at_range, size)
         assert np.array_equal(dist._invert_coverage(target), one_shot_inversion(dist, target))
+
+    @pytest.mark.parametrize("region, receiver, max_range, rounds", [
+        (Region(), NodePosition(0.890, 0.540), 0.25, 38),
+        (Region(1e6, 1e6), NodePosition(8.9e5, 5.4e5), 2.5e5, 58)],
+        ids=["unit_square", "wide_region"])
+    def test_bisection_runs_the_rounds_its_brackets_need(self, monkeypatch, region, receiver,
+                                                          max_range, rounds):
+        # Every bracket halves from [0, R] alike, so one block takes
+        # floor(log2(R / 1e-12)) + 1 area evaluations. On the wide region the
+        # tolerance is finer than the spacing of representable radii, and the
+        # reference bisection runs to its cap of 120 rounds for the same gains.
+        dist = PathlossDistribution(ChannelModel(region, max_range), receiver)
+        assert not dist._interior
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return disk_intersection_area(*args)
+
+        monkeypatch.setattr(channel, "disk_intersection_area", counted)
+        gains = dist.sample(np.random.default_rng(0), 20_000)
+        monkeypatch.undo()
+        target = (1.0 - np.random.default_rng(0).uniform(size=20_000)) * dist.area_total
+        heard = target < dist.area_at_range
+        assert 0 < heard.sum() <= _BISECT_BLOCK
+        assert len(calls) == rounds
+        expected = np.zeros(20_000)
+        expected[heard] = dist.model.gain(one_shot_inversion(dist, target[heard]))
+        assert np.array_equal(gains, expected)
 
     def test_gains_are_the_gain_map_of_the_inverted_draws(self):
         dist = PathlossDistribution(center_model(), EDGE)
@@ -126,22 +157,22 @@ class TestDelayCdf:
         law = DelayDistribution(center_model(max_range=0.25, wave_speed=1.0),
                                 CENTER)
         contact = np.pi / 16
-        assert law.cdf(-1e-9) == 0.0
-        assert law.cdf(0.1) == pytest.approx(np.pi * 0.01, abs=1e-10)
-        assert law.cdf(0.25) == pytest.approx(contact, abs=1e-10)
-        assert law.cdf(0.2625) == pytest.approx(contact + (1 - contact) / 2, abs=1e-10)
-        assert law.cdf(0.275) == pytest.approx(1.0, abs=1e-10)
-        assert law.cdf(0.4) == 1.0
+        assert delay_cdf(law, -1e-9) == 0.0
+        assert delay_cdf(law, 0.1) == pytest.approx(np.pi * 0.01, abs=1e-10)
+        assert delay_cdf(law, 0.25) == pytest.approx(contact, abs=1e-10)
+        assert delay_cdf(law, 0.2625) == pytest.approx(contact + (1 - contact) / 2, abs=1e-10)
+        assert delay_cdf(law, 0.275) == pytest.approx(1.0, abs=1e-10)
+        assert delay_cdf(law, 0.4) == 1.0
 
     def test_wave_speed_rescales_body(self):
         law = DelayDistribution(center_model(max_range=0.25, wave_speed=2.0), CENTER)
-        assert law.cdf(0.05) == pytest.approx(np.pi * 0.01, abs=1e-10)
+        assert delay_cdf(law, 0.05) == pytest.approx(np.pi * 0.01, abs=1e-10)
 
     def test_cdf_monotone_continuous(self):
         model = center_model()
         dist = DelayDistribution(model, NodePosition(0.2, 0.85))
         grid = np.linspace(-0.05, dist.ramp_end + 0.05, 4001)
-        values = dist.cdf(grid)
+        values = delay_cdf(dist, grid)
         assert np.all(np.diff(values) >= -1e-12)
         # No jumps: increments bounded by density sup times the step.
         step = grid[1] - grid[0]
@@ -153,7 +184,7 @@ class TestDelayCdf:
         dist = DelayDistribution(model, CENTER)
         delays = dist.sample(np.random.default_rng(23), size=1_000_000)
         grid = np.linspace(0.0, dist.ramp_end, 2001)
-        ks = np.max(np.abs(empirical_cdf(delays, grid) - dist.cdf(grid)))
+        ks = np.max(np.abs(empirical_cdf(delays, grid) - delay_cdf(dist, grid)))
         assert ks < 0.005, ks
 
 
@@ -225,4 +256,4 @@ class TestModelValidation:
 
     def test_receiver_outside_region_rejected(self):
         with pytest.raises(DomainError):
-            PathlossDistribution(center_model(), NodePosition(1.5, 0.5)).cdf(0.5)
+            pathloss_cdf(PathlossDistribution(center_model(), NodePosition(1.5, 0.5)), 0.5)

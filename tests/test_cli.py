@@ -457,7 +457,9 @@ def test_an_output_directory_is_made_with_its_parents(tmp_path):
 
 
 @pytest.mark.parametrize("leaf", [None, "sub"])
-def test_out_through_an_existing_file_exits_two(tmp_path, capsys, leaf):
+def test_out_through_an_existing_file_exits_two(tmp_path, monkeypatch, capsys, leaf):
+    built = []
+    monkeypatch.setattr(cli, "NetworkState", built.append)
     afile = tmp_path / "afile"
     afile.write_text("kept\n", encoding="ascii")
     out = afile if leaf is None else afile / leaf
@@ -465,6 +467,7 @@ def test_out_through_an_existing_file_exits_two(tmp_path, capsys, leaf):
     err = capsys.readouterr().err
     assert err.startswith("chronomesh: error:") and str(out) in err
     assert afile.read_text(encoding="ascii") == "kept\n"
+    assert built == []
 
 
 def test_an_output_that_cannot_be_written_exits_two(tmp_path, capsys):

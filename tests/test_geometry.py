@@ -131,8 +131,7 @@ def test_place_nodes_draw_order_and_array_contract():
 
 
 def test_place_nodes_rows_are_the_whole_placements_rows():
-    # a row range advances a fresh stream past the other rows' words, across
-    # the draw blocks too
+    # a row range advances a fresh stream past the other rows' words
     region = Region(2.0, 0.5)
     n = 40_003
     whole = place_nodes(region, n, np.random.default_rng(7))
