@@ -5,19 +5,19 @@ the cutoff range R (an infinite R means unit gain at any distance), and the
 delay is distance over the wave speed. A transmitter is dropped uniformly
 over the region; what a fixed receiver j experiences is induced by the
 coverage geometry. With A(j, r) the area of the region within distance r of
-the receiver and A_T the region area:
+the receiver, A_T the region area and R_j = min(R, corner reach) the
+effective range:
 
+- the transmitter's distance has CDF A(j, r) / A_T below R_j. A receiver
+  cannot hear a transmitter beyond R_j, and those all sit in one atom at
+  R_j, of mass 1 - A(j, R_j) / A_T.
 - received gain K_j has CDF F(k) = 1 - A(j, rbar(k)) / A_T on [0, 1], where
   rbar(k) = R (1 - k) is the largest distance whose gain still exceeds k.
-  Transmitters beyond the cutoff range R contribute an atom at K_j = 0.
-- propagation delay D_j has CDF A(j, delay^-1(x)) / A_T up to x = delay(R);
-  past that, transmitters the receiver cannot hear are folded into a linear
-  ramp of width delay(R + pad) - delay(R) so the delay law still integrates
-  to one. The pad is R / 10, or a tenth of the region's longer side when R
-  is infinite.
-- the two are coupled deterministically: K_j = gain(delay^-1(D_j)), so a
-  sampled delay in the ramp region implies zero gain.
-  ``DelayDistribution.sample_pair`` draws them together.
+  The unheard transmitters make its atom at K_j = 0.
+- propagation delay D_j has CDF A(j, delay^-1(x)) / A_T below delay(R_j),
+  where it jumps by the unheard mass to one.
+- the two are coupled deterministically, both maps of one distance:
+  ``DelayDistribution.sample`` draws (D_j, K_j) together.
 
 The compensation offset used by transmitters in the delay regime is the
 negated delay of an interior receiver together with its implied gain
@@ -25,8 +25,8 @@ negated delay of an interior receiver together with its implied gain
 is symmetric about zero, which is what lets the aggregate waveform keep its
 crossing in place.
 
-Only the samplers live here; the tests evaluate the two CDFs above in
-``tests/channel_oracle.py`` and check the samplers against them. Quantiles
+Only the samplers live here; the tests evaluate the CDFs above in
+``tests/channel_oracle.py`` and check the samplers against them. Distances
 invert the exact area function, with no interpolation tables: in closed form
 (A = pi r^2) for a receiver whose coverage disk never meets an edge, by
 bisection with a fixed number of rounds otherwise.
@@ -66,27 +66,16 @@ class ChannelModel:
         # `not x > 0` rather than `x <= 0`, so that nan fails too.
         if not self.max_range > 0.0:
             raise ConfigurationError("max_range must be positive")
-        if not self.wave_speed > 0.0:
-            raise ConfigurationError("wave_speed must be positive")
+        if not 0.0 < self.wave_speed < np.inf:
+            raise ConfigurationError("wave_speed must be positive and finite")
         if np.isnan(self.gate):
             raise ConfigurationError("gate must be a number")
-
-    @property
-    def pad(self) -> float:
-        """Outage ramp width in distance."""
-        if not np.isfinite(self.max_range):
-            return 0.1 * max(self.region.width, self.region.height)
-        return 0.1 * self.max_range
 
     def gain(self, d: np.ndarray | float) -> np.ndarray | float:
         return np.maximum(0.0, 1.0 - np.asarray(d, dtype=float) / self.max_range)
 
     def delay(self, d: np.ndarray | float) -> np.ndarray | float:
         return np.asarray(d, dtype=float) / self.wave_speed
-
-    def invert_delay(self, x: np.ndarray | float) -> np.ndarray | float:
-        """Distance whose one-way delay is x."""
-        return np.asarray(x, dtype=float) * self.wave_speed
 
 
 @dataclass(frozen=True)
@@ -112,11 +101,6 @@ class PathlossDistribution:
         object.__setattr__(self, "_interior", self.effective_range <= region.edge_distance(
             self.receiver.x, self.receiver.y))
 
-    @property
-    def outage_probability(self) -> float:
-        """Mass of the atom at K_j = 0 (transmitters out of range)."""
-        return 1.0 - self.area_at_range / self.area_total
-
     def _invert_coverage(self, target_area: np.ndarray) -> np.ndarray:
         # Radius whose coverage area equals target (strictly increasing map).
         if self._interior:
@@ -138,13 +122,21 @@ class PathlossDistribution:
             radii[start:start + _BISECT_BLOCK] = 0.5 * (lo + hi)
         return radii
 
+    def _radii(self, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Heard mask and heard distances of the transmitters whose coverage areas are ``target``.
+
+        A target below ``area_at_range`` is heard, at the radius it inverts to;
+        the rest are the unheard atom at ``effective_range``.
+        """
+        heard = target < self.area_at_range
+        return heard, self._invert_coverage(target[heard])
+
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Inverse-transform samples of K_j, zeros included."""
         target = rng.uniform(size=size)
         np.subtract(1.0, target, out=target)
         target *= self.area_total
-        heard = target < self.area_at_range
-        radii = self._invert_coverage(target[heard])
+        heard, radii = self._radii(target)
         target[:] = 0.0                     # the gains overwrite the spent draws
         target[heard] = self.model.gain(radii)
         return target
@@ -152,41 +144,24 @@ class PathlossDistribution:
 
 @dataclass(frozen=True)
 class DelayDistribution:
-    """Law of the propagation delay D_j for one receiver, outage ramp included."""
+    """Coupled law of the propagation delay D_j and gain K_j for one receiver."""
 
     model: ChannelModel
     receiver: NodePosition
     pathloss: PathlossDistribution = field(init=False)
-    ramp_start: float = field(init=False)    # delay(R)
-    ramp_end: float = field(init=False)      # delay(R + pad)
-    slope: float = field(init=False)          # density of the outage ramp
 
     def __post_init__(self):
         object.__setattr__(self, "pathloss", PathlossDistribution(self.model, self.receiver))
-        model, r_eff = self.model, self.pathloss.effective_range
-        start = float(model.delay(np.array(r_eff)))
-        end = float(model.delay(np.array(r_eff + model.pad)))
-        if not end > start:
-            raise ConfigurationError("delay map must be strictly increasing across the ramp")
-        object.__setattr__(self, "ramp_start", start)
-        object.__setattr__(self, "ramp_end", end)
-        object.__setattr__(self, "slope", self.pathloss.outage_probability / (end - start))
 
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Inverse-transform samples of D_j."""
-        u = rng.uniform(size=size)
-        contact_mass = self.pathloss.area_at_range / self.pathloss.area_total
-        delays = np.empty(size)
-        heard = u <= contact_mass
-        radii = self.pathloss._invert_coverage(u[heard] * self.pathloss.area_total)
-        delays[heard] = self.model.delay(radii)
-        delays[~heard] = self.ramp_start + (u[~heard] - contact_mass) / self.slope
-        return delays
-
-    def sample_pair(self, rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
-        """Coupled draws (D_j, K_j): each gain is the gain map at its delay's distance."""
-        delays = self.sample(rng, size)
-        return delays, self.model.gain(self.model.invert_delay(delays))
+    def sample(self, rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
+        """Draws (D_j, K_j): each transmitter's distance mapped through delay and gain."""
+        pathloss = self.pathloss
+        radii = rng.uniform(size=size)
+        radii *= pathloss.area_total
+        heard, heard_radii = pathloss._radii(radii)
+        radii[:] = pathloss.effective_range
+        radii[heard] = heard_radii
+        return self.model.delay(radii), np.where(heard, self.model.gain(radii), 0.0)
 
 
 def sample_fix(law: DelayDistribution, rng: np.random.Generator,
@@ -195,9 +170,8 @@ def sample_fix(law: DelayDistribution, rng: np.random.Generator,
 
     d_fix is a negated draw from the delay law of an interior receiver, one
     whose disk of radius R stays inside the region, which makes the law
-    position independent; k_fix reuses the same delay-to-gain coupling as
-    reception, evaluated at the reflected delay, so compensation and channel
-    stay consistent.
+    position independent; k_fix is the gain at the same distance, as in
+    reception, so compensation and channel stay consistent.
     """
     model, receiver = law.model, law.receiver
     if not np.isfinite(model.max_range):
@@ -206,5 +180,5 @@ def sample_fix(law: DelayDistribution, rng: np.random.Generator,
         raise DomainError(
             f"receiver ({receiver.x}, {receiver.y}) is within max_range of an edge; "
             "the compensation law is defined from interior receivers only")
-    delays, gains = law.sample_pair(rng, size)
+    delays, gains = law.sample(rng, size)
     return -delays, gains

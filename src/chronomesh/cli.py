@@ -384,7 +384,7 @@ def _cmd_channel_sample(manifest: RunManifest) -> None:
     if count < 1:
         raise ConfigurationError("scenario.samples must be at least 1")
     rng = substream(manifest.seed, DOMAIN_SAMPLE)
-    delays, gains = DelayDistribution(config.channel, receiver).sample_pair(rng, count)
+    delays, gains = DelayDistribution(config.channel, receiver).sample(rng, count)
     write_csv(os.path.join(manifest.out_dir, "samples.csv"),
               ["sample", "delay", "gain"],
               ((i, d, g) for i, (d, g) in enumerate(zip(delays, gains))))

@@ -249,9 +249,8 @@ class NetworkState:
         if tau_nz is None:
             tau_nz = default_tau_nz(np.sqrt(config.fire_variance), config.population.alpha_low)
             if config.regime == "delay":
-                # keep the search window wider than the whole delay spread
-                span = channel.delay(channel.max_range + channel.pad)
-                tau_nz = max(tau_nz, 10.0 * span)
+                # keep the search window wider than the whole heard delay spread
+                tau_nz = max(tau_nz, 10.0 * channel.delay(channel.max_range))
         self.pulse = Pulse(tau_nz)
 
         self.phase_count = 0
@@ -473,7 +472,7 @@ def _block_events(state: NetworkState, sched: Schedule, law, rows: slice, window
     del alphas                   # before the gain draws, which set the phase's peak
     fires += _by_history(centres, tx, inside)
     if isinstance(law, DelayDistribution):
-        delays, gains = law.sample_pair(rng, size)
+        delays, gains = law.sample(rng, size)
         fires += delays[tx]      # the arrivals
     else:
         gains = law.sample(rng, size)

@@ -44,12 +44,6 @@ class Pulse:
         if not 0.0 < self.tau_nz < np.inf:
             raise DomainError(f"pulse support must be positive and finite, got {self.tau_nz}")
 
-    def evaluate(self, t) -> np.ndarray | float:
-        """Pulse value p(t)."""
-        t_arr = np.asarray(t, dtype=float)
-        out = np.where(np.abs(t_arr) < self.tau_nz, -np.sin(np.pi * t_arr / self.tau_nz), 0.0)
-        return float(out) if out.ndim == 0 else out
-
 
 def default_tau_nz(sigma_bar: float, alpha_low: float) -> float:
     """Support wide enough that transmit errors stay deep inside the pulse."""

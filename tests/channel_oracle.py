@@ -1,14 +1,15 @@
 """Closed-form CDFs of the channel laws, the oracle the channel samplers are checked against.
 
 A run only samples the gain and delay laws; these evaluate the CDFs the
-``chronomesh.channel`` docstring gives, from the same exact coverage area.
+``chronomesh.channel`` docstring gives, from the same exact coverage area,
+with the unheard atom's mass and the delay map's inverse they are built from.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from chronomesh.channel import DelayDistribution, PathlossDistribution
+from chronomesh.channel import ChannelModel, DelayDistribution, PathlossDistribution
 from chronomesh.geometry import disk_intersection_area
 
 
@@ -29,17 +30,25 @@ def pathloss_cdf(law: PathlossDistribution, k: np.ndarray | float) -> np.ndarray
     return float(values[0]) if np.ndim(k) == 0 else values
 
 
+def invert_delay(model: ChannelModel, x: np.ndarray | float) -> np.ndarray | float:
+    """Distance whose one-way delay is x."""
+    return np.asarray(x, dtype=float) * model.wave_speed
+
+
+def outage_probability(law: PathlossDistribution) -> float:
+    """Mass of the unheard atom: K_j = 0, and D_j = delay(effective_range)."""
+    return 1.0 - law.area_at_range / law.area_total
+
+
 def delay_cdf(law: DelayDistribution, x: np.ndarray | float) -> np.ndarray | float:
-    """CDF of the propagation delay: coverage area up to delay(R), then the outage ramp."""
+    """CDF of the propagation delay: coverage area below delay(R_j), one at the unheard atom."""
     region, rx, pathloss = law.model.region, law.receiver, law.pathloss
+    atom = law.model.delay(pathloss.effective_range)
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    body_x = np.clip(x_arr, 0.0, law.ramp_start)
     # the distance a delay reaches, clipped to the coverage reach
-    r_prime = np.minimum(law.model.invert_delay(body_x), region.corner_reach(rx.x, rx.y))
-    body = disk_intersection_area(region, rx, r_prime) / pathloss.area_total
-    ramp = (pathloss.area_at_range / pathloss.area_total
-            + law.slope * (np.minimum(x_arr, law.ramp_end) - law.ramp_start))
-    values = np.where(x_arr <= law.ramp_start, body, ramp)
+    r_prime = np.minimum(invert_delay(law.model, np.clip(x_arr, 0.0, atom)),
+                         region.corner_reach(rx.x, rx.y))
+    values = disk_intersection_area(region, rx, r_prime) / pathloss.area_total
     values = np.where(x_arr < 0.0, 0.0, values)
-    values = np.where(x_arr > law.ramp_end, 1.0, values)
+    values = np.where(x_arr >= atom, 1.0, values)
     return float(values[0]) if np.ndim(x) == 0 else values

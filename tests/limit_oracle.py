@@ -4,7 +4,8 @@ In the dense limit the aggregate is the pulse smoothed by the transmit-error
 law and averaged over the skew population, a deterministic waveform odd about
 the target instant. ``limit_waveform`` evaluates it by adaptive quadrature,
 so that the waveform tests and acceptance criterion 2 can check Monte-Carlo
-aggregates against it. It is the only code that needs scipy.
+aggregates against it. ``pulse_value`` reads the pulse itself, for the direct
+sums the waveform tests compare the evaluator with. It is the only code that needs scipy.
 """
 
 from __future__ import annotations
@@ -17,6 +18,13 @@ from scipy.integrate import quad
 from chronomesh.clock import SkewPopulation
 from chronomesh.errors import DomainError
 from chronomesh.waveform import Pulse
+
+
+def pulse_value(pulse: Pulse, t) -> np.ndarray | float:
+    """Pulse value p(t), the direct reading of the half-sine the waveform sums."""
+    t_arr = np.asarray(t, dtype=float)
+    out = np.where(np.abs(t_arr) < pulse.tau_nz, -np.sin(np.pi * t_arr / pulse.tau_nz), 0.0)
+    return float(out) if out.ndim == 0 else out
 
 
 class QuadratureError(RuntimeError):
@@ -43,12 +51,12 @@ class LimitSpec:
 def _smoothed_pulse(pulse: Pulse, x: float, sd: float, tol: float) -> tuple[float, float]:
     # E p(x - T) for T ~ N(0, sd^2): convolution against the Gaussian kernel.
     if sd <= 0.0:
-        return float(pulse.evaluate(x)), 0.0
+        return float(pulse_value(pulse, x)), 0.0
     norm = 1.0 / (sd * np.sqrt(2.0 * np.pi))
 
     def integrand(u: float) -> float:
         z = (x - u) / sd
-        return pulse.evaluate(u) * norm * np.exp(-0.5 * z * z)
+        return pulse_value(pulse, u) * norm * np.exp(-0.5 * z * z)
 
     value, err = quad(integrand, -pulse.tau_nz, pulse.tau_nz,
                       points=[0.0], limit=200, epsabs=tol, epsrel=1e-10)

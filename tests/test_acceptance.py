@@ -172,7 +172,7 @@ def test_criterion_6_delay_compensation_symmetry():
     rng = np.random.default_rng(99)
     count = 1_000_000
     d_fix, k_fix = sample_fix(DelayDistribution(model, receiver), rng, count)
-    delays, gains = DelayDistribution(model, receiver).sample_pair(rng, count)
+    delays, gains = DelayDistribution(model, receiver).sample(rng, count)
     total = d_fix + delays
     weight = k_fix * gains
     edges = np.linspace(-0.3, 0.3, 22)

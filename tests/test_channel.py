@@ -1,4 +1,4 @@
-"""Channel-law tests: CDF closed forms, sampler consistency, coupling."""
+"""Channel-law tests: CDF closed forms, sampler consistency, coupling, the unheard atom."""
 
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from chronomesh.channel import (
 )
 from chronomesh.errors import ConfigurationError, DomainError
 from chronomesh.geometry import NodePosition, Region, disk_intersection_area
-from channel_oracle import delay_cdf, pathloss_cdf
+from channel_oracle import delay_cdf, invert_delay, outage_probability, pathloss_cdf
 
 CENTER = NodePosition(0.5, 0.5)
 EDGE = NodePosition(0.1, 0.3)        # its coverage disk crosses the left edge
@@ -86,7 +86,7 @@ class TestPathlossCdf:
         model = center_model()
         dist = PathlossDistribution(model, CENTER)
         gains = dist.sample(np.random.default_rng(11), size=1_000_000)
-        assert abs(np.mean(gains == 0.0) - dist.outage_probability) < 0.005
+        assert abs(np.mean(gains == 0.0) - outage_probability(dist)) < 0.005
 
     def test_sampler_matches_cdf_ks(self):
         model = center_model()
@@ -153,37 +153,45 @@ class TestPathlossCdf:
 
 
 class TestDelayCdf:
-    def test_closed_form_body_and_ramp(self):
+    def test_closed_form_body_and_atom(self):
         law = DelayDistribution(center_model(max_range=0.25, wave_speed=1.0),
                                 CENTER)
         contact = np.pi / 16
         assert delay_cdf(law, -1e-9) == 0.0
         assert delay_cdf(law, 0.1) == pytest.approx(np.pi * 0.01, abs=1e-10)
-        assert delay_cdf(law, 0.25) == pytest.approx(contact, abs=1e-10)
-        assert delay_cdf(law, 0.2625) == pytest.approx(contact + (1 - contact) / 2, abs=1e-10)
-        assert delay_cdf(law, 0.275) == pytest.approx(1.0, abs=1e-10)
+        assert delay_cdf(law, np.nextafter(0.25, 0.0)) == pytest.approx(contact, abs=1e-10)
+        # every unheard transmitter arrives at delay(R)
+        assert delay_cdf(law, 0.25) == 1.0
         assert delay_cdf(law, 0.4) == 1.0
 
     def test_wave_speed_rescales_body(self):
         law = DelayDistribution(center_model(max_range=0.25, wave_speed=2.0), CENTER)
         assert delay_cdf(law, 0.05) == pytest.approx(np.pi * 0.01, abs=1e-10)
+        assert delay_cdf(law, 0.125) == 1.0
 
-    def test_cdf_monotone_continuous(self):
+    def test_cdf_continuous_below_the_atom_and_jumps_by_the_outage_mass(self):
         model = center_model()
         dist = DelayDistribution(model, NodePosition(0.2, 0.85))
-        grid = np.linspace(-0.05, dist.ramp_end + 0.05, 4001)
+        atom = model.delay(dist.pathloss.effective_range)
+        grid = np.linspace(-0.05, atom, 4001)[:-1]
         values = delay_cdf(dist, grid)
         assert np.all(np.diff(values) >= -1e-12)
-        # No jumps: increments bounded by density sup times the step.
+        # No jumps below the atom: increments bounded by the density's sup,
+        # 2 pi delay(R) at unit speed and area, times the step.
         step = grid[1] - grid[0]
-        density_bound = max(2 * np.pi * dist.ramp_start, dist.slope) / 1.0 + 1.0
-        assert np.max(np.diff(values)) < density_bound * step * 3
+        assert np.max(np.diff(values)) < 2 * np.pi * atom * step * 3
+        below = delay_cdf(dist, np.nextafter(atom, 0.0))
+        assert below == pytest.approx(dist.pathloss.area_at_range / dist.pathloss.area_total,
+                                      abs=1e-10)
+        jump = delay_cdf(dist, atom) - below
+        assert jump == pytest.approx(outage_probability(dist.pathloss), abs=1e-10)
+        assert jump > 0.5
 
     def test_sampler_matches_cdf_ks(self):
         model = center_model()
         dist = DelayDistribution(model, CENTER)
-        delays = dist.sample(np.random.default_rng(23), size=1_000_000)
-        grid = np.linspace(0.0, dist.ramp_end, 2001)
+        delays, _ = dist.sample(np.random.default_rng(23), size=1_000_000)
+        grid = np.linspace(0.0, model.delay(dist.pathloss.effective_range), 2001)
         ks = np.max(np.abs(empirical_cdf(delays, grid) - delay_cdf(dist, grid)))
         assert ks < 0.005, ks
 
@@ -191,18 +199,31 @@ class TestDelayCdf:
 class TestCoupling:
     def test_pair_gain_equals_composed_map_exactly(self):
         model = center_model()
-        delays, gains = DelayDistribution(model, CENTER).sample_pair(
+        delays, gains = DelayDistribution(model, CENTER).sample(
             np.random.default_rng(31), size=10_000)
-        recomputed = model.gain(model.invert_delay(delays))
+        recomputed = model.gain(invert_delay(model, delays))
         assert np.array_equal(gains, recomputed)
 
-    def test_ramp_delays_imply_zero_gain(self):
-        model = center_model()
-        dist = DelayDistribution(model, CENTER)
-        delays, gains = dist.sample_pair(np.random.default_rng(37), size=200_000)
-        in_ramp = delays > dist.ramp_start
-        assert np.any(in_ramp)
-        assert np.all(gains[in_ramp] == 0.0)
+    @pytest.mark.parametrize("receiver", ["edge", "center"])
+    def test_one_distance_gives_delay_and_gain(self, receiver):
+        # At a wave speed whose inverse is inexact, each pair maps the same
+        # inverted distance through both laws, and every unheard transmitter
+        # is the atom at the range, silent. The edge receiver's bisected radii
+        # have short mantissas that survive delay and its inverse; the centre
+        # receiver's closed-form radii do not, so a gain taken back through
+        # the delay shows there.
+        model = center_model(wave_speed=3.0)
+        dist = DelayDistribution(model, EDGE if receiver == "edge" else CENTER)
+        delays, gains = dist.sample(np.random.default_rng(37), size=20_000)
+        target = np.random.default_rng(37).uniform(size=20_000) * dist.pathloss.area_total
+        heard = target < dist.pathloss.area_at_range
+        assert 0 < heard.sum() < 20_000
+        radii = (one_shot_inversion(dist.pathloss, target[heard]) if receiver == "edge"
+                 else np.sqrt(target[heard] / np.pi))
+        assert np.array_equal(delays[heard], model.delay(radii))
+        assert np.array_equal(gains[heard], model.gain(radii))
+        assert np.all(delays[~heard] == model.delay(dist.pathloss.effective_range))
+        assert np.all(gains[~heard] == 0.0)
 
 
 class TestFixCompensation:
@@ -211,7 +232,7 @@ class TestFixCompensation:
         d_fix, k_fix = sample_fix(DelayDistribution(model, CENTER), np.random.default_rng(41),
                                   size=50_000)
         assert np.all(d_fix <= 0.0)
-        assert np.array_equal(k_fix, model.gain(model.invert_delay(-d_fix)))
+        assert np.array_equal(k_fix, model.gain(invert_delay(model, -d_fix)))
 
     def test_fix_plus_delay_is_symmetric_about_zero(self):
         # The compensation offset is a reflected interior delay, so the sum
@@ -220,7 +241,7 @@ class TestFixCompensation:
         rng = np.random.default_rng(43)
         n = 1_000_000
         d_fix, _ = sample_fix(DelayDistribution(model, CENTER), rng, size=n)
-        delays = DelayDistribution(model, CENTER).sample(rng, size=n)
+        delays, _ = DelayDistribution(model, CENTER).sample(rng, size=n)
         total = d_fix + delays
         hi = np.max(np.abs(total))
         grid = np.linspace(-hi, hi, 2001)
@@ -250,9 +271,9 @@ class TestModelValidation:
         for kwargs in ({"max_range": np.nan}, {"wave_speed": np.nan}, {"gate": np.nan}):
             with pytest.raises(ConfigurationError):
                 ChannelModel(region, **{"max_range": 0.25, **kwargs})
-        # an infinite speed leaves the outage ramp no width
+        # an infinite speed would put every arrival at delay zero
         with pytest.raises(ConfigurationError):
-            DelayDistribution(ChannelModel(region, 0.25, wave_speed=np.inf), CENTER)
+            ChannelModel(region, 0.25, wave_speed=np.inf)
 
     def test_receiver_outside_region_rejected(self):
         with pytest.raises(DomainError):

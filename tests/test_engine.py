@@ -88,7 +88,7 @@ def phase_draws(state):
     channels = {}
     for node, law, _ in state.schedule.receivers:
         rng = substream(*path, engine._CHANNEL, node)
-        channels[node] = (law.sample_pair(rng, state.n) if isinstance(law, DelayDistribution)
+        channels[node] = (law.sample(rng, state.n) if isinstance(law, DelayDistribution)
                           else (None, law.sample(rng, state.n)))
     return jitter, fix, channels
 
@@ -366,18 +366,28 @@ def test_same_seed_reproduces_bitwise():
 # operation on the build and phase paths, so a change made for memory or
 # speed alone must leave these values untouched. Retaken when windows became
 # a shared history plus float32 jitter (no stream moved; the values moved by
-# at most 6.5e-11), once the parent-arithmetic oracle matched them.
+# at most 6.5e-11), once the parent-arithmetic oracle matched them. A case
+# "regime@tau_nz" gives tau_nz explicitly: "delay@2.75" keeps delay's values
+# from before unheard transmitters became an atom at the range, when 2.75 was
+# its default; "delay" was retaken at the new default, 10 delay(R) = 2.5.
 PINNED_CROSSINGS = {
     "no_delay": (2.9978108381355, 3.998832001553156, 4.999614338085416),
     "even_odd": (6.000155930819603, 6.999762163050256, 8.000819621410889),
-    "delay": (2.9768331175381397, 3.999272166818502, 4.992193656101559),
+    "delay": (2.9768282182729657, 3.9992713247144156, 4.992186311426686),
+    "delay@2.75": (2.9768331175381397, 3.999272166818502, 4.992193656101559),
 }
 
 
-@pytest.mark.parametrize("regime", sorted(PINNED_CROSSINGS))
-def test_crossings_are_bit_identical_to_pinned_values(regime):
-    st = NetworkState(ScenarioConfig(n_nodes=2000, regime=regime, seed=3))
-    assert tuple(run_phase(st).crossing for _ in range(3)) == PINNED_CROSSINGS[regime]
+def pinned_config(case: str, n_nodes: int) -> ScenarioConfig:
+    regime, _, tau_nz = case.partition("@")
+    return ScenarioConfig(n_nodes=n_nodes, regime=regime, seed=3,
+                          tau_nz=float(tau_nz) if tau_nz else None)
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_CROSSINGS))
+def test_crossings_are_bit_identical_to_pinned_values(case):
+    st = NetworkState(pinned_config(case, 2000))
+    assert tuple(run_phase(st).crossing for _ in range(3)) == PINNED_CROSSINGS[case]
 
 
 # Two full 1 << 17-node blocks and a partial one, seed 3: the first two
@@ -385,33 +395,36 @@ def test_crossings_are_bit_identical_to_pinned_values(regime):
 # A seam error in any block draw, fit, sum or window roll changes them.
 # Retaken when windows became a shared history plus float32 jitter, once the
 # parent-arithmetic oracle matched the crossings. Delay's digest was retaken
-# when its history lost the boundary row, which only replayed the grid.
+# when its history lost the boundary row, which only replayed the grid. The
+# cases are PINNED_CROSSINGS' and were retaken with them.
 MULTI_BLOCK_N = 2 * (1 << 17) + 2001
 MULTI_BLOCK_PINS = {
     "no_delay": ((3.000094281749363, 4.000041202408367),
                  "1873808afc9c22b48ddd96dd5b2e093e46245deaf969ac5ff52cabf57dfe2f04"),
     "even_odd": ((5.999874826730116, 6.999961786949898),
                  "9e43d8a6c56a9a36b05ca30b2590b350887bd401ba08d42250b0f82661533cf6"),
-    "delay": ((3.000272165223013, 3.999681609067745),
-              "950b4d1a3db216225e36b028937cc937fb68a10d99bbf5ce4f51a6680263ab87"),
+    "delay": ((3.0002723385216985, 3.999681843847258),
+              "260094339fb65f3c2f2d998f97ae78dbc61c5831723c3743f9ab45c37566fa1d"),
+    "delay@2.75": ((3.000272165223013, 3.999681609067745),
+                   "950b4d1a3db216225e36b028937cc937fb68a10d99bbf5ce4f51a6680263ab87"),
 }
 
 
-@pytest.mark.parametrize("regime", sorted(MULTI_BLOCK_PINS))
-def test_multi_block_phases_match_whole_vectors_and_pinned_values(regime):
+@pytest.mark.parametrize("case", sorted(MULTI_BLOCK_PINS))
+def test_multi_block_phases_match_whole_vectors_and_pinned_values(case):
     assert 2 * engine._NODE_BLOCK < MULTI_BLOCK_N < 3 * engine._NODE_BLOCK
-    st = NetworkState(ScenarioConfig(n_nodes=MULTI_BLOCK_N, regime=regime, seed=3))
+    st = NetworkState(pinned_config(case, MULTI_BLOCK_N))
     # every receiver, both delay probes included, finds exactly the crossing
     # of the events a whole-vector pass builds
     center = st.next_center
     expected = {node: find_zero_crossing(events, st.pulse, center + offset, st.channel.gate)
                 for node, events, offset in whole_vector_events(st)}
-    assert len(expected) == (2 if regime == "delay" else 1)
+    assert len(expected) == (2 if st.config.regime == "delay" else 1)
     first = run_phase(st)
     assert first.crossings == expected
     crossings = (first.crossing, run_phase(st).crossing)
     digest = hashlib.sha256(windows(st).tobytes() + st.history.tobytes()).hexdigest()
-    assert (crossings, digest) == MULTI_BLOCK_PINS[regime]
+    assert (crossings, digest) == MULTI_BLOCK_PINS[case]
 
 
 def assert_same_crossings(got, want):
