@@ -36,12 +36,14 @@ phase is flagged ``failed`` and each listener holds over: it rolls in its own
 one-step extrapolation of its window, the reading of the instant it listened
 for, so the schedule carries on instead of slipping by a phase.
 
-Each kind of per-phase draw has its own stream,
-``substream(seed, DOMAIN_PHASE, phase, kind[, node])``: fire jitter,
-compensation draws (delay regime), each receiver's channel draws (indexed by
-its node id) and observation jitter (none on holdover). Each stream is drawn
-in node order, so a phase is reproducible however its report is consumed, and
-no receiver's draws move another receiver's or the readings.
+Each kind of draw has its own stream: the skews ``substream(seed,
+DOMAIN_INIT)``, init window column k ``substream(seed, DOMAIN_INIT, k,
+_READ)``, and per phase ``substream(seed, DOMAIN_PHASE, phase, kind[,
+node])``: fire jitter, compensation draws (delay regime), each receiver's
+channel draws (indexed by its node id) and observation jitter (none on
+holdover). Each stream is drawn in node order, a jitter stream one normal a
+node, so a phase is reproducible however its report is consumed, and no
+receiver's draws move another receiver's or the readings.
 
 Memory: the state holds no node vector (see ``NetworkState``). A window's
 jitter is redrawn a block at a time from the streams that drew it, the skews
@@ -56,11 +58,10 @@ of a receiver, or of a holdover's fits, opens its streams afresh and reads
 each front to back: it redraws the windows block by block into two buffers
 the state keeps, recomputes its transmitters' fire times, adds a delay
 draw's delays into them in place, and adds each block's arrivals and scales
-to the closed-form sums. A good phase's roll
-only names its readout stream as the newest column. Blocks cut the same
-draws and keep every blocked sum's partitions, so no result depends on the
-block size; whole event columns are joined only for the segment search,
-``no_delay_phase_events`` and tests.
+to the closed-form sums. A good phase's roll only names its readout stream as
+the newest column. Blocks cut the same draws and keep every blocked sum's
+partitions, so no result depends on the block size; whole event columns are
+joined only for the segment search, ``no_delay_phase_events`` and tests.
 """
 
 from __future__ import annotations
@@ -89,7 +90,6 @@ _NODE_BLOCK = 1 << 17
 _BUILD_BLOCK = 1 << 14     # rows per block of the delay build's placement pass
 # Kinds of phase draw, each with its own substream(seed, DOMAIN_PHASE, phase, kind[, node]).
 _FIRE, _FIX, _CHANNEL, _READ = range(4)
-_INIT = -1                 # NetworkState.windows' key for the init stream's jitter
 
 
 def _node_blocks(n: int, size: int = _NODE_BLOCK):
@@ -211,23 +211,23 @@ class NetworkState:
     Node i's window holds readings alpha_i (c_k - delta_i) + j_ik of the
     instants c_k it heard. ``fit`` is linear and reproduces lines, so the
     window's fit is alpha_i (c_hat - delta_i) + fit(J_i): the offset delta_i
-    cancels from every fire time. So the state keeps ``history``, the
-    instants heard by each group of nodes that listen together, one row
-    each: one in no_delay and delay, row p for parity p in even_odd. Delay's
-    row is the interior crossing; boundary nodes are handed the instant and
-    read no history. It holds no node vector:
-    every window's jitter J is the stream that drew it, so ``columns`` keeps,
-    per listening group (``groups``, each a slice of the node rows: one in
+    cancels from every fire time and is never drawn. So the state keeps
+    ``history``, the instants heard by each group of nodes that listen
+    together, one row each: one in no_delay and delay, row p for parity p in
+    even_odd. Delay's row is the interior crossing; boundary nodes are handed
+    the instant and read no history. It holds no node vector: every window
+    column's jitter is the stream that drew it, so ``columns`` keeps, per
+    listening group (``groups``, each a slice of the node rows: one in
     no_delay and delay, one per parity in even_odd), the source of each of
     its m window columns, and ``windows`` redraws every block's float32 J
-    from them in one pass (node 0's are zero).
-    Only a holdover stores a column, its listeners' jitter fits, until m good
-    phases push it out. The skews alpha_i are the init stream's first draws,
-    so ``skews`` redraws them a block at a time, and ``interior`` redraws a
-    block's delay interior mask from its placement rows. The placement is
-    never held whole: ``positions`` maps each receiver's node id to its (x,
-    y), node 0 in no_delay, nodes 0 and 1 in even_odd and the probes in
-    delay, each read from the placement stream.
+    from them in one pass (node 0's are zero). Only a holdover stores a
+    column, its listeners' jitter fits, until m good phases push it out. The
+    skews alpha_i are the init stream's only draws, so ``skews`` redraws them
+    a block at a time, and ``interior`` redraws a block's delay interior mask
+    from its placement rows. The placement is never held whole: ``positions``
+    maps each receiver's node id to its (x, y), node 0 in no_delay, nodes 0
+    and 1 in even_odd and the probes in delay, each read from the placement
+    stream.
     """
 
     def __init__(self, config: ScenarioConfig):
@@ -263,7 +263,7 @@ class NetworkState:
         # and float64 draws, held so each block reuses them
         block = min(self.n, _NODE_BLOCK)
         self._window = np.empty((block, config.m), dtype=np.float32)
-        self._draws = np.empty(max(block, config.m))
+        self._draws = np.empty(block)
 
     # -- construction helpers -------------------------------------------
 
@@ -339,40 +339,30 @@ class NetworkState:
             self.groups = (slice(None),)
         self.columns = [tuple(range(-m, 0))] * len(self.groups)
 
-    def _stream(self, stream: int) -> np.random.Generator:
-        """A fresh generator on ``stream``: the init stream's jitter (_INIT) or phase q's _READ."""
+    def _stream(self, source: int) -> np.random.Generator:
+        """A fresh generator on a window column's stream: init column source + m when
+        source < 0, else phase source's readout jitter."""
         cfg = self.config
-        if stream != _INIT:
-            return substream(cfg.seed, DOMAIN_PHASE, stream, _READ)
-        # The init stream draws n skews (one word each, none for a point mass),
-        # then n offsets, then the (n, m) jitter. Skews are redrawn per block and
-        # offsets cancel from every fire time, so both are skipped.
-        rng = substream(cfg.seed, DOMAIN_INIT)
-        population = cfg.population
-        rng.bit_generator.advance(self.n if population.alpha_low == population.alpha_up
-                                  else 2 * self.n)
-        return rng
+        if source < 0:
+            return substream(cfg.seed, DOMAIN_INIT, source + cfg.m, _READ)
+        return substream(cfg.seed, DOMAIN_PHASE, source, _READ)
 
     def windows(self):
         """Yield (rows, J) for every node block in order: the float32 jitter windows of
         the nodes ``rows``, redrawn into the window buffer, which the next block reuses.
 
         Each group's window column is a source: an int names a stream, q < 0
-        init column q + m and q >= 0 phase q's readout jitter, each drawn for
-        every node in node order, node 0's zero; after a holdover, an array
-        holds that column for the group's rows. A pass opens each stream once
-        and reads it front to back.
+        init column q + m and q >= 0 phase q's readout jitter, each one normal
+        per node in node order (``_normals``); after a holdover, an array holds
+        that column for the group's rows. A pass opens each stream once and
+        reads it front to back.
         """
-        m = self.config.m
-        streams: dict[int, list] = {}        # stream -> (role, window column, draw column)
+        streams: dict[int, list] = {}        # source -> (role, window column) it fills
         for role, sources in zip(self.groups, self.columns):
             for k, source in enumerate(sources):
-                if isinstance(source, np.ndarray):
-                    continue
-                stream, col = (_INIT, source + m) if source < 0 else (source, 0)
-                streams.setdefault(stream, []).append((role, k, col))
-        opened = [(self._stream(stream), m if stream == _INIT else 1, columns)
-                  for stream, columns in streams.items()]
+                if not isinstance(source, np.ndarray):
+                    streams.setdefault(source, []).append((role, k))
+        opened = [(self._stream(source), columns) for source, columns in streams.items()]
         for rows in _node_blocks(self.n):
             window = self._window[:rows.stop - rows.start]
             for role, sources in zip(self.groups, self.columns):
@@ -381,23 +371,17 @@ class NetworkState:
                     if isinstance(source, np.ndarray):
                         column = window[_within(role, rows.start), k]
                         column[:] = source[first:first + column.size]
-            for rng, width, columns in opened:
-                per = len(self._draws) // width
-                for start in range(0, len(window), per):
-                    draws = self._draws[:min(per, len(window) - start) * width].reshape(-1, width)
-                    rng.standard_normal(out=draws)
-                    draws *= self.sigma
-                    for role, k, col in columns:
-                        local = _within(role, rows.start + start)
-                        window[start:start + len(draws)][local, k] = draws[local, col]
-            if rows.start == 0:
-                window[0] = 0.0                   # the reference node reads true time
+            for rng, columns in opened:
+                draws = self._normals(rng, rows)
+                for role, k in columns:
+                    local = _within(role, rows.start)
+                    window[local, k] = draws[local]
             yield rows, window
 
     def skews(self, rows: slice) -> np.ndarray:
         """Clock skews of the nodes ``rows`` (a contiguous slice); node 0's is exactly 1.
 
-        The skews are the init stream's first draws, one word a node (none for a
+        The init stream holds the skews alone, one word a node (none for a
         point mass), so a block's are redrawn alone by advancing a fresh init
         stream to its first row.
         """
@@ -408,9 +392,11 @@ class NetworkState:
             skews[0] = 1.0
         return skews
 
-    def _jitter(self, rng: np.random.Generator, rows: slice) -> np.ndarray:
-        """Fire jitter, one entry per node of the block; node 0's is exactly zero."""
-        draws = rng.normal(0.0, 1.0, size=rows.stop - rows.start)
+    def _normals(self, rng: np.random.Generator, rows: slice) -> np.ndarray:
+        """sigma times one normal from ``rng`` per node of the block ``rows``, node 0's exactly
+        zero, drawn into the draw buffer, which the next call reuses."""
+        draws = self._draws[:rows.stop - rows.start]
+        rng.standard_normal(out=draws)
         draws *= self.sigma
         if rows.start == 0:
             draws[0] = 0.0
@@ -442,8 +428,8 @@ def _by_history(values: np.ndarray, role: slice, inside: np.ndarray | None):
 
 
 def _block_events(state: NetworkState, sched: Schedule, law, rows: slice, window, n_tx: int,
-                  heard, jitter, fix_rng, rng: np.random.Generator) -> EventArray | None:
-    """A node block's events: fits of its jitter ``window``, fire times from ``jitter`` and
+                  heard, fire_rng, fix_rng, rng: np.random.Generator) -> EventArray | None:
+    """A node block's events: fits of its jitter ``window``, fire times from ``fire_rng`` and
     ``fix_rng``, channel from ``rng``; in delay each arrival is a fire time plus its delay.
 
     None when the block holds no transmitter. A node's window is alpha (history - delta)
@@ -467,7 +453,7 @@ def _block_events(state: NetworkState, sched: Schedule, law, rows: slice, window
         fires += alpha_hat * d_fix[tx]
         k_fix = k_fix[tx]
     del report
-    fires -= state._jitter(jitter, rows)[tx]
+    fires -= state._normals(fire_rng, rows)[tx]
     fires /= alphas
     del alphas                   # before the gain draws, which set the phase's peak
     fires += _by_history(centres, tx, inside)
@@ -492,11 +478,11 @@ def _receiver_events(state: NetworkState, sched: Schedule, node: int, law):
         heard = np.column_stack((heard, (state.next_center, 1.0)))
 
     def blocks():
-        jitter, rng = substream(*path, _FIRE), substream(*path, _CHANNEL, node)
+        fire_rng, rng = substream(*path, _FIRE), substream(*path, _CHANNEL, node)
         fix_rng = None if state.fix_law is None else substream(*path, _FIX)
         # filter holds no block once it is handed on, so a pass holds one at a time
         return filter(None, (_block_events(state, sched, law, rows, window, n_tx, heard,
-                                           jitter, fix_rng, rng)
+                                           fire_rng, fix_rng, rng)
                              for rows, window in state.windows()))
     return blocks
 

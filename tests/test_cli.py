@@ -23,16 +23,23 @@ def read_bytes(path):
 
 
 def test_steady_reference_run(tmp_path):
-    out = str(tmp_path)
-    code = cli.run_command(["steady", "--nodes", "400", "--sigma2", "0.01",
-                            "--m", "3", "--phases", "1", "--seed", "7",
-                            "--out", out])
-    assert code == 0
-    header, rows = read_csv(os.path.join(out, "phases.csv"))
-    assert header == ["phase", "center", "crossing", "abs_error", "gated", "no_crossing"]
-    assert len(rows) == 1
-    assert float(rows[0][3]) <= 0.02
-    assert os.path.exists(os.path.join(out, "manifest.cfg"))
+    # One seed's error is a single draw from a wide spread (sd about 0.018 at
+    # this size), so the bound is on the mean over seeds 0-19: over seeds 0-199
+    # the mean is about 0.021, and 0.035 sits some 3.3 standard errors above it,
+    # while a doubled error fails it.
+    errors = []
+    for seed in range(20):
+        out = str(tmp_path / str(seed))
+        code = cli.run_command(["steady", "--nodes", "400", "--sigma2", "0.01",
+                                "--m", "3", "--phases", "1", "--seed", str(seed),
+                                "--out", out])
+        assert code == 0
+        header, rows = read_csv(os.path.join(out, "phases.csv"))
+        assert header == ["phase", "center", "crossing", "abs_error", "gated", "no_crossing"]
+        assert len(rows) == 1
+        assert os.path.exists(os.path.join(out, "manifest.cfg"))
+        errors.append(float(rows[0][3]))
+    assert np.mean(errors) <= 0.035
 
 
 def test_repeat_run_is_byte_identical(tmp_path):
@@ -254,21 +261,23 @@ def test_pco_event_log_bytes_are_pinned(tmp_path):
 # {file: digest}). The crossings, and crossing.csv's max_amplitude, are the
 # closed form's. delay, samples and samples_speed2 were retaken when unheard
 # transmitters became an atom at the range: their heard draws held bit for
-# bit, and delay's phases.csv holds at tau_nz = 2.75, its old default.
+# bit, and delay's phases.csv holds at tau_nz = 2.75, its old default. steady,
+# evenodd, delay and waveform were retaken when each init jitter column got
+# its own stream.
 OUTPUT_PINS = {
     "steady": (
         ["steady", "--nodes", "2000", "--phases", "3", "--seed", "7"], None,
-        {"phases.csv": "e55e7c849fae9d0bca29c087400a7c8a07b4d233de4508343b2cd86f934bced6"}),
+        {"phases.csv": "139260e801b92db973df5af0cbbf853cefbcdf954942737ed4f88a2b2fd04111"}),
     "evenodd": (
         ["evenodd", "--nodes", "2000", "--phases", "3", "--seed", "4"], None,
-        {"phases.csv": "c3399f78f84fea2302ccc2affca3c3b0284daf0baa760bdf67d2b5af3fb00eac"}),
+        {"phases.csv": "1975df4934c4cd0becd4bfe9293ce718a3795d7a1cb544464f51d626a2a37fac"}),
     "delay": (
         ["delay", "--nodes", "2000", "--phases", "2", "--seed", "5"], None,
-        {"phases.csv": "8d652e0e63f83f6ee009a14f3121b406d6ae5ff337a90c4e236e06a63471b26d"}),
+        {"phases.csv": "66679459adce7d2695892d1790da504f24bfad3e6713ae737dd1aab6a18d3543"}),
     "waveform": (
         ["waveform", "--nodes", "400", "--sigma2", "0.003", "--seed", "2"], None,
-        {"waveform.csv": "0a3e29208303e0c882cda2fa9e71d22982268d6b60db636249854fc5d1be7550",
-         "crossing.csv": "c31795d008408d39f251d178217b03136427976c488e56af956c3f1150fb62ee"}),
+        {"waveform.csv": "b497aed98c8afc93c2acaad46e482a08d76179363db2b965300cffc8525b56fa",
+         "crossing.csv": "0302e7d7b9af3e95069e3caa036c111e0d3b1e060c11fa62a0d584eaa03c49dd"}),
     "samples": (
         ["channel-sample", "--trials", "400", "--seed", "8"], None,
         {"samples.csv": "29ecda0037a5f1a4314a322c1780b0adf2d00f006269413d882c437b96bc003a"}),

@@ -138,13 +138,13 @@ class ParentArithmetic:
     """A network run on absolute float64 windows alpha (c - delta) + j.
 
     This is how windows were kept before offsets were found to cancel: the
-    offsets are drawn from the init stream between the skews and the jitter
-    (where the state skips them), every fit runs on whole absolute windows,
-    and fires go back to reference time through each node's offset. Each
-    phase takes the draws ``run_phase`` takes; ``state`` supplies the roles,
-    laws, pulse and phase counters. ``residuals`` keeps every node's float32
-    jitter window whole, rolled column by column as windows were kept before
-    they were redrawn from their column sources.
+    offsets are drawn from the init stream after the skews (the state never
+    draws them), init jitter column k from its own stream, every fit runs on
+    whole absolute windows, and fires go back to reference time through each
+    node's offset. Each phase takes the draws ``run_phase`` takes; ``state``
+    supplies the roles, laws, pulse and phase counters. ``residuals`` keeps
+    every node's float32 jitter window whole, rolled column by column as
+    windows were kept before they were redrawn from their column sources.
     """
 
     def __init__(self, config):
@@ -154,7 +154,8 @@ class ParentArithmetic:
         self.alphas = config.population.sample(n, rng)
         self.deltas = rng.uniform(-0.5, 0.5, size=n)
         self.alphas[0], self.deltas[0] = 1.0, 0.0
-        jitter = rng.standard_normal((n, m)) * st.sigma
+        jitter = np.column_stack([substream(config.seed, DOMAIN_INIT, k, engine._READ)
+                                  .standard_normal(n) for k in range(m)]) * st.sigma
         jitter[0] = 0.0
         self.residuals = jitter.astype(np.float32)
         steps = np.arange(m, dtype=float)
@@ -247,21 +248,22 @@ def test_init_residuals_are_fresh_readout_jitter():
 
 
 @pytest.mark.parametrize("population", [SkewPopulation(), SkewPopulation(1.0, 1.0)])
-def test_init_draws_skip_the_offsets(population):
-    # The init stream draws the skews (2n words with the offsets after them,
-    # n for a point mass, which draws nothing), then the (n, m) jitter. The
-    # build skips the skews, which blocks redraw, and the offsets, which
-    # cancel: the jitter and skews keep the draws they had when both were stored.
-    cfg = ScenarioConfig(n_nodes=40_001, m=3, sigma2=1e-4, seed=5, population=population)
+def test_init_columns_are_their_own_jitter_streams(population):
+    # Init window column k is one normal a node from substream(seed,
+    # DOMAIN_INIT, k, _READ), as phase q's readout column is from its phase's,
+    # across block seams. The init stream holds the skews alone, so a point
+    # mass, which draws no skew, moves no jitter: both populations give these
+    # bytes.
+    cfg = ScenarioConfig(n_nodes=MULTI_BLOCK_N, m=3, sigma2=1e-4, seed=5, population=population)
     st = NetworkState(cfg)
-    rng = substream(cfg.seed, DOMAIN_INIT)
-    alphas = cfg.population.sample(cfg.n_nodes, rng)
-    rng.uniform(-0.5, 0.5, size=cfg.n_nodes)
-    jitter = (rng.standard_normal((cfg.n_nodes, cfg.m)) * st.sigma).astype(np.float32)
+    jitter = np.column_stack([substream(cfg.seed, DOMAIN_INIT, k, engine._READ)
+                              .standard_normal(cfg.n_nodes) for k in range(cfg.m)])
+    jitter = (jitter * st.sigma).astype(np.float32)
     jitter[0] = 0.0
+    assert windows(st).tobytes() == jitter.tobytes()
+    alphas = cfg.population.sample(cfg.n_nodes, substream(cfg.seed, DOMAIN_INIT))
     skews = st.skews(slice(0, st.n))
     assert np.array_equal(skews[1:], alphas[1:]) and skews[0] == 1.0
-    assert np.array_equal(windows(st), jitter)
 
 
 def test_even_odd_init_spacing():
@@ -370,11 +372,12 @@ def test_same_seed_reproduces_bitwise():
 # "regime@tau_nz" gives tau_nz explicitly: "delay@2.75" keeps delay's values
 # from before unheard transmitters became an atom at the range, when 2.75 was
 # its default; "delay" was retaken at the new default, 10 delay(R) = 2.5.
+# All were retaken when each init jitter column got its own stream.
 PINNED_CROSSINGS = {
-    "no_delay": (2.9978108381355, 3.998832001553156, 4.999614338085416),
-    "even_odd": (6.000155930819603, 6.999762163050256, 8.000819621410889),
-    "delay": (2.9768282182729657, 3.9992713247144156, 4.992186311426686),
-    "delay@2.75": (2.9768331175381397, 3.999272166818502, 4.992193656101559),
+    "no_delay": (3.0004894203296564, 4.00237609385328, 5.004426015748545),
+    "even_odd": (5.999900969154828, 6.999540195109399, 8.001004708090358),
+    "delay": (2.980627961394997, 3.998936335303664, 4.992798871822099),
+    "delay@2.75": (2.9806364782377783, 3.998938504878044, 4.992805873665421),
 }
 
 
@@ -399,14 +402,14 @@ def test_crossings_are_bit_identical_to_pinned_values(case):
 # cases are PINNED_CROSSINGS' and were retaken with them.
 MULTI_BLOCK_N = 2 * (1 << 17) + 2001
 MULTI_BLOCK_PINS = {
-    "no_delay": ((3.000094281749363, 4.000041202408367),
-                 "1873808afc9c22b48ddd96dd5b2e093e46245deaf969ac5ff52cabf57dfe2f04"),
-    "even_odd": ((5.999874826730116, 6.999961786949898),
-                 "9e43d8a6c56a9a36b05ca30b2590b350887bd401ba08d42250b0f82661533cf6"),
-    "delay": ((3.0002723385216985, 3.999681843847258),
-              "260094339fb65f3c2f2d998f97ae78dbc61c5831723c3743f9ab45c37566fa1d"),
-    "delay@2.75": ((3.000272165223013, 3.999681609067745),
-                   "950b4d1a3db216225e36b028937cc937fb68a10d99bbf5ce4f51a6680263ab87"),
+    "no_delay": ((3.0001959980608546, 4.00020555675703),
+                 "9004663c7dd0fdbb6d4b8f87231ac0a5c999a0390103ef389d853788482ca79f"),
+    "even_odd": ((5.999783834950708, 6.999819175096504),
+                 "0735d1ee6c1940548b6aed4af464e14437520fca325030e924871032330954de"),
+    "delay": ((3.00032838163661, 3.999602203240296),
+              "e282508a455401f102575c6a186529b320d42d092e5cb10751f158c2d3d2f5dc"),
+    "delay@2.75": ((3.0003285495226404, 3.999602093884502),
+                   "26bc832bafefec777280ab49c25a58648e63dde8250e85c85a2f833a1c94255d"),
 }
 
 
