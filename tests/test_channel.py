@@ -8,6 +8,7 @@ import pytest
 from chronomesh import channel
 from chronomesh.channel import (
     _BISECT_BLOCK,
+    _TABLE_LEVELS,
     ChannelModel,
     DelayDistribution,
     PathlossDistribution,
@@ -112,27 +113,63 @@ class TestPathlossCdf:
     def test_bisection_runs_the_rounds_its_brackets_need(self, monkeypatch, region, receiver,
                                                           max_range, rounds):
         # Every bracket halves from [0, R] alike, so one block takes
-        # floor(log2(R / 1e-12)) + 1 area evaluations. On the wide region the
-        # tolerance is finer than the spacing of representable radii, and the
-        # reference bisection runs to its cap of 120 rounds for the same gains.
-        dist = PathlossDistribution(ChannelModel(region, max_range), receiver)
-        assert not dist._interior
+        # floor(log2(R / 1e-12)) + 1 rounds. The first _TABLE_LEVELS of them
+        # come from the law's midpoint table: one area evaluation on its
+        # 2^12 - 1 radii when the law is first sampled, none after, and one
+        # evaluation per remaining round. On the wide region the tolerance is
+        # finer than the spacing of representable radii, and the reference
+        # bisection runs to its cap of 120 rounds for the same gains.
         calls = []
 
         def counted(*args):
-            calls.append(args)
+            calls.append(np.size(args[2]))
             return disk_intersection_area(*args)
 
         monkeypatch.setattr(channel, "disk_intersection_area", counted)
+        dist = PathlossDistribution(ChannelModel(region, max_range), receiver)
+        assert not dist._interior
+        assert calls == [1]                  # the scalar area_at_range
         gains = dist.sample(np.random.default_rng(0), 20_000)
+        again = dist.sample(np.random.default_rng(1), 20_000)
         monkeypatch.undo()
-        target = (1.0 - np.random.default_rng(0).uniform(size=20_000)) * dist.area_total
-        heard = target < dist.area_at_range
-        assert 0 < heard.sum() <= _BISECT_BLOCK
-        assert len(calls) == rounds
-        expected = np.zeros(20_000)
-        expected[heard] = dist.model.gain(one_shot_inversion(dist, target[heard]))
-        assert np.array_equal(gains, expected)
+        table = (1 << _TABLE_LEVELS) - 1
+        rest = rounds - _TABLE_LEVELS
+        # each draw's heard targets fit one block
+        assert calls[1] == table and calls[2:] == [calls[2]] * rest + [calls[-1]] * rest
+        assert len(calls) == 1 + 1 + 2 * rest
+        for seed, drawn in ((0, gains), (1, again)):
+            target = (1.0 - np.random.default_rng(seed).uniform(size=20_000)) * dist.area_total
+            heard = target < dist.area_at_range
+            assert 0 < heard.sum() <= _BISECT_BLOCK
+            expected = np.zeros(20_000)
+            expected[heard] = dist.model.gain(one_shot_inversion(dist, target[heard]))
+            assert np.array_equal(drawn, expected)
+
+    @pytest.mark.parametrize("region, receiver, max_range", [
+        (Region(), NodePosition(0.1, 0.3), 0.25),
+        (Region(), NodePosition(0.03, 0.02), 0.25),
+        (Region(), NodePosition(0.0, 0.4), 0.25),
+        (Region(3.0, 0.2), NodePosition(1.2, 0.05), 0.25),
+        (Region(), NodePosition(0.3, 0.2), np.inf),
+        (Region(), NodePosition(0.0, 0.4), 1e-9),
+        (Region(), NodePosition(0.0, 0.4), 1e-10)],
+        ids=["edge", "corner", "on_edge", "strip", "infinite_range", "range_1e-9",
+             "range_1e-10"])
+    def test_table_path_matches_one_shot_bisection(self, region, receiver, max_range):
+        # Targets equal to the table's own areas tie with a midpoint: bisection
+        # sends them left, which searchsorted's side "left" matches and "right"
+        # does not. Their float neighbours sit on either side of the tie.
+        dist = PathlossDistribution(ChannelModel(region, max_range), receiver)
+        assert not dist._interior
+        ends, areas = dist._bisection_table
+        levels = min(dist._rounds, _TABLE_LEVELS)
+        assert ends.size == (1 << levels) + 1 and np.all(np.diff(areas) > 0.0)
+        assert (levels < _TABLE_LEVELS) == (max_range < 2e-9)
+        target = np.concatenate([
+            np.random.default_rng(7).uniform(0.0, dist.area_at_range, _BISECT_BLOCK),
+            areas, np.nextafter(areas, 0.0), np.nextafter(areas, np.inf),
+            [0.0, np.nextafter(dist.area_at_range, 0.0)]])
+        assert np.array_equal(dist._invert_coverage(target), one_shot_inversion(dist, target))
 
     def test_gains_are_the_gain_map_of_the_inverted_draws(self):
         dist = PathlossDistribution(center_model(), EDGE)

@@ -714,9 +714,11 @@ def test_no_delay_memory_stays_within_a_few_node_vectors():
         tracemalloc.stop()
     assert report.crossing is not None
     # the phase works in 1 << 17-node blocks; fires, gain draws and the
-    # coverage bisection's workspace peak at about 3.0 of these at this n,
-    # which holds only while fit casts the float32 jitter a block at a time
-    # and a block's redrawn skews are released before its gains are drawn
+    # coverage bisection's workspace peak at about 3.0 of these at this n;
+    # this first phase also builds the receiver law's 4095-radius midpoint
+    # table and peaks at about 3.06. That holds only while fit casts the
+    # float32 jitter a block at a time and a block's redrawn skews are
+    # released before its gains are drawn
     assert peak - entry <= 3.3 * vector
 
 
@@ -755,9 +757,10 @@ def stored_columns(st):
 
 
 def block_buffer_bytes(st) -> int:
-    """Bytes of the buffers a phase redraws windows into, at most one block each."""
-    assert st._window.shape[0] <= engine._NODE_BLOCK
-    assert st._draws.size <= max(engine._NODE_BLOCK, st.config.m)
+    """Bytes of the buffers a phase redraws windows into, exactly one block each."""
+    block = min(st.n, engine._NODE_BLOCK)
+    assert st._window.shape == (block, st.config.m)
+    assert st._draws.size == block
     return st._window.nbytes + st._draws.nbytes
 
 
