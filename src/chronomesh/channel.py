@@ -27,18 +27,14 @@ crossing in place.
 
 Only the samplers live here; the tests evaluate the CDFs above in
 ``tests/channel_oracle.py`` and check the samplers against them. Distances
-invert the exact area function, with no interpolation: in closed form
+invert the exact area function, with no interpolation tables: in closed form
 (A = pi r^2) for a receiver whose coverage disk never meets an edge, by
-bisection with a fixed number of rounds otherwise. The first 12 of those
-rounds are read from the law's table of its own bisection midpoints and
-their areas, built on first use: one sorted search finds the bracket that
-12 rounds of halving would reach, so the radii keep every bit.
+bisection with a fixed number of rounds otherwise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -49,9 +45,6 @@ from .geometry import NodePosition, Region, disk_intersection_area
 # the (Lipschitz) gain and delay maps.
 _BISECT_TOL = 1e-12
 _BISECT_BLOCK = 1 << 14
-# Bisection levels read from a law's midpoint table: 2^12 - 1 radii, whose
-# areas are one evaluation the first time an edge receiver's law is sampled.
-_TABLE_LEVELS = 12
 
 
 @dataclass(frozen=True)
@@ -108,46 +101,19 @@ class PathlossDistribution:
         object.__setattr__(self, "_interior", self.effective_range <= region.edge_distance(
             self.receiver.x, self.receiver.y))
 
-    @property
-    def _rounds(self) -> int:
-        # Every bracket halves from [0, effective_range] alike, so all reach the
-        # tolerance after the same number of rounds.
-        return max(1, int(np.floor(np.log2(self.effective_range / _BISECT_TOL))) + 1)
-
-    @cached_property
-    def _bisection_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """Bracket ends after the bisection's first levels, and the areas at the
-        midpoints between them.
-
-        Each level inserts ``0.5 * (lo + hi)`` between neighbouring ends, the
-        very midpoints bisection from [0, effective_range] computes. Built on
-        first use, so that building a law stays one scalar area evaluation.
-        """
-        ends = np.array([0.0, self.effective_range])
-        for _ in range(min(self._rounds, _TABLE_LEVELS)):
-            finer = np.empty(2 * ends.size - 1)
-            finer[0::2] = ends
-            finer[1::2] = 0.5 * (ends[:-1] + ends[1:])
-            ends = finer
-        return ends, disk_intersection_area(self.model.region, self.receiver, ends[1:-1])
-
     def _invert_coverage(self, target_area: np.ndarray) -> np.ndarray:
         # Radius whose coverage area equals target (strictly increasing map).
         if self._interior:
             # coverage never meets an edge, so the area map is exactly pi r^2
             return np.sqrt(target_area / np.pi)
-        # The table's areas increase with the radius, so the count of midpoints
-        # whose area is below a target (searchsorted's side "left") picks the
-        # bracket the table's levels of bisection reach. The rounds left are
-        # bisected in blocks to keep the area temporaries small.
-        ends, areas = self._bisection_table
-        rounds = max(0, self._rounds - _TABLE_LEVELS)
+        # Bisected in blocks to keep the area temporaries small. Every bracket
+        # halves from [0, effective_range] alike, so all reach the tolerance together.
+        rounds = max(1, int(np.floor(np.log2(self.effective_range / _BISECT_TOL))) + 1)
         radii = np.empty_like(target_area)
         for start in range(0, target_area.size, _BISECT_BLOCK):
             target = target_area[start:start + _BISECT_BLOCK]
-            bracket = np.searchsorted(areas, target)
-            lo, hi = ends[bracket], ends[bracket + 1]
-            del bracket
+            lo = np.zeros_like(target)
+            hi = np.full_like(target, self.effective_range)
             for _ in range(rounds):
                 mid = 0.5 * (lo + hi)
                 below = disk_intersection_area(self.model.region, self.receiver, mid) < target

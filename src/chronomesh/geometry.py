@@ -61,15 +61,16 @@ class NodePosition:
     y: float
 
 
-def _antideriv(x: np.ndarray, r: np.ndarray) -> np.ndarray:
-    # Integral of sqrt(r^2 - x^2); x is pre-clipped to [-r, r].
-    with np.errstate(invalid="ignore", divide="ignore"):
-        root = np.sqrt(np.maximum(r * r - x * x, 0.0))
-        ratio = np.where(r > 0.0, np.clip(x / np.where(r > 0.0, r, 1.0), -1.0, 1.0), 0.0)
-    return 0.5 * (x * root + r * r * np.arcsin(ratio))
+def _antideriv(x: np.ndarray, r: np.ndarray, r2: np.ndarray) -> np.ndarray:
+    # Integral of sqrt(r^2 - x^2), with r2 = r * r. The caller keeps x within
+    # [-r, r], so the correctly rounded x / r lies in [-1, 1] and needs no clip
+    # of its own. At r = 0 the ratio is 0 / 0 and the caller zeroes that area.
+    root = np.sqrt(np.maximum(r2 - x * x, 0.0))
+    return 0.5 * (x * root + r2 * np.arcsin(x / r))
 
 
-def _quarter_plane_area(X: np.ndarray, Y: np.ndarray, r: np.ndarray) -> np.ndarray:
+def _quarter_plane_area(X: np.ndarray, Y: np.ndarray, r: np.ndarray,
+                        r2: np.ndarray) -> np.ndarray:
     """Area of {x <= X, y <= Y} inside a disk of radius r at the origin.
 
     Fully vectorized; the integral over x splits at +-sqrt(r^2 - Y^2), where
@@ -77,20 +78,22 @@ def _quarter_plane_area(X: np.ndarray, Y: np.ndarray, r: np.ndarray) -> np.ndarr
     """
     X = np.minimum(np.maximum(X, -r), r)
     Y = np.minimum(np.maximum(Y, -r), r)
-    x_y = np.sqrt(np.maximum(r * r - Y * Y, 0.0))
+    # sqrt(r * r) is r unless r * r is subnormal (r below about 1.5e-154),
+    # where it can round above r and push x_y / r past 1
+    x_y = np.minimum(np.sqrt(np.maximum(r2 - Y * Y, 0.0)), r)
 
     # Band x in [-r, min(X, -x_y)]: full vertical chord, length 2 sqrt(r^2-x^2).
     hi_full = np.minimum(X, -x_y)
-    area = 2.0 * (_antideriv(hi_full, r) - _antideriv(-r, r))
+    area = 2.0 * (_antideriv(hi_full, r, r2) - _antideriv(-r, r, r2))
     area = np.where(Y >= 0.0, area, 0.0)
 
     # Band x in [-x_y, min(X, x_y)]: chord clipped at y = Y.
     hi_mid = np.minimum(X, x_y)
-    mid = Y * (hi_mid + x_y) + _antideriv(hi_mid, r) - _antideriv(-x_y, r)
+    mid = Y * (hi_mid + x_y) + _antideriv(hi_mid, r, r2) - _antideriv(-x_y, r, r2)
     area = area + np.where(X > -x_y, mid, 0.0)
 
     # Band x in [x_y, X]: full chord again (only reachable when Y >= 0).
-    tail = 2.0 * (_antideriv(X, r) - _antideriv(x_y, r))
+    tail = 2.0 * (_antideriv(X, r, r2) - _antideriv(x_y, r, r2))
     area = area + np.where((Y >= 0.0) & (X > x_y), tail, 0.0)
     return area
 
@@ -113,12 +116,14 @@ def disk_intersection_area(region: Region, center: NodePosition | tuple[float, f
     # Beyond the farthest corner the area saturates; capping keeps the
     # segment integrals finite for callers that pass huge radii.
     r = np.minimum(r, region.corner_reach(cx, cy))
-
+    r2 = r * r
     x0, x1 = -cx, region.width - cx
     y0, y1 = -cy, region.height - cy
-    area = (_quarter_plane_area(x1, y1, r) - _quarter_plane_area(x0, y1, r)
-            - _quarter_plane_area(x1, y0, r) + _quarter_plane_area(x0, y0, r))
-    area = np.clip(area, 0.0, region.area)
+    with np.errstate(invalid="ignore"):
+        area = (_quarter_plane_area(x1, y1, r, r2) - _quarter_plane_area(x0, y1, r, r2)
+                - _quarter_plane_area(x1, y0, r, r2) + _quarter_plane_area(x0, y0, r, r2))
+    # a zero radius makes every term nan (0 / 0); its covered area is zero
+    area = np.clip(np.where(r > 0.0, area, 0.0), 0.0, region.area)
     return float(area[0]) if scalar else area
 
 

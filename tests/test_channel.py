@@ -8,7 +8,6 @@ import pytest
 from chronomesh import channel
 from chronomesh.channel import (
     _BISECT_BLOCK,
-    _TABLE_LEVELS,
     ChannelModel,
     DelayDistribution,
     PathlossDistribution,
@@ -113,12 +112,10 @@ class TestPathlossCdf:
     def test_bisection_runs_the_rounds_its_brackets_need(self, monkeypatch, region, receiver,
                                                           max_range, rounds):
         # Every bracket halves from [0, R] alike, so one block takes
-        # floor(log2(R / 1e-12)) + 1 rounds. The first _TABLE_LEVELS of them
-        # come from the law's midpoint table: one area evaluation on its
-        # 2^12 - 1 radii when the law is first sampled, none after, and one
-        # evaluation per remaining round. On the wide region the tolerance is
-        # finer than the spacing of representable radii, and the reference
-        # bisection runs to its cap of 120 rounds for the same gains.
+        # floor(log2(R / 1e-12)) + 1 area evaluations, on every draw. Building
+        # the law takes one scalar evaluation, area_at_range. On the wide region
+        # the tolerance is finer than the spacing of representable radii, and
+        # the reference bisection runs to its cap of 120 rounds for the same gains.
         calls = []
 
         def counted(*args):
@@ -128,22 +125,20 @@ class TestPathlossCdf:
         monkeypatch.setattr(channel, "disk_intersection_area", counted)
         dist = PathlossDistribution(ChannelModel(region, max_range), receiver)
         assert not dist._interior
-        assert calls == [1]                  # the scalar area_at_range
+        assert calls == [1]
         gains = dist.sample(np.random.default_rng(0), 20_000)
         again = dist.sample(np.random.default_rng(1), 20_000)
         monkeypatch.undo()
-        table = (1 << _TABLE_LEVELS) - 1
-        rest = rounds - _TABLE_LEVELS
-        # each draw's heard targets fit one block
-        assert calls[1] == table and calls[2:] == [calls[2]] * rest + [calls[-1]] * rest
-        assert len(calls) == 1 + 1 + 2 * rest
+        heard_counts = []
         for seed, drawn in ((0, gains), (1, again)):
             target = (1.0 - np.random.default_rng(seed).uniform(size=20_000)) * dist.area_total
             heard = target < dist.area_at_range
-            assert 0 < heard.sum() <= _BISECT_BLOCK
+            assert 0 < heard.sum() <= _BISECT_BLOCK      # one block per draw
+            heard_counts.append(heard.sum())
             expected = np.zeros(20_000)
             expected[heard] = dist.model.gain(one_shot_inversion(dist, target[heard]))
             assert np.array_equal(drawn, expected)
+        assert calls[1:] == [heard_counts[0]] * rounds + [heard_counts[1]] * rounds
 
     @pytest.mark.parametrize("region, receiver, max_range", [
         (Region(), NodePosition(0.1, 0.3), 0.25),
@@ -155,19 +150,22 @@ class TestPathlossCdf:
         (Region(), NodePosition(0.0, 0.4), 1e-10)],
         ids=["edge", "corner", "on_edge", "strip", "infinite_range", "range_1e-9",
              "range_1e-10"])
-    def test_table_path_matches_one_shot_bisection(self, region, receiver, max_range):
-        # Targets equal to the table's own areas tie with a midpoint: bisection
-        # sends them left, which searchsorted's side "left" matches and "right"
-        # does not. Their float neighbours sit on either side of the tie.
+    def test_bisection_matches_one_shot_inversion(self, region, receiver, max_range):
+        # Targets equal to the area at a midpoint of the first 12 bisection
+        # levels tie with it: bisection must send them left (the area is not
+        # below the target). Their float neighbours sit on either side of the tie.
         dist = PathlossDistribution(ChannelModel(region, max_range), receiver)
         assert not dist._interior
-        ends, areas = dist._bisection_table
-        levels = min(dist._rounds, _TABLE_LEVELS)
-        assert ends.size == (1 << levels) + 1 and np.all(np.diff(areas) > 0.0)
-        assert (levels < _TABLE_LEVELS) == (max_range < 2e-9)
+        ends = np.array([0.0, dist.effective_range])
+        for _ in range(12):
+            finer = np.empty(2 * ends.size - 1)
+            finer[0::2] = ends
+            finer[1::2] = 0.5 * (ends[:-1] + ends[1:])
+            ends = finer
+        ties = disk_intersection_area(region, receiver, ends[1:-1])
         target = np.concatenate([
             np.random.default_rng(7).uniform(0.0, dist.area_at_range, _BISECT_BLOCK),
-            areas, np.nextafter(areas, 0.0), np.nextafter(areas, np.inf),
+            ties, np.nextafter(ties, 0.0), np.nextafter(ties, np.inf),
             [0.0, np.nextafter(dist.area_at_range, 0.0)]])
         assert np.array_equal(dist._invert_coverage(target), one_shot_inversion(dist, target))
 

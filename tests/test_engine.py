@@ -714,11 +714,10 @@ def test_no_delay_memory_stays_within_a_few_node_vectors():
         tracemalloc.stop()
     assert report.crossing is not None
     # the phase works in 1 << 17-node blocks; fires, gain draws and the
-    # coverage bisection's workspace peak at about 3.0 of these at this n;
-    # this first phase also builds the receiver law's 4095-radius midpoint
-    # table and peaks at about 3.06. That holds only while fit casts the
-    # float32 jitter a block at a time and a block's redrawn skews are
-    # released before its gains are drawn
+    # coverage bisection's workspace peak at about 2.95 of these at this n,
+    # the first phase too, since a law keeps no table of its own. That holds
+    # only while fit casts the float32 jitter a block at a time and a block's
+    # redrawn skews are released before its gains are drawn
     assert peak - entry <= 3.3 * vector
 
 

@@ -50,6 +50,47 @@ def test_zero_radius_gives_zero_area():
     assert disk_intersection_area(Region(), (0.2, 0.9), 0.0) == 0.0
 
 
+def test_zero_radius_among_positive_radii_gives_positive_zero():
+    # r = 0 is the one radius whose segment integrals are 0 / 0; the array
+    # call zeroes it without a warning and leaves its neighbours alone
+    region = Region()
+    radii = np.array([0.0, 0.1, 0.0, 0.3, 1e-300, 2.0, 0.0])
+    for center in ((0.2, 0.9), (0.0, 0.4), (1.0, 1.0)):
+        areas = disk_intersection_area(region, center, radii)
+        zero = radii == 0.0
+        assert np.all(areas[zero] == 0.0) and not np.any(np.signbit(areas[zero]))
+        assert np.array_equal(areas[~zero], [disk_intersection_area(region, center, r)
+                                             for r in radii[~zero]])
+
+
+@pytest.mark.parametrize("region", [Region(), Region(3.0, 0.2)], ids=["square", "strip"])
+def test_radii_at_and_past_the_corner_reach_give_one_area(region):
+    # the radius is capped at the corner reach, so every radius from there on
+    # gives the same bits; rounding keeps a corner receiver's just off the area
+    w, h = region.width, region.height
+    for cx, cy in ((0.3 * w, 0.6 * h), (0.0, 0.4 * h), (w, h), (0.0, 0.0)):
+        reach = region.corner_reach(cx, cy)
+        radii = np.array([reach, np.nextafter(reach, np.inf), 2.0 * reach, 1e300, np.inf])
+        areas = disk_intersection_area(region, (cx, cy), radii)
+        assert np.unique(areas).size == 1, (cx, cy, areas)
+        assert abs(areas[0] - region.area) <= 1e-12
+
+
+@pytest.mark.parametrize("region", [Region(), Region(3.0, 0.2)], ids=["square", "strip"])
+def test_edge_and_corner_receivers_give_finite_nondecreasing_areas(region):
+    # Below about 1.5e-154, r * r is subnormal and sqrt(r * r) can round above
+    # r; the areas there must still be finite. They are subnormal too, and may
+    # step down by a unit in the last place, so monotonicity is checked above 1e-12.
+    w, h = region.width, region.height
+    radii = np.concatenate([[0.0], np.geomspace(1e-170, 1e-150, 200),
+                            np.geomspace(1e-12, 1.5 * np.hypot(w, h), 4000)])
+    for center in ((0.0, 0.4 * h), (w, 0.4 * h), (0.3 * w, 0.0), (0.3 * w, h),
+                   (0.0, 0.0), (w, h), (0.0, h), (w, 0.0)):
+        areas = disk_intersection_area(region, center, radii)
+        assert np.all(np.isfinite(areas)), center
+        assert np.all(np.diff(areas[radii >= 1e-12]) >= 0.0), center
+
+
 def test_half_plane_clip_closed_form():
     # Disk centred on the left edge midpoint: exactly half of it fits.
     region = Region(4.0, 4.0)
