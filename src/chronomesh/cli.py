@@ -305,13 +305,13 @@ def _cmd_phases(manifest: RunManifest) -> None:
     state = NetworkState(build_scenario(manifest))
     reports = run_phases(state, count)
     if manifest.command == "delay":
-        assumed_offsets = {node: offset for node, _, offset in state.schedule.receivers}
         rows = []
         for rep in reports:
             for node in sorted(rep.crossings):
                 cr = rep.crossings[node]
-                role = "interior" if node == rep.primary else "boundary"
-                assumed = assumed_offsets[node]
+                # interior nodes assume epsilon; boundary nodes are handed the instant
+                role, assumed = (("interior", state.config.epsilon) if node == rep.primary
+                                 else ("boundary", 0.0))
                 location = cr.location if cr.ok else math.nan
                 offset = location - (rep.center + assumed) if cr.ok else math.nan
                 rows.append((rep.phase_index, rep.center, node, role, assumed,

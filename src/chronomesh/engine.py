@@ -9,8 +9,8 @@ there; each receiver draws its channel, forms the aggregate waveform and
 locates its first downward zero crossing; listeners roll a reading of that
 crossing into their windows; the phase then advances. The regimes differ
 only in data fixed when the network is built: which rows transmit and
-listen, which receivers probe the aggregate and where they search, and the
-window step each fit predicts at (``ScenarioConfig.target``).
+listen, which receivers probe the aggregate, and the window step each fit
+predicts at (``ScenarioConfig.target``).
 
 - ``no_delay``: all nodes fire every phase, propagation is instantaneous and
   the whole network shares one crossing. Pathloss still scales amplitudes,
@@ -31,10 +31,15 @@ window step each fit predicts at (``ScenarioConfig.target``).
   are handed the instant itself and keep no history, so only the boundary
   probe reports what they would hear.
 
+Every receiver searches around the listeners' forecast: the one-step
+extrapolation of the listening group's history, where the instant they listen
+for should fall. The shared time base random-walks off the integer grid (the
+extrapolator reproduces any line, so nothing pulls it back), and a search
+about the grid instant would lose the crossing once the walk passed tau_nz.
 When the primary receiver finds no crossing (gated or no sign change), the
-phase is flagged ``failed`` and each listener holds over: it rolls in its own
-one-step extrapolation of its window, the reading of the instant it listened
-for, so the schedule carries on instead of slipping by a phase.
+phase is flagged ``failed`` and each listener holds over: the history rolls
+in that forecast and each listener its own one-step extrapolation of its
+jitter, so the schedule carries on instead of slipping by a phase.
 
 Each kind of draw has its own stream: the skews ``substream(seed,
 DOMAIN_INIT)``, init window column k ``substream(seed, DOMAIN_INIT, k,
@@ -165,6 +170,7 @@ class PhaseReport:
 
     phase_index: int
     center: float                            # the integer instant aimed at
+    forecast: float                          # the listeners' forecast, where receivers searched
     primary: int                             # receiver whose crossing drives updates
     crossings: dict[int, CrossingReport]     # receiver node id -> search report
     failed: bool
@@ -186,13 +192,7 @@ class Schedule:
 
     transmit: slice
     listen: slice
-    receivers: tuple             # (node id, channel law, search offset), primary first
-
-
-def _within(role: slice, start: int) -> slice:
-    """``role``'s share of a block of rows that starts at row ``start``, as a slice of the block."""
-    step = role.step or 1
-    return slice(((role.start or 0) - start) % step, None, step)
+    receivers: tuple             # (node id, channel law), primary first
 
 
 def _nearest(placed: np.ndarray, rows: np.ndarray, point: tuple[float, float]):
@@ -241,7 +241,7 @@ class NetworkState:
         else:
             self.schedules = self._shared_schedules()
         self.positions = {node: (law.receiver.x, law.receiver.y)
-                          for sched in self.schedules for node, law, _ in sched.receivers}
+                          for sched in self.schedules for node, law in sched.receivers}
 
         self.sigma = float(np.sqrt(config.sigma2))
 
@@ -279,11 +279,11 @@ class NetworkState:
         placed = [NodePosition(*xy) for xy in self._placed(slice(0, 2)).tolist()]
         self.rx_gain_dist = PathlossDistribution(self.channel, placed[0])
         if self.config.regime == "no_delay":
-            return (Schedule(slice(None), slice(None), ((0, self.rx_gain_dist, 0.0),)),)
+            return (Schedule(slice(None), slice(None), ((0, self.rx_gain_dist),)),)
         # even_odd: in the phase of an instant of parity p, parity p fires
         # and the first listener, node 1 - p, reports the crossing
         laws = (PathlossDistribution(self.channel, placed[1]), self.rx_gain_dist)
-        return tuple(Schedule(slice(p, None, 2), slice(1 - p, None, 2), ((1 - p, laws[p], 0.0),))
+        return tuple(Schedule(slice(p, None, 2), slice(1 - p, None, 2), ((1 - p, laws[p]),))
                      for p in (0, 1))
 
     def _inside(self, placed: np.ndarray) -> np.ndarray:
@@ -316,9 +316,8 @@ class NetworkState:
             raise ConfigurationError(
                 "delay regime needs at least one interior node; "
                 "shrink the channel range or enlarge the region")
-        receivers = tuple((node, DelayDistribution(self.channel, position), offset)
-                          for (_, node, position), offset in zip(nearest, (cfg.epsilon, 0.0))
-                          if node is not None)
+        receivers = tuple((node, DelayDistribution(self.channel, position))
+                          for _, node, position in nearest if node is not None)
         if cfg.compensate_delay:
             self.fix_law = receivers[0][1]
         return (Schedule(slice(None), slice(None), receivers),)
@@ -369,13 +368,12 @@ class NetworkState:
                 first = len(range(rows.start)[role])     # the group's index of its first row
                 for k, source in enumerate(sources):
                     if isinstance(source, np.ndarray):
-                        column = window[_within(role, rows.start), k]
+                        column = window[role, k]
                         column[:] = source[first:first + column.size]
             for rng, columns in opened:
                 draws = self._normals(rng, rows)
                 for role, k in columns:
-                    local = _within(role, rows.start)
-                    window[local, k] = draws[local]
+                    window[role, k] = draws[role]
             yield rows, window
 
     def skews(self, rows: slice) -> np.ndarray:
@@ -487,23 +485,21 @@ def _receiver_events(state: NetworkState, sched: Schedule, node: int, law):
     return blocks
 
 
-def _roll(state: NetworkState, sched: Schedule, crossing: CrossingReport):
+def _roll(state: NetworkState, listen: slice, crossing: CrossingReport, forecast: float):
     """Shift the listening group's window by one: its history takes in the crossing and its
-    jitter columns this phase's readout stream; on holdover the history takes in its own
-    prediction and the columns each listener's jitter fit, computed now and stored."""
-    listen = sched.listen
+    jitter columns this phase's readout stream; on holdover the history takes in the group's
+    ``forecast`` and the columns each listener's jitter fit, computed now and stored."""
     group = listen.start or 0
-    m = state.config.m
-    column, heard = state.phase_count, [crossing.location]
+    column, heard = state.phase_count, crossing.location
     if not crossing.ok:
-        heard = state.history[[group]] @ prediction_weights(m, m)[0]
+        heard = forecast
         column = np.empty(len(range(state.n)[listen]), dtype=np.float32)
         for rows, window in state.windows():
             first = len(range(rows.start)[listen])
-            fits = fit(window[listen], m).phi_hat
+            fits = fit(window[listen], state.config.m).phi_hat
             column[first:first + fits.size] = fits
     state.columns[group] = state.columns[group][1:] + (column,)
-    state.history[[group]] = np.column_stack((state.history[[group], 1:], heard))
+    state.history[group] = (*state.history[group, 1:], heard)
 
 
 def no_delay_phase_events(state: NetworkState) -> tuple[EventArray, float]:
@@ -514,28 +510,30 @@ def no_delay_phase_events(state: NetworkState) -> tuple[EventArray, float]:
     """
     _require_regime(state, "no_delay")
     sched = state.schedule
-    node, law, _ = sched.receivers[0]
+    node, law = sched.receivers[0]
     return join(_receiver_events(state, sched, node, law)), float(state.next_center)
 
 
 def run_phase(state: NetworkState) -> PhaseReport:
     """One phase of the state's regime: transmit, receive, update, advance."""
     sched = state.schedule
-    tau0 = float(state.next_center)
+    tau0, m = float(state.next_center), state.config.m
+    # where the listeners expect the instant: the one-step extrapolation of their history
+    forecast = float(state.history[sched.listen.start or 0] @ prediction_weights(m, m)[0])
     crossings: dict[int, CrossingReport] = {}
-    for node, law, offset in sched.receivers:
+    for node, law in sched.receivers:
         events = _receiver_events(state, sched, node, law)
-        crossings[node] = find_zero_crossing(events, state.pulse, search_center=tau0 + offset,
+        crossings[node] = find_zero_crossing(events, state.pulse, search_center=forecast,
                                              gate=state.channel.gate)
 
     primary = sched.receivers[0][0]
     crossing = crossings[primary]
-    _roll(state, sched, crossing)
+    _roll(state, sched.listen, crossing, forecast)
 
     phase_index = state.phase_count
     state.phase_count += 1
     state.next_center += 1
-    return PhaseReport(phase_index, tau0, primary, crossings, not crossing.ok)
+    return PhaseReport(phase_index, tau0, forecast, primary, crossings, not crossing.ok)
 
 
 def run_phase_delay(state: NetworkState) -> PhaseReport:

@@ -86,27 +86,33 @@ def phase_draws(state):
         law = DelayDistribution(state.channel, NodePosition(*state.positions[probe]))
         fix = sample_fix(law, substream(*path, engine._FIX), state.n)
     channels = {}
-    for node, law, _ in state.schedule.receivers:
+    for node, law in state.schedule.receivers:
         rng = substream(*path, engine._CHANNEL, node)
         channels[node] = (law.sample(rng, state.n) if isinstance(law, DelayDistribution)
                           else (None, law.sample(rng, state.n)))
     return jitter, fix, channels
 
 
+def forecast(state):
+    """Where every receiver of the coming phase searches: its listeners' history extrapolated."""
+    m = state.config.m
+    return float(state.history[state.schedule.listen.start or 0] @ prediction_weights(m, m)[0])
+
+
 def receiver_events(state, fires, k_fix, channels):
-    """(receiver, events, search offset) of the coming phase from its transmitters' fires."""
+    """(receiver, events) of the coming phase from its transmitters' fires."""
     tx = state.schedule.transmit
     out = []
-    for node, _, offset in state.schedule.receivers:
+    for node, _ in state.schedule.receivers:
         delays, gains = channels[node]
         scales = gains[tx] * k_fix / fires.size
         arrivals = fires if delays is None else fires + delays[tx]
-        out.append((node, EventArray.build(arrivals, scales), offset))
+        out.append((node, EventArray.build(arrivals, scales)))
     return out
 
 
 def whole_vector_events(state):
-    """(receiver, events, search offset) of the coming phase, built from whole node vectors.
+    """(receiver, events) of the coming phase, built from whole node vectors.
 
     Each kind of draw is taken whole from its own phase stream, with the
     kernel's floating-point steps: the reference a phase worked in node blocks
@@ -141,10 +147,12 @@ class ParentArithmetic:
     offsets are drawn from the init stream after the skews (the state never
     draws them), init jitter column k from its own stream, every fit runs on
     whole absolute windows, and fires go back to reference time through each
-    node's offset. Each phase takes the draws ``run_phase`` takes; ``state``
-    supplies the roles, laws, pulse and phase counters. ``residuals`` keeps
-    every node's float32 jitter window whole, rolled column by column as
-    windows were kept before they were redrawn from their column sources.
+    node's offset. Each phase takes the draws ``run_phase`` takes and searches
+    at the forecast it searches at; ``state`` supplies the roles, laws, pulse
+    and phase counters, and its ``history`` is rolled here, with the crossing
+    or, on a holdover, the forecast. ``residuals`` keeps every node's float32
+    jitter window whole, rolled column by column as windows were kept before
+    they were redrawn from their column sources.
     """
 
     def __init__(self, config):
@@ -190,9 +198,13 @@ class ParentArithmetic:
             fires += (alphas if cfg.oracle_alpha else report.alpha_hat) * d_fix[tx]
             k_fix = k_fix[tx]
         fires = (fires - jitter[tx]) / alphas + self.deltas[tx]
-        crossings = {node: find_zero_crossing(events, st.pulse, tau0 + offset, st.channel.gate)
-                     for node, events, offset in receiver_events(st, fires, k_fix, channels)}
+        centre = forecast(st)
+        crossings = {node: find_zero_crossing(events, st.pulse, centre, st.channel.gate)
+                     for node, events in receiver_events(st, fires, k_fix, channels)}
         crossing = crossings[sched.receivers[0][0]]
+        group = listen.start or 0
+        heard = crossing.location if crossing.ok else centre
+        st.history[group] = np.append(st.history[group, 1:], heard)
         if crossing.ok:
             instants = crossing.location if cfg.regime != "delay" else np.where(
                 st.interior(slice(0, st.n)), crossing.location, tau0 + self.assumed())
@@ -419,9 +431,9 @@ def test_multi_block_phases_match_whole_vectors_and_pinned_values(case):
     st = NetworkState(pinned_config(case, MULTI_BLOCK_N))
     # every receiver, both delay probes included, finds exactly the crossing
     # of the events a whole-vector pass builds
-    center = st.next_center
-    expected = {node: find_zero_crossing(events, st.pulse, center + offset, st.channel.gate)
-                for node, events, offset in whole_vector_events(st)}
+    centre = forecast(st)
+    expected = {node: find_zero_crossing(events, st.pulse, centre, st.channel.gate)
+                for node, events in whole_vector_events(st)}
     assert len(expected) == (2 if st.config.regime == "delay" else 1)
     first = run_phase(st)
     assert first.crossings == expected
@@ -561,7 +573,7 @@ def test_one_gated_phase_stores_at_most_one_column_per_listening_row(regime):
 def test_multi_block_scan_fallback_matches_the_scan_of_whole_events():
     # seed 1 keeps node 0's coverage disk inside the region: cheap gain draws
     st = NetworkState(ScenarioConfig(n_nodes=MULTI_BLOCK_N, seed=1, tau_nz=0.2))
-    ((_, events, _),) = whole_vector_events(st)
+    ((_, events),) = whole_vector_events(st)
     joined, center = no_delay_phase_events(st)
     assert np.array_equal(joined.arrival, events.arrival)
     assert np.array_equal(joined.scale, events.scale)
@@ -658,7 +670,7 @@ def test_even_odd_aggregate_uses_the_reporting_listeners_gain_law():
     st = NetworkState(ScenarioConfig(n_nodes=2000, regime="even_odd", seed=3))
     assert sorted(sched.receivers[0][0] for sched in st.schedules) == [0, 1]
     for sched in st.schedules:
-        node, law, _ = sched.receivers[0]
+        node, law = sched.receivers[0]
         assert (law.receiver.x, law.receiver.y) == tuple(st.positions[node])
 
 
@@ -692,6 +704,37 @@ def test_schedule_recovers_after_a_gated_phase(regime):
     assert not any(rep.failed for rep in reports)
     offsets = [rep.crossing - rep.center for rep in reports]
     assert np.all(np.abs(offsets) < 0.05), offsets
+
+
+@pytest.mark.parametrize("regime, n", [("no_delay", 200), ("even_odd", 60)])
+def test_a_drifting_network_keeps_its_crossing(regime, n):
+    # The shared time base random-walks off the integer grid: over 400 phases
+    # these small networks drift more than tau_nz from it. A search about the
+    # grid instant loses the crossing there for good; every receiver searches
+    # about its listeners' forecast instead, which the crossing stays close to.
+    st = NetworkState(ScenarioConfig(n_nodes=n, regime=regime, seed=1))
+    reports = run_phases(st, 400)
+    assert not any(rep.failed for rep in reports)
+    drift = max(abs(rep.crossing - rep.center) for rep in reports)
+    assert drift > st.pulse.tau_nz
+    innovation = max(abs(rep.crossing - rep.forecast) for rep in reports)
+    assert innovation <= 0.1, innovation
+
+
+@pytest.mark.parametrize("tau_nz", [None, 0.2])
+def test_a_drifted_history_is_searched_where_it_points(tau_nz):
+    # A history shifted by three supports puts the next instant far off the
+    # grid. Both the closed form (default support) and the segment search
+    # (a support below twice the arrival spread) find it there.
+    st = NetworkState(ScenarioConfig(n_nodes=2000, seed=1, tau_nz=tau_nz))
+    shift = 3 * st.pulse.tau_nz
+    st.history += shift
+    events, _ = no_delay_phase_events(st)
+    assert (np.ptp(events.arrival) < st.pulse.tau_nz / 2) == (tau_nz is None)
+    rep = run_phase(st)
+    assert not rep.failed, rep.crossings[rep.primary]
+    assert abs(rep.crossing - (rep.center + shift)) < 0.01
+    assert rep.forecast == pytest.approx(rep.center + shift, abs=1e-12)
 
 
 def test_no_delay_memory_stays_within_a_few_node_vectors():
@@ -845,8 +888,8 @@ def test_state_keeps_only_the_receivers_positions(regime):
     config = ScenarioConfig(n_nodes=500, regime=regime, seed=3)
     st = NetworkState(config)
     placed = place_nodes(config.region, config.n_nodes, substream(config.seed, DOMAIN_PLACEMENT))
-    laws = {node: law for sched in st.schedules for node, law, _ in sched.receivers}
-    probes = {node for node, _, _ in st.schedule.receivers}
+    laws = {node: law for sched in st.schedules for node, law in sched.receivers}
+    probes = {node for node, _ in st.schedule.receivers}
     assert set(st.positions) == set(laws) == {"no_delay": {0}, "even_odd": {0, 1},
                                               "delay": probes}[regime]
     for node, xy in st.positions.items():
@@ -892,9 +935,9 @@ def test_build_matches_the_whole_placement_and_skews(regime, n):
         receivers = [first_nearest(interior, (region.width / 2, region.height / 2))]
         if not interior.all():
             receivers.append(first_nearest(~interior, (0.0, region.height / 2)))
-    got = [node for sched in st.schedules for node, _, _ in sched.receivers]
+    got = [node for sched in st.schedules for node, _ in sched.receivers]
     assert got == receivers
-    laws = {node: law for sched in st.schedules for node, law, _ in sched.receivers}
+    laws = {node: law for sched in st.schedules for node, law in sched.receivers}
     assert set(st.positions) == set(receivers)
     for node, xy in st.positions.items():
         assert xy == tuple(placed[node]) == (laws[node].receiver.x, laws[node].receiver.y)
@@ -912,7 +955,7 @@ def test_delay_probe_search_keeps_the_first_of_tied_nodes(monkeypatch):
     monkeypatch.setattr(engine, "place_nodes",
                         lambda region, count, rng, rows: placed[rows].copy())
     st = NetworkState(ScenarioConfig(n_nodes=n, regime="delay", seed=0))
-    assert [node for node, _, _ in st.schedule.receivers] == [block + 5, 7]
+    assert [node for node, _ in st.schedule.receivers] == [block + 5, 7]
     assert st.positions == {block + 5: (0.5, 0.5), 7: (0.0, 0.5)}
 
 
@@ -988,8 +1031,8 @@ def test_delay_with_negligible_delays_matches_no_delay():
     rep = run_phase(st)
     assert not rep.failed
     assert rep.crossing == pytest.approx(rep.center, abs=1e-6)
-    for node, _, offset in st.schedule.receivers:
-        assert abs(rep.crossings[node].location - (rep.center + offset)) < 1e-6
+    for node, _ in st.schedule.receivers:     # epsilon is 0: both probes assume no offset
+        assert abs(rep.crossings[node].location - rep.center) < 1e-6
 
 
 def test_delay_probes_draw_independently_of_each_other():
@@ -1052,7 +1095,7 @@ def test_delay_boundary_nodes_fire_on_the_instant(built_fires):
     run_phase(st)
     # one block and one pass per receiver, each building its arrivals once
     assert len(built_fires) == len(receivers) == 2
-    for arrivals, (node, _, _) in zip(built_fires, receivers):
+    for arrivals, (node, _) in zip(built_fires, receivers):
         delays, _ = channels[node]
         assert np.allclose(arrivals - delays, center, rtol=0.0, atol=1e-9)
 
